@@ -136,8 +136,7 @@ std::vector<data::TokenId> answer_generative(const nn::TransformerLM& model,
   const TokenId stop_q = vocab.id("q");
 
   auto state = model.make_decode_state();
-  std::vector<float> logits;
-  for (TokenId token : prompt) logits = model.decode_step(state, token);
+  std::vector<float> logits = model.prefill(state, prompt);
 
   std::vector<TokenId> generated;
   const std::int64_t budget =

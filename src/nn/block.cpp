@@ -58,60 +58,7 @@ Tensor CausalSelfAttention::forward(const Tensor& x) const {
 
 void CausalSelfAttention::step(const float* x, float* out, LayerKVCache& cache,
                                std::int64_t pos) const {
-  const std::int64_t channels = wq_.out_features();
-  const std::int64_t head_dim = channels / n_heads_;
-  const float inv_sqrt_d = 1.0F / std::sqrt(static_cast<float>(head_dim));
-
-  if (static_cast<std::size_t>((pos + 1) * channels) > cache.keys.size()) {
-    throw std::logic_error("attention step: KV cache overflow");
-  }
-  if (pos != cache.length) {
-    throw std::logic_error("attention step: position does not match cache length");
-  }
-
-  if (!cache.rope || cache.rope->positions() <= pos ||
-      cache.rope->head_dim() != head_dim) {
-    cache.rope = kernels::RopeTable::get(head_dim, rope_base_, pos + 1);
-  }
-
-  std::vector<float> q(static_cast<std::size_t>(channels));
-  float* k_slot = cache.keys.data() + pos * channels;
-  float* v_slot = cache.values.data() + pos * channels;
-  wq_.apply(x, q.data(), 1);
-  wk_.apply(x, k_slot, 1);
-  wv_.apply(x, v_slot, 1);
-  cache.rope->apply(q.data(), n_heads_, pos, 1.0F);
-  cache.rope->apply(k_slot, n_heads_, pos, 1.0F);
-  cache.length = pos + 1;
-
-  std::vector<float> mixed(static_cast<std::size_t>(channels), 0.0F);
-  std::vector<float> scores(static_cast<std::size_t>(pos + 1));
-  for (std::int64_t h = 0; h < n_heads_; ++h) {
-    const float* q_head = q.data() + h * head_dim;
-    float max_score = -1e30F;
-    for (std::int64_t t = 0; t <= pos; ++t) {
-      const float s =
-          kernels::dot(q_head, cache.keys.data() + t * channels + h * head_dim,
-                       head_dim) *
-          inv_sqrt_d;
-      scores[static_cast<std::size_t>(t)] = s;
-      max_score = std::max(max_score, s);
-    }
-    float sum = 0.0F;
-    for (std::int64_t t = 0; t <= pos; ++t) {
-      scores[static_cast<std::size_t>(t)] =
-          std::exp(scores[static_cast<std::size_t>(t)] - max_score);
-      sum += scores[static_cast<std::size_t>(t)];
-    }
-    const float inv_sum = 1.0F / sum;
-    float* mixed_head = mixed.data() + h * head_dim;
-    for (std::int64_t t = 0; t <= pos; ++t) {
-      kernels::axpy(scores[static_cast<std::size_t>(t)] * inv_sum,
-                    cache.values.data() + t * channels + h * head_dim, mixed_head,
-                    head_dim, /*accumulate=*/true);
-    }
-  }
-  wo_.apply(mixed.data(), out, 1);
+  step_span(x, out, cache, pos, 1);
 }
 
 void CausalSelfAttention::step_span(const float* x, float* out, LayerKVCache& cache,
@@ -133,15 +80,15 @@ void CausalSelfAttention::step_span(const float* x, float* out, LayerKVCache& ca
   }
 
   // Batched projections: each weight row streams through the cache once for
-  // the whole span, with per-row results bitwise-identical to the
-  // single-token step (apply_rowwise). The K/V rows for the span are
-  // consecutive cache slots, so they project straight into place.
+  // the whole span, with per-row results independent of the row count
+  // (Linear::apply). The K/V rows for the span are consecutive cache slots,
+  // so they project straight into place.
   std::vector<float> q(static_cast<std::size_t>(count * channels));
   float* k_rows = cache.keys.data() + pos * channels;
   float* v_rows = cache.values.data() + pos * channels;
-  wq_.apply_rowwise(x, q.data(), count);
-  wk_.apply_rowwise(x, k_rows, count);
-  wv_.apply_rowwise(x, v_rows, count);
+  wq_.apply(x, q.data(), count);
+  wk_.apply(x, k_rows, count);
+  wv_.apply(x, v_rows, count);
   for (std::int64_t t = 0; t < count; ++t) {
     cache.rope->apply(q.data() + t * channels, n_heads_, pos + t, 1.0F);
     cache.rope->apply(k_rows + t * channels, n_heads_, pos + t, 1.0F);
@@ -151,38 +98,19 @@ void CausalSelfAttention::step_span(const float* x, float* out, LayerKVCache& ca
   // The attention mixing is causally sequential: token t attends to
   // positions [0, pos+t], which include the earlier span tokens — whose
   // keys/values are already in the cache exactly as a per-token loop would
-  // have left them, so every score below matches the step() path bitwise.
-  std::vector<float> mixed(static_cast<std::size_t>(count * channels), 0.0F);
+  // have left them, so every head's kernels::attend call matches the
+  // one-token step bitwise.
+  std::vector<float> mixed(static_cast<std::size_t>(count * channels));
   std::vector<float> scores(static_cast<std::size_t>(pos + count));
   for (std::int64_t t = 0; t < count; ++t) {
-    const std::int64_t here = pos + t;
     for (std::int64_t h = 0; h < n_heads_; ++h) {
-      const float* q_head = q.data() + t * channels + h * head_dim;
-      float max_score = -1e30F;
-      for (std::int64_t s = 0; s <= here; ++s) {
-        const float sc =
-            kernels::dot(q_head, cache.keys.data() + s * channels + h * head_dim,
-                         head_dim) *
-            inv_sqrt_d;
-        scores[static_cast<std::size_t>(s)] = sc;
-        max_score = std::max(max_score, sc);
-      }
-      float sum = 0.0F;
-      for (std::int64_t s = 0; s <= here; ++s) {
-        scores[static_cast<std::size_t>(s)] =
-            std::exp(scores[static_cast<std::size_t>(s)] - max_score);
-        sum += scores[static_cast<std::size_t>(s)];
-      }
-      const float inv_sum = 1.0F / sum;
-      float* mixed_head = mixed.data() + t * channels + h * head_dim;
-      for (std::int64_t s = 0; s <= here; ++s) {
-        kernels::axpy(scores[static_cast<std::size_t>(s)] * inv_sum,
-                      cache.values.data() + s * channels + h * head_dim, mixed_head,
-                      head_dim, /*accumulate=*/true);
-      }
+      const std::int64_t head = t * channels + h * head_dim;
+      kernels::attend(q.data() + head, cache.keys.data() + h * head_dim,
+                      cache.values.data() + h * head_dim, channels, pos + t + 1, head_dim,
+                      inv_sqrt_d, scores.data(), mixed.data() + head);
     }
   }
-  wo_.apply_rowwise(mixed.data(), out, count);
+  wo_.apply(mixed.data(), out, count);
 }
 
 void CausalSelfAttention::collect_parameters(const std::string& prefix,
@@ -225,32 +153,18 @@ Tensor SwiGluMlp::forward(const Tensor& x) const {
   return w_down_.forward(ops::swiglu(gate, up));
 }
 
-void SwiGluMlp::step(const float* x, float* out) const {
-  const std::int64_t d_ff = w_gate_.out_features();
-  std::vector<float> gate(static_cast<std::size_t>(d_ff));
-  std::vector<float> up(static_cast<std::size_t>(d_ff));
-  w_gate_.apply(x, gate.data(), 1);
-  w_up_.apply(x, up.data(), 1);
-  for (std::int64_t i = 0; i < d_ff; ++i) {
-    gate[static_cast<std::size_t>(i)] =
-        kernels::silu(gate[static_cast<std::size_t>(i)]) *
-        up[static_cast<std::size_t>(i)];
-  }
-  w_down_.apply(gate.data(), out, 1);
-}
+void SwiGluMlp::step(const float* x, float* out) const { step_span(x, out, 1); }
 
 void SwiGluMlp::step_span(const float* x, float* out, std::int64_t count) const {
   const std::int64_t d_ff = w_gate_.out_features();
   std::vector<float> gate(static_cast<std::size_t>(count * d_ff));
   std::vector<float> up(static_cast<std::size_t>(count * d_ff));
-  w_gate_.apply_rowwise(x, gate.data(), count);
-  w_up_.apply_rowwise(x, up.data(), count);
-  for (std::int64_t i = 0; i < count * d_ff; ++i) {
-    gate[static_cast<std::size_t>(i)] =
-        kernels::silu(gate[static_cast<std::size_t>(i)]) *
-        up[static_cast<std::size_t>(i)];
-  }
-  w_down_.apply_rowwise(gate.data(), out, count);
+  w_gate_.apply(x, gate.data(), count);
+  w_up_.apply(x, up.data(), count);
+  // silu_mul's arithmetic per element does not depend on its offset, so one
+  // call over all rows equals a call per row.
+  kernels::silu_mul(gate.data(), up.data(), gate.data(), count * d_ff);
+  w_down_.apply(gate.data(), out, count);
 }
 
 void SwiGluMlp::collect_parameters(const std::string& prefix, ParamList& out) const {
@@ -290,17 +204,7 @@ Tensor TransformerBlock::forward(const Tensor& x) const {
 }
 
 void TransformerBlock::step(float* x, LayerKVCache& cache, std::int64_t pos) const {
-  const std::int64_t channels = norm1_.weight().dim(0);
-  std::vector<float> normed(static_cast<std::size_t>(channels));
-  std::vector<float> delta(static_cast<std::size_t>(channels));
-
-  norm1_.apply(x, normed.data(), 1, eps_);
-  attn_.step(normed.data(), delta.data(), cache, pos);
-  kernels::axpy(1.0F, delta.data(), x, channels, /*accumulate=*/true);
-
-  norm2_.apply(x, normed.data(), 1, eps_);
-  mlp_.step(normed.data(), delta.data());
-  kernels::axpy(1.0F, delta.data(), x, channels, /*accumulate=*/true);
+  step_span(x, cache, pos, 1);
 }
 
 void TransformerBlock::step_span(float* x, LayerKVCache& cache, std::int64_t pos,

@@ -55,14 +55,16 @@ class CausalSelfAttention {
 
   Tensor forward(const Tensor& x) const;  // x: [B, T, C]
 
-  // Single-token decode step: x is one [C] vector at position `pos`.
+  // Single-token decode step: x is one [C] vector at position `pos`
+  // (step_span with count 1).
   void step(const float* x, float* out, LayerKVCache& cache, std::int64_t pos) const;
 
   // Multi-token decode span: x/out are [count, C] rows for consecutive
   // positions pos..pos+count-1. The linear projections batch over the span
   // (each weight row streamed once) while the attention mixing itself stays
   // causally sequential per token; the result is bitwise-identical to
-  // `count` successive step() calls. Used by the speculative verify pass.
+  // `count` successive step() calls. Used by prefill and the speculative
+  // verify pass.
   void step_span(const float* x, float* out, LayerKVCache& cache, std::int64_t pos,
                  std::int64_t count) const;
 

@@ -51,13 +51,11 @@ std::vector<std::int32_t> generate(const TransformerLM& model,
   auto state = model.make_decode_state();
   supervisor::heartbeat();
   if (options.cancel.cancelled()) return {};
-  // Batched prefill: one decode_span pass streams each weight row once for
-  // the whole prompt (bitwise-identical to per-token decode_step); only the
-  // final row predicts the first generated token.
-  const std::vector<float> rows = model.decode_span(state, prompt);
-  const std::size_t vocab = static_cast<std::size_t>(model.config().vocab_size);
-  std::vector<float> logits(rows.end() - static_cast<std::ptrdiff_t>(vocab),
-                            rows.end());
+  // Batched prefill: one span pass streams each weight row once for the
+  // whole prompt (bitwise-identical to per-token decode_step), and only the
+  // final row, which predicts the first generated token, goes through the
+  // LM head.
+  std::vector<float> logits = model.prefill(state, prompt);
 
   std::vector<std::int32_t> generated;
   const std::int64_t budget =

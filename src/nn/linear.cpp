@@ -26,22 +26,6 @@ Tensor Linear::forward(const Tensor& x) const {
 void Linear::apply(const float* x, float* y, std::int64_t rows) const {
   const std::int64_t in = in_features();
   const std::int64_t out = out_features();
-  kernels::gemm_nt(x, weight_.data().data(), y, rows, in, out, /*accumulate=*/false);
-  if (lora_) {
-    const std::int64_t rank = lora_->a.dim(0);
-    std::vector<float> low_rank(static_cast<std::size_t>(rows * rank));
-    kernels::gemm_nt(x, lora_->a.data().data(), low_rank.data(), rows, in, rank,
-                     /*accumulate=*/false);
-    std::vector<float> delta(static_cast<std::size_t>(rows * out));
-    kernels::gemm_nt(low_rank.data(), lora_->b.data().data(), delta.data(), rows, rank,
-                     out, /*accumulate=*/false);
-    kernels::axpy(lora_->scale, delta.data(), y, rows * out, /*accumulate=*/true);
-  }
-}
-
-void Linear::apply_rowwise(const float* x, float* y, std::int64_t rows) const {
-  const std::int64_t in = in_features();
-  const std::int64_t out = out_features();
   kernels::gemm_nt_rowwise(x, weight_.data().data(), y, rows, in, out,
                            /*accumulate=*/false);
   if (lora_) {

@@ -27,15 +27,12 @@ class Linear {
 
   Tensor forward(const Tensor& x) const;
 
-  // Inference path: y[rows, out] = apply to x[rows, in] (raw buffers, no tape).
+  // Inference path: y[rows, out] = apply to x[rows, in] (raw buffers, no
+  // tape). Each weight row streams once for the whole batch, and every
+  // output row is bitwise-identical to apply(x_row, y_row, 1), so span and
+  // speculative-verify decode stay bit-identical to single-token decode;
+  // see kernels::gemm_nt_rowwise.
   void apply(const float* x, float* y, std::int64_t rows) const;
-
-  // Row-batched inference apply that is bitwise-identical to `rows` separate
-  // apply(x_row, y_row, 1) calls (the single-token decode path) while
-  // streaming each weight row once for the whole batch. The speculative
-  // verify span uses this so batched verification stays provably
-  // bit-identical to per-token decode; see kernels::gemm_nt_rowwise.
-  void apply_rowwise(const float* x, float* y, std::int64_t rows) const;
 
   std::int64_t in_features() const { return weight_.defined() ? weight_.dim(1) : 0; }
   std::int64_t out_features() const { return weight_.defined() ? weight_.dim(0) : 0; }

@@ -46,37 +46,19 @@ std::int32_t SpeculativeSession::greedy(std::span<const float> logits) {
   return sample_token(logits, /*temperature=*/0.0F, rng_);
 }
 
-void SpeculativeSession::prefill(std::int32_t token) {
+void SpeculativeSession::prefill_span(std::span<const std::int32_t> tokens) {
+  if (tokens.empty()) return;
   flush_pending();
-  target_logits_ = target_.decode_step(target_state_, token);
+  target_logits_ = target_.prefill(target_state_, tokens);
   if (nan_guard_ && has_nonfinite(target_logits_)) {
     throw Error(ErrorKind::kNumericDivergence,
                 "speculative: non-finite target logits during prefill");
   }
-  draft_logits_ = draft_.decode_step(draft_state_, token);
-  if (fault::should_poison_draft_logits() && !draft_logits_.empty()) {
-    draft_logits_[0] = std::numeric_limits<float>::quiet_NaN();
-  }
-}
-
-void SpeculativeSession::prefill_span(std::span<const std::int32_t> tokens) {
-  if (tokens.empty()) return;
-  flush_pending();
-  const std::size_t vocab = static_cast<std::size_t>(target_.config().vocab_size);
-  const std::vector<float> target_rows = target_.decode_span(target_state_, tokens);
-  if (nan_guard_ && has_nonfinite(target_rows)) {
-    throw Error(ErrorKind::kNumericDivergence,
-                "speculative: non-finite target logits during prefill");
-  }
-  target_logits_.assign(target_rows.end() - static_cast<std::ptrdiff_t>(vocab),
-                        target_rows.end());
-  const std::vector<float> draft_rows = draft_.decode_span(draft_state_, tokens);
-  draft_logits_.assign(draft_rows.end() - static_cast<std::ptrdiff_t>(vocab),
-                       draft_rows.end());
-  // Per-token prefill consults the poison schedule once per token but only
-  // the final token's verdict survives (earlier poisons are overwritten by
-  // the next prefill). Consume the same number of schedule slots and honor
-  // only the last, so fault ordinals are identical either way.
+  draft_logits_ = draft_.prefill(draft_state_, tokens);
+  // The draft poison schedule advances once per fed token, as it does in
+  // decode_step feeds, but only the final token's verdict survives (its
+  // logits are the only ones kept). Consume one slot per token and honor
+  // the last, so fault ordinals do not depend on how a prompt is chunked.
   bool poison = false;
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     poison = fault::should_poison_draft_logits();

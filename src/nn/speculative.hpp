@@ -13,7 +13,7 @@
 //   * every emitted token is argmax(L) where L is the target's next-token
 //     logits at exactly that sequence position;
 //   * decode_span produces logits bitwise-identical to repeated decode_step
-//     (shared `dot` reductions via gemm_nt_rowwise / apply_rowwise, and
+//     (dot-identical gemv reductions via gemm_nt_rowwise / Linear::apply, and
 //     causally sequential attention against the same cache state);
 //   * rejection rolls both KV caches back to the accepted prefix, and the
 //     stale tail is overwritten before it can ever be read.
@@ -75,15 +75,14 @@ class SpeculativeSession {
   SpeculativeSession(const TransformerLM& target, const TransformerLM& draft,
                      std::int64_t k, bool nan_guard = true);
 
-  // Feed one prompt token through both models (no emission). After the last
-  // prompt token the session is ready for round().
-  void prefill(std::int32_t token);
-
-  // Feed a whole prompt span through both models in one batched decode_span
-  // pass each — bitwise-identical to calling prefill() per token, but each
-  // weight row streams once for the span instead of once per token. The
-  // serving layer keeps per-token prefill() for slot fairness; the one-shot
-  // speculative_generate() uses this.
+  // Feed a prompt span through both models (no emission) with one
+  // TransformerLM::prefill pass each, so each weight row streams once per
+  // span and only the last row reaches the LM head. Consecutive calls may
+  // split a prompt anywhere: the state and logits match one call over the
+  // whole prompt bitwise. The serving layer feeds prompts in fixed-size
+  // chunks, one per scheduler round; speculative_generate() feeds the whole
+  // prompt at once. After the last prompt token the session is ready for
+  // round().
   void prefill_span(std::span<const std::int32_t> tokens);
 
   // One speculative round. Emits between 1 and min(k, remaining-1)+1 tokens

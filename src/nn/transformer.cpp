@@ -103,43 +103,36 @@ TransformerLM::DecodeState TransformerLM::make_decode_state() const {
 
 std::vector<float> TransformerLM::decode_step(DecodeState& state,
                                               std::int32_t token) const {
-  if (token < 0 || token >= config_.vocab_size) {
-    throw std::invalid_argument("decode_step: token out of range");
-  }
-  if (state.position >= config_.max_seq_len) {
-    throw std::logic_error("decode_step: exceeded max sequence length");
-  }
+  return prefill(state, std::span<const std::int32_t>{&token, 1});
+}
+
+std::vector<float> TransformerLM::prefill(DecodeState& state,
+                                          std::span<const std::int32_t> tokens) const {
+  const std::vector<float> x = run_span(state, tokens);
+  if (x.empty()) return {};
   const std::int64_t channels = config_.d_model;
-  std::vector<float> x(static_cast<std::size_t>(channels));
-  std::memcpy(x.data(), tok_embed_.data().data() + token * channels,
-              static_cast<std::size_t>(channels) * sizeof(float));
-
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->step(x.data(), state.caches[l], state.position);
-  }
-  ++state.position;
-
-  std::vector<float> normed(static_cast<std::size_t>(channels));
-  final_norm_.apply(x.data(), normed.data(), 1, config_.rmsnorm_eps);
-  std::vector<float> logits(static_cast<std::size_t>(config_.vocab_size));
-  kernels::gemm_nt(normed.data(), tok_embed_.data().data(), logits.data(), 1, channels,
-                   config_.vocab_size, /*accumulate=*/false);
-  return logits;
+  return head_logits(x.data() + x.size() - static_cast<std::size_t>(channels), 1);
 }
 
 std::vector<float> TransformerLM::decode_span(
     DecodeState& state, std::span<const std::int32_t> tokens) const {
+  const std::vector<float> x = run_span(state, tokens);
+  return head_logits(x.data(), static_cast<std::int64_t>(tokens.size()));
+}
+
+std::vector<float> TransformerLM::run_span(DecodeState& state,
+                                           std::span<const std::int32_t> tokens) const {
   const auto count = static_cast<std::int64_t>(tokens.size());
   if (count == 0) return {};
   if (state.position + count > config_.max_seq_len) {
-    throw std::logic_error("decode_span: exceeded max sequence length");
+    throw std::logic_error("decode: exceeded max sequence length");
   }
   const std::int64_t channels = config_.d_model;
   std::vector<float> x(static_cast<std::size_t>(count * channels));
   for (std::int64_t t = 0; t < count; ++t) {
     const std::int32_t token = tokens[static_cast<std::size_t>(t)];
     if (token < 0 || token >= config_.vocab_size) {
-      throw std::invalid_argument("decode_span: token out of range");
+      throw std::invalid_argument("decode: token out of range");
     }
     std::memcpy(x.data() + t * channels, tok_embed_.data().data() + token * channels,
                 static_cast<std::size_t>(channels) * sizeof(float));
@@ -149,13 +142,16 @@ std::vector<float> TransformerLM::decode_span(
     blocks_[l]->step_span(x.data(), state.caches[l], state.position, count);
   }
   state.position += count;
+  return x;
+}
 
-  std::vector<float> normed(static_cast<std::size_t>(count * channels));
-  final_norm_.apply(x.data(), normed.data(), count, config_.rmsnorm_eps);
-  std::vector<float> logits(static_cast<std::size_t>(count * config_.vocab_size));
-  kernels::gemm_nt_rowwise(normed.data(), tok_embed_.data().data(), logits.data(),
-                           count, channels, config_.vocab_size,
-                           /*accumulate=*/false);
+std::vector<float> TransformerLM::head_logits(const float* x, std::int64_t rows) const {
+  const std::int64_t channels = config_.d_model;
+  std::vector<float> normed(static_cast<std::size_t>(rows * channels));
+  final_norm_.apply(x, normed.data(), rows, config_.rmsnorm_eps);
+  std::vector<float> logits(static_cast<std::size_t>(rows * config_.vocab_size));
+  kernels::gemm_nt_rowwise(normed.data(), tok_embed_.data().data(), logits.data(), rows,
+                           channels, config_.vocab_size, /*accumulate=*/false);
   return logits;
 }
 

@@ -78,6 +78,13 @@ class TransformerLM {
   // result is bitwise-identical to calling decode_step() per token.
   std::vector<float> decode_span(DecodeState& state,
                                  std::span<const std::int32_t> tokens) const;
+  // Prompt prefill: decode_span that applies the final norm and LM head to
+  // the last row only and returns its logits [vocab] (empty for no tokens),
+  // bitwise-identical to the last decode_step() of a per-token feed. Any
+  // split of a prompt into consecutive prefill() calls leaves the same state
+  // and final logits.
+  std::vector<float> prefill(DecodeState& state,
+                             std::span<const std::int32_t> tokens) const;
 
   // ---- structural surgery ----------------------------------------------
   TransformerLM clone() const;
@@ -110,6 +117,12 @@ class TransformerLM {
  private:
   Tensor final_hidden(const std::vector<std::int32_t>& ids, std::int64_t batch,
                       std::int64_t seq) const;
+  // Embed `tokens` and run them through every block at the state's
+  // position; returns the final hidden rows [tokens.size(), d_model].
+  std::vector<float> run_span(DecodeState& state,
+                              std::span<const std::int32_t> tokens) const;
+  // Final norm + tied LM head over `rows` hidden rows -> [rows, vocab].
+  std::vector<float> head_logits(const float* x, std::int64_t rows) const;
 
   ModelConfig config_;
   Tensor tok_embed_;  // [vocab, d_model]; also the (tied) output projection

@@ -78,6 +78,11 @@ std::uint64_t decode_response(const std::string& payload, Response* out) {
   ipc::PayloadReader r{payload};
   const std::uint64_t id = r.u64();
   out->state = static_cast<RequestState>(r.u8());
+  // Tickets are polled by state, so a resolved one must carry a terminal
+  // state; anything else is a broken worker.
+  if (!request_state_terminal(out->state)) {
+    throw Error(ErrorKind::kWorkerLost, "replica response carries a non-terminal state");
+  }
   out->tokens = r.vec_i32();
   const bool has_error = r.u8() != 0;
   const auto kind = static_cast<ErrorKind>(r.u8());
@@ -579,7 +584,7 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
     while (!closed) {
       // Stream back every resolved ticket before reading more work.
       for (auto it = pending.begin(); it != pending.end();) {
-        if (!it->second->wait_for(std::chrono::milliseconds{0})) {
+        if (!request_state_terminal(it->second->state())) {
           ++it;
           continue;
         }

@@ -503,7 +503,9 @@ bool VariantRouter::process(const std::shared_ptr<detail::RouteJob>& jobp,
     if (job.cancel_requested.load(std::memory_order_acquire)) {
       ticket->cancel();  // idempotent; resolves at the next token boundary
     }
-    if (!ticket->wait_for(std::chrono::milliseconds{0})) return false;
+    // Poll without a timed wait: a zero-timeout condition wait still costs
+    // a futex call per pending ticket per dispatcher tick.
+    if (!request_state_terminal(ticket->state())) return false;
     handle_outcome(job, ticket->wait(), now);
     return job.is_terminal();
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "util/env.hpp"
 #include "util/fault.hpp"
@@ -70,6 +71,11 @@ namespace {
 std::int64_t ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(to - from).count();
 }
+
+// Prompt tokens a slot prefills per scheduler round: long enough that a
+// span amortizes the per-step fixed costs, short enough that one long prompt
+// delays the other slots' tokens by about one span pass.
+constexpr std::size_t kPrefillChunk = 32;
 
 bool has_nonfinite(const std::vector<float>& logits) {
   for (const float v : logits) {
@@ -608,16 +614,19 @@ bool InferenceServer::step_slots() {
       supervisor::heartbeat();
       fault::on_decode_token();
       if (slot.prompt_fed < job.request.prompt.size()) {
-        // Prefill, one prompt token per round so a long prompt cannot
-        // starve the rest of the batch.
+        // Prefill one chunk per round, so a long prompt cannot starve the
+        // rest of the batch. Chunked span prefill leaves the same state and
+        // logits as nn::generate's one-pass prefill.
+        const std::span<const std::int32_t> prompt{job.request.prompt};
+        const std::span<const std::int32_t> chunk = prompt.subspan(
+            slot.prompt_fed, std::min(kPrefillChunk, prompt.size() - slot.prompt_fed));
         if (slot.spec) {
-          slot.spec->prefill(job.request.prompt[slot.prompt_fed]);
+          slot.spec->prefill_span(chunk);
           slot.logits = slot.spec->logits();
         } else {
-          slot.logits = model_.decode_step(
-              slot.state, job.request.prompt[slot.prompt_fed]);
+          slot.logits = model_.prefill(slot.state, chunk);
         }
-        ++slot.prompt_fed;
+        slot.prompt_fed += chunk.size();
       } else if (static_cast<std::int64_t>(slot.generated.size()) >=
                  slot.budget) {
         retire_slot(i, RequestState::kCompleted, std::nullopt, "");

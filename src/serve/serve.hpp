@@ -3,9 +3,10 @@
 // InferenceServer wraps a const model behind a bounded request queue and a
 // single scheduler thread that continuously batches admitted requests: each
 // in-flight request owns a decode slot (its own KV cache, RNG, and token
-// budget) and the scheduler interleaves one decode_step per slot per round,
+// budget) and the scheduler interleaves one step per slot per round — a
+// decode token, or a prompt chunk of up to 32 tokens prefilled as one span —
 // so many requests share the weights while one slow request never blocks the
-// rest for more than a token. Per-request determinism is preserved — a
+// rest for more than a step. Per-request determinism is preserved — a
 // request's output depends only on its prompt, seed, and options, never on
 // what else is in the batch.
 //

@@ -70,6 +70,15 @@ void run_jobs(std::int64_t jobs, bool parallel, const Job& job) {
   }
 }
 
+#if defined(__AVX512F__) || (defined(__AVX2__) && defined(__FMA__))
+// Halving tree over 8 lanes: lane l + lane l+4, then l+2, then l+1.
+inline float fold8(__m256 v) {
+  const __m128 h = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  const __m128 q = _mm_add_ps(h, _mm_movehl_ps(h, h));
+  return _mm_cvtss_f32(_mm_add_ss(q, _mm_shuffle_ps(q, q, 1)));
+}
+#endif
+
 // ---- micro-kernel geometry ------------------------------------------------
 //
 // Output rows are processed in blocks of kMicroRows; within a block, the
@@ -227,15 +236,6 @@ void micro_nn(const float* a, std::int64_t lda, const float* b, std::int64_t ldb
   }
 }
 
-inline float hsum256(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  return _mm_cvtss_f32(s);
-}
-
 // 4 x 2 dot tile vectorized over k (8 ymm accumulators + 4 A + 1 B loads
 // stays inside the 16-register ymm file).
 void micro_nt(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
@@ -257,7 +257,7 @@ void micro_nt(const float* a, std::int64_t lda, const float* b, std::int64_t ldb
     }
     for (int i = 0; i < 4; ++i) {
       for (int j = 0; j < 2; ++j) {
-        float s = hsum256(acc[i][j]);
+        float s = fold8(acc[i][j]);
         for (std::int64_t pp = p; pp < k; ++pp) {
           s += a[i * lda + pp] * b[(jb + j) * ldb + pp];
         }
@@ -300,10 +300,382 @@ void micro_nn(const float* a, std::int64_t lda, const float* b, std::int64_t ldb
   }
 }
 
-// No SIMD ISA detected at compile time: gemm_nt keeps the dot-product path.
+// No SIMD ISA detected at compile time: gemm_nt keeps the gemv path.
 void micro_nt(const float*, std::int64_t, const float*, std::int64_t, float*,
               std::int64_t, std::int64_t, bool) {}
 constexpr bool kHasNtMicro = false;
+
+#endif
+
+// ---- decode-path kernels ----------------------------------------------------
+//
+// Per ISA: dot_lanes (the dot() body), gemv_block (kGemvCols outputs of
+// gemv), exp_sum (softmax numerators and their sum), mix_rows (the attention
+// value mix) and silu_mul_lanes. dot and gemv follow the 16-lane order
+// documented in kernels.hpp on every tier; on the SIMD tiers the elementwise
+// kernels run their tails through the same lane code under a mask.
+
+// Cephes-style exp constants: x = n ln2 + r with ln2 split in two for an
+// exact-enough r, a degree-6 polynomial in r, and 2^n built in the exponent
+// bits. Inputs are clamped to [kExpLo, kExpHi] so 2^n stays a normal float
+// (and no tier overflows to inf, which -ffast-math may not honor).
+constexpr float kExpLo = -87.33654F;
+constexpr float kExpHi = 88.0F;
+
+#if defined(__AVX512F__) || (defined(__AVX2__) && defined(__FMA__))
+
+constexpr float kLog2e = 1.44269504088896341F;
+constexpr float kLn2Hi = 0.693359375F;
+constexpr float kLn2Lo = -2.12194440e-4F;
+constexpr float kExpPoly[6] = {1.9875691500e-4F, 1.3981999507e-3F, 8.3334519073e-3F,
+                               4.1665795894e-2F, 1.6666665459e-1F, 5.0000001201e-1F};
+
+#endif
+
+#if defined(__AVX512F__)
+
+constexpr std::int64_t kGemvCols = 16;
+
+inline __mmask16 lane_mask(std::int64_t count) {  // first min(count, 16) lanes
+  return static_cast<__mmask16>((1U << std::min<std::int64_t>(count, 16)) - 1U);
+}
+
+inline float fold16(__m512 v) {
+  return fold8(_mm256_add_ps(_mm512_castps512_ps256(v), _mm512_extractf32x8_ps(v, 1)));
+}
+
+// The clamps take the constant first so a NaN input stays NaN.
+inline __m512 exp16(__m512 x) {
+  x = _mm512_max_ps(_mm512_set1_ps(kExpLo), x);
+  x = _mm512_min_ps(_mm512_set1_ps(kExpHi), x);
+  const __m512 n = _mm512_roundscale_ps(_mm512_mul_ps(x, _mm512_set1_ps(kLog2e)),
+                                        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m512 r = _mm512_fnmadd_ps(n, _mm512_set1_ps(kLn2Hi), x);
+  r = _mm512_fnmadd_ps(n, _mm512_set1_ps(kLn2Lo), r);
+  __m512 p = _mm512_set1_ps(kExpPoly[0]);
+  for (int i = 1; i < 6; ++i) p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(kExpPoly[i]));
+  p = _mm512_fmadd_ps(p, _mm512_mul_ps(r, r), _mm512_add_ps(r, _mm512_set1_ps(1.0F)));
+  const __m512i scale = _mm512_slli_epi32(
+      _mm512_add_epi32(_mm512_cvtps_epi32(n), _mm512_set1_epi32(127)), 23);
+  return _mm512_mul_ps(p, _mm512_castsi512_ps(scale));
+}
+
+inline float dot_lanes(const float* a, const float* b, std::int64_t n) {
+  __m512 acc = _mm512_setzero_ps();
+  std::int64_t p = 0;
+  for (; p + 16 <= n; p += 16) {
+    acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + p), _mm512_loadu_ps(b + p), acc);
+  }
+  if (p < n) {
+    const __mmask16 m = lane_mask(n - p);
+    acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, a + p),
+                          _mm512_maskz_loadu_ps(m, b + p), acc);
+  }
+  return fold16(acc);
+}
+
+// Runs the dot() halving tree on 16 accumulators at once. Each level adds
+// lane l to lane l + width/2 of every accumulator, packing two (then four,
+// eight, sixteen) accumulators per register; the result holds output j at
+// lane 4 * (j % 4) + j / 4 and is permuted back into order.
+inline __m512 transpose_fold16(const __m512 (&acc)[16]) {
+  __m512 h8[8];
+  for (int i = 0; i < 8; ++i) {
+    const __m512 a = acc[2 * i];
+    const __m512 b = acc[2 * i + 1];
+    h8[i] = _mm512_add_ps(_mm512_shuffle_f32x4(a, b, _MM_SHUFFLE(1, 0, 1, 0)),
+                          _mm512_shuffle_f32x4(a, b, _MM_SHUFFLE(3, 2, 3, 2)));
+  }
+  __m512 h4[4];
+  for (int i = 0; i < 4; ++i) {
+    const __m512 a = h8[2 * i];
+    const __m512 b = h8[2 * i + 1];
+    h4[i] = _mm512_add_ps(_mm512_shuffle_f32x4(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+                          _mm512_shuffle_f32x4(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+  }
+  __m512 h2[2];
+  for (int i = 0; i < 2; ++i) {
+    const __m512 a = h4[2 * i];
+    const __m512 b = h4[2 * i + 1];
+    h2[i] = _mm512_add_ps(_mm512_shuffle_ps(a, b, _MM_SHUFFLE(1, 0, 1, 0)),
+                          _mm512_shuffle_ps(a, b, _MM_SHUFFLE(3, 2, 3, 2)));
+  }
+  const __m512 h1 =
+      _mm512_add_ps(_mm512_shuffle_ps(h2[0], h2[1], _MM_SHUFFLE(2, 0, 2, 0)),
+                    _mm512_shuffle_ps(h2[0], h2[1], _MM_SHUFFLE(3, 1, 3, 1)));
+  const __m512i order =
+      _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+  return _mm512_permutexvar_ps(order, h1);
+}
+
+[[gnu::noinline]] void gemv_block(const float* x, const float* w, std::int64_t ldw,
+                                  float* y, std::int64_t k, bool accumulate) {
+  __m512 acc[16];
+  for (__m512& a : acc) a = _mm512_setzero_ps();
+  std::int64_t p = 0;
+  for (; p + 16 <= k; p += 16) {
+    const __m512 xv = _mm512_loadu_ps(x + p);
+    for (int j = 0; j < 16; ++j) {
+      acc[j] = _mm512_fmadd_ps(xv, _mm512_loadu_ps(w + j * ldw + p), acc[j]);
+    }
+  }
+  if (p < k) {
+    const __mmask16 m = lane_mask(k - p);
+    const __m512 xv = _mm512_maskz_loadu_ps(m, x + p);
+    for (int j = 0; j < 16; ++j) {
+      acc[j] = _mm512_fmadd_ps(xv, _mm512_maskz_loadu_ps(m, w + j * ldw + p), acc[j]);
+    }
+  }
+  __m512 sums = transpose_fold16(acc);
+  if (accumulate) sums = _mm512_add_ps(_mm512_loadu_ps(y), sums);
+  _mm512_storeu_ps(y, sums);
+}
+
+float exp_sum(float* v, std::int64_t n, float shift) {
+  const __m512 sub = _mm512_set1_ps(shift);
+  __m512 acc = _mm512_setzero_ps();
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const __mmask16 m = lane_mask(n - i);
+    const __m512 shifted = _mm512_sub_ps(_mm512_maskz_loadu_ps(m, v + i), sub);
+    const __m512 e = _mm512_maskz_mov_ps(m, exp16(shifted));
+    _mm512_mask_storeu_ps(v + i, m, e);
+    acc = _mm512_add_ps(acc, e);
+  }
+  return fold16(acc);
+}
+
+// out[d] = scale * sum_t weight[t] * rows[t * ld + d]; positions rotate over
+// four accumulators per 16-lane column chunk.
+void mix_rows(const float* weight, const float* rows, std::int64_t ld, std::int64_t n,
+              std::int64_t width, float scale, float* out) {
+  for (std::int64_t d = 0; d < width; d += 16) {
+    const __mmask16 m = lane_mask(width - d);
+    const float* col = rows + d;
+    __m512 acc[4] = {_mm512_setzero_ps(), _mm512_setzero_ps(), _mm512_setzero_ps(),
+                     _mm512_setzero_ps()};
+    std::int64_t t = 0;
+    for (; t + 4 <= n; t += 4) {
+      for (int u = 0; u < 4; ++u) {
+        acc[u] = _mm512_fmadd_ps(_mm512_set1_ps(weight[t + u]),
+                                 _mm512_maskz_loadu_ps(m, col + (t + u) * ld), acc[u]);
+      }
+    }
+    for (; t < n; ++t) {
+      acc[0] = _mm512_fmadd_ps(_mm512_set1_ps(weight[t]),
+                               _mm512_maskz_loadu_ps(m, col + t * ld), acc[0]);
+    }
+    const __m512 sum =
+        _mm512_add_ps(_mm512_add_ps(acc[0], acc[1]), _mm512_add_ps(acc[2], acc[3]));
+    _mm512_mask_storeu_ps(out + d, m, _mm512_mul_ps(sum, _mm512_set1_ps(scale)));
+  }
+}
+
+void silu_mul_lanes(const float* gate, const float* up, float* out, std::int64_t n) {
+  const __m512 one = _mm512_set1_ps(1.0F);
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const __mmask16 m = lane_mask(n - i);
+    const __m512 g = _mm512_maskz_loadu_ps(m, gate + i);
+    const __m512 e = exp16(_mm512_sub_ps(_mm512_setzero_ps(), g));
+    const __m512 sig = _mm512_div_ps(one, _mm512_add_ps(one, e));
+    const __m512 u = _mm512_maskz_loadu_ps(m, up + i);
+    _mm512_mask_storeu_ps(out + i, m, _mm512_mul_ps(_mm512_mul_ps(g, sig), u));
+  }
+}
+
+#elif defined(__AVX2__) && defined(__FMA__)
+
+// Four outputs per block: 4 x 2 ymm accumulators plus the activation pair
+// fit the 16-register ymm file.
+constexpr std::int64_t kGemvCols = 4;
+
+alignas(32) constexpr std::int32_t kLaneMaskTable[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                                         0,  0,  0,  0,  0,  0,  0,  0};
+
+inline __m256i lane_mask(std::int64_t count) {  // first clamp(count, 0, 8) lanes
+  const std::int64_t lanes = std::clamp<std::int64_t>(count, 0, 8);
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kLaneMaskTable + 8 - lanes));
+}
+
+inline __m256 exp8(__m256 x) {
+  x = _mm256_max_ps(_mm256_set1_ps(kExpLo), x);
+  x = _mm256_min_ps(_mm256_set1_ps(kExpHi), x);
+  const __m256 n = _mm256_round_ps(_mm256_mul_ps(x, _mm256_set1_ps(kLog2e)),
+                                   _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(kLn2Hi), x);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(kLn2Lo), r);
+  __m256 p = _mm256_set1_ps(kExpPoly[0]);
+  for (int i = 1; i < 6; ++i) p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpPoly[i]));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), _mm256_add_ps(r, _mm256_set1_ps(1.0F)));
+  const __m256i scale = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
+  return _mm256_mul_ps(p, _mm256_castsi256_ps(scale));
+}
+
+// 16 lanes as a (lo, hi) ymm pair, so the order matches the AVX-512 tier.
+inline float dot_lanes(const float* a, const float* b, std::int64_t n) {
+  __m256 lo = _mm256_setzero_ps();
+  __m256 hi = _mm256_setzero_ps();
+  std::int64_t p = 0;
+  for (; p + 16 <= n; p += 16) {
+    lo = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p), lo);
+    hi = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 8), _mm256_loadu_ps(b + p + 8), hi);
+  }
+  if (p < n) {
+    const __m256i ml = lane_mask(n - p);
+    const __m256i mh = lane_mask(n - p - 8);
+    lo = _mm256_fmadd_ps(_mm256_maskload_ps(a + p, ml), _mm256_maskload_ps(b + p, ml),
+                         lo);
+    hi = _mm256_fmadd_ps(_mm256_maskload_ps(a + p + 8, mh),
+                         _mm256_maskload_ps(b + p + 8, mh), hi);
+  }
+  return fold8(_mm256_add_ps(lo, hi));
+}
+
+[[gnu::noinline]] void gemv_block(const float* x, const float* w, std::int64_t ldw,
+                                  float* y, std::int64_t k, bool accumulate) {
+  __m256 lo[4];
+  __m256 hi[4];
+  for (int j = 0; j < 4; ++j) lo[j] = hi[j] = _mm256_setzero_ps();
+  std::int64_t p = 0;
+  for (; p + 16 <= k; p += 16) {
+    const __m256 x0 = _mm256_loadu_ps(x + p);
+    const __m256 x1 = _mm256_loadu_ps(x + p + 8);
+    for (int j = 0; j < 4; ++j) {
+      lo[j] = _mm256_fmadd_ps(x0, _mm256_loadu_ps(w + j * ldw + p), lo[j]);
+      hi[j] = _mm256_fmadd_ps(x1, _mm256_loadu_ps(w + j * ldw + p + 8), hi[j]);
+    }
+  }
+  if (p < k) {
+    const __m256i ml = lane_mask(k - p);
+    const __m256i mh = lane_mask(k - p - 8);
+    const __m256 x0 = _mm256_maskload_ps(x + p, ml);
+    const __m256 x1 = _mm256_maskload_ps(x + p + 8, mh);
+    for (int j = 0; j < 4; ++j) {
+      lo[j] = _mm256_fmadd_ps(x0, _mm256_maskload_ps(w + j * ldw + p, ml), lo[j]);
+      hi[j] = _mm256_fmadd_ps(x1, _mm256_maskload_ps(w + j * ldw + p + 8, mh), hi[j]);
+    }
+  }
+  // The dot() tree for four outputs at once: 16 -> 8 per output, then pack
+  // two outputs per register for 8 -> 4, and fold the rest pairwise.
+  __m256 h8[4];
+  for (int j = 0; j < 4; ++j) h8[j] = _mm256_add_ps(lo[j], hi[j]);
+  const __m256 h4a = _mm256_add_ps(_mm256_permute2f128_ps(h8[0], h8[1], 0x20),
+                                   _mm256_permute2f128_ps(h8[0], h8[1], 0x31));
+  const __m256 h4b = _mm256_add_ps(_mm256_permute2f128_ps(h8[2], h8[3], 0x20),
+                                   _mm256_permute2f128_ps(h8[2], h8[3], 0x31));
+  const __m256 h2 = _mm256_add_ps(_mm256_shuffle_ps(h4a, h4b, _MM_SHUFFLE(1, 0, 1, 0)),
+                                  _mm256_shuffle_ps(h4a, h4b, _MM_SHUFFLE(3, 2, 3, 2)));
+  // Lanes (0, 1 | 4, 5) of h1 hold outputs (0, 2 | 1, 3).
+  const __m256 h1 = _mm256_hadd_ps(h2, h2);
+  __m128 sums = _mm_unpacklo_ps(_mm256_castps256_ps128(h1), _mm256_extractf128_ps(h1, 1));
+  if (accumulate) sums = _mm_add_ps(_mm_loadu_ps(y), sums);
+  _mm_storeu_ps(y, sums);
+}
+
+float exp_sum(float* v, std::int64_t n, float shift) {
+  const __m256 sub = _mm256_set1_ps(shift);
+  __m256 acc = _mm256_setzero_ps();
+  for (std::int64_t i = 0; i < n; i += 8) {
+    const __m256i m = lane_mask(n - i);
+    const __m256 e = _mm256_and_ps(
+        exp8(_mm256_sub_ps(_mm256_maskload_ps(v + i, m), sub)), _mm256_castsi256_ps(m));
+    _mm256_maskstore_ps(v + i, m, e);
+    acc = _mm256_add_ps(acc, e);
+  }
+  return fold8(acc);
+}
+
+void mix_rows(const float* weight, const float* rows, std::int64_t ld, std::int64_t n,
+              std::int64_t width, float scale, float* out) {
+  for (std::int64_t d = 0; d < width; d += 8) {
+    const __m256i m = lane_mask(width - d);
+    const float* col = rows + d;
+    __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(), _mm256_setzero_ps(),
+                     _mm256_setzero_ps()};
+    std::int64_t t = 0;
+    for (; t + 4 <= n; t += 4) {
+      for (int u = 0; u < 4; ++u) {
+        acc[u] = _mm256_fmadd_ps(_mm256_set1_ps(weight[t + u]),
+                                 _mm256_maskload_ps(col + (t + u) * ld, m), acc[u]);
+      }
+    }
+    for (; t < n; ++t) {
+      acc[0] = _mm256_fmadd_ps(_mm256_set1_ps(weight[t]),
+                               _mm256_maskload_ps(col + t * ld, m), acc[0]);
+    }
+    const __m256 sum =
+        _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
+    _mm256_maskstore_ps(out + d, m, _mm256_mul_ps(sum, _mm256_set1_ps(scale)));
+  }
+}
+
+void silu_mul_lanes(const float* gate, const float* up, float* out, std::int64_t n) {
+  const __m256 one = _mm256_set1_ps(1.0F);
+  for (std::int64_t i = 0; i < n; i += 8) {
+    const __m256i m = lane_mask(n - i);
+    const __m256 g = _mm256_maskload_ps(gate + i, m);
+    const __m256 e = exp8(_mm256_sub_ps(_mm256_setzero_ps(), g));
+    const __m256 sig = _mm256_div_ps(one, _mm256_add_ps(one, e));
+    const __m256 u = _mm256_maskload_ps(up + i, m);
+    _mm256_maskstore_ps(out + i, m, _mm256_mul_ps(_mm256_mul_ps(g, sig), u));
+  }
+}
+
+#else
+
+// Portable tier: the same 16-lane order in plain arrays (multiply and add
+// stay unfused on hosts without FMA). gemv blocks are single dot() calls, so
+// they share the one compiled reduction. Elementwise math goes through
+// noinline scalar functions: an inlined loop may be vectorized with a body
+// and an epilogue that round differently, which would make an element's
+// value depend on its position.
+constexpr std::int64_t kGemvCols = 1;
+
+[[gnu::noinline]] float clamped_exp(float x) {
+  return std::exp(std::min(std::max(x, kExpLo), kExpHi));
+}
+
+[[gnu::noinline]] float silu_gate(float gate, float up) {
+  return gate / (1.0F + clamped_exp(-gate)) * up;
+}
+
+inline float dot_lanes(const float* a, const float* b, std::int64_t n) {
+  float lanes[16] = {};
+  for (std::int64_t p = 0; p < n; ++p) lanes[p % 16] += a[p] * b[p];
+  for (int width = 8; width >= 1; width /= 2) {
+    for (int l = 0; l < width; ++l) lanes[l] += lanes[l + width];
+  }
+  return lanes[0];
+}
+
+void gemv_block(const float* x, const float* w, std::int64_t, float* y, std::int64_t k,
+                bool accumulate) {
+  const float value = dot(x, w, k);
+  *y = accumulate ? *y + value : value;
+}
+
+float exp_sum(float* v, std::int64_t n, float shift) {
+  float sum = 0.0F;
+  for (std::int64_t i = 0; i < n; ++i) {
+    v[i] = clamped_exp(v[i] - shift);
+    sum += v[i];
+  }
+  return sum;
+}
+
+void mix_rows(const float* weight, const float* rows, std::int64_t ld, std::int64_t n,
+              std::int64_t width, float scale, float* out) {
+  for (std::int64_t d = 0; d < width; ++d) {
+    float acc = 0.0F;
+    for (std::int64_t t = 0; t < n; ++t) acc += weight[t] * rows[t * ld + d];
+    out[d] = acc * scale;
+  }
+}
+
+void silu_mul_lanes(const float* gate, const float* up, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = silu_gate(gate[i], up[i]);
+}
 
 #endif
 
@@ -371,22 +743,38 @@ void axpy(float alpha, const float* x, float* y, std::int64_t n, bool accumulate
   }
 }
 
-// noinline for the same reason as softmax_row/rmsnorm_row: the gemm_nt dot
-// fallback runs this both from the serial loop and from pool jobs, and the
-// two call sites must execute one shared fast-math compilation of the
-// reduction to stay bitwise-identical across thread counts.
+// noinline for the same reason as softmax_row/rmsnorm_row: dot runs both
+// from serial loops and from pool jobs, and every call site must execute one
+// shared fast-math compilation of the reduction to stay bitwise-identical
+// across thread counts.
 [[gnu::noinline]] float dot(const float* a, const float* b, std::int64_t n) {
-  float s0 = 0.0F, s1 = 0.0F, s2 = 0.0F, s3 = 0.0F;
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
+  return dot_lanes(a, b, n);
+}
+
+void gemv(const float* x, const float* w, std::int64_t ldw, float* y, std::int64_t k,
+          std::int64_t n, bool accumulate) {
+  std::int64_t j = 0;
+  for (; j + kGemvCols <= n; j += kGemvCols) {
+    gemv_block(x, w + j * ldw, ldw, y + j, k, accumulate);
   }
-  float s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
+  for (; j < n; ++j) {
+    const float value = dot(x, w + j * ldw, k);
+    y[j] = accumulate ? y[j] + value : value;
+  }
+}
+
+void attend(const float* q, const float* keys, const float* values, std::int64_t ld,
+            std::int64_t n, std::int64_t head_dim, float scale, float* scratch,
+            float* out) {
+  gemv(q, keys, ld, scratch, head_dim, n, /*accumulate=*/false);
+  for (std::int64_t t = 0; t < n; ++t) scratch[t] *= scale;
+  const float max_score = *std::max_element(scratch, scratch + n);
+  const float sum = exp_sum(scratch, n, max_score);
+  mix_rows(scratch, values, ld, n, head_dim, 1.0F / sum, out);
+}
+
+void silu_mul(const float* gate, const float* up, float* out, std::int64_t n) {
+  silu_mul_lanes(gate, up, out, n);
 }
 
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
@@ -405,15 +793,10 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m, std::int6
   const bool parallel = should_parallelize(m, 2 * m * k * n);
   if (!kHasNtMicro || m < kMicroRows || n < 4 || k < 8) {
     // Small shapes (single-token decode, LoRA rank-k products) and hosts
-    // without a SIMD micro-kernel: one dot product per output element.
+    // without a SIMD micro-kernel: one gemv per output row.
     run_jobs(m, parallel, [=](std::size_t row) {
       const auto i = static_cast<std::int64_t>(row);
-      const float* a_row = a + i * k;
-      float* c_row = c + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float value = dot(a_row, b + j * k, k);
-        c_row[j] = accumulate ? c_row[j] + value : value;
-      }
+      gemv(a + i * k, b, k, c + i * n, k, n, accumulate);
     });
     return;
   }
@@ -440,12 +823,7 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m, std::int6
       }
     } else {
       for (std::int64_t i = i0; i < i0 + rows; ++i) {
-        const float* a_row = a + i * k;
-        float* c_row = c + i * n;
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float value = dot(a_row, b + j * k, k);
-          c_row[j] = accumulate ? c_row[j] + value : value;
-        }
+        gemv(a + i * k, b, k, c + i * n, k, n, accumulate);
       }
     }
   });
@@ -454,18 +832,17 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m, std::int6
 void gemm_nt_rowwise(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n, bool accumulate) {
   if (m <= 0 || n <= 0) return;
-  // Every element is one shared-`dot` reduction, so any sharding over the
-  // output columns is bitwise-identical to serial and to m separate m=1
-  // gemm_nt calls. The column-outer loop is the batching win: one B row
-  // services all m input rows before the next is streamed in.
+  // Every element is a dot()-identical gemv output, so any sharding over the
+  // column blocks is bitwise-identical to serial and to m separate m=1
+  // gemm_nt calls. The block-outer loop is the batching win: one block of B
+  // rows services all m input rows before the next is streamed in.
+  const std::int64_t blocks = (n + kGemvCols - 1) / kGemvCols;
   const bool parallel = should_parallelize(n, 2 * m * k * n);
-  run_jobs(n, parallel, [=](std::size_t col) {
-    const auto j = static_cast<std::int64_t>(col);
-    const float* b_row = b + j * k;
+  run_jobs(blocks, parallel, [=](std::size_t blk) {
+    const std::int64_t j0 = static_cast<std::int64_t>(blk) * kGemvCols;
+    const std::int64_t cols = std::min(kGemvCols, n - j0);
     for (std::int64_t i = 0; i < m; ++i) {
-      const float value = dot(a + i * k, b_row, k);
-      float* out = c + i * n + j;
-      *out = accumulate ? *out + value : value;
+      gemv(a + i * k, b + j0 * k, k, c + i * n + j0, k, cols, accumulate);
     }
   });
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 namespace sdd::kernels::ref {
 
@@ -76,6 +77,30 @@ void rmsnorm_forward(const float* x, const float* weight, float* out,
     const float scale = 1.0F / std::sqrt(mean_sq + eps);
     if (inv_rms != nullptr) inv_rms[r] = scale;
     for (std::int64_t c = 0; c < cols; ++c) out_row[c] = x_row[c] * scale * weight[c];
+  }
+}
+
+void attend(const float* q, const float* keys, const float* values, std::int64_t ld,
+            std::int64_t n, std::int64_t head_dim, float scale, float* out) {
+  std::vector<float> weights(static_cast<std::size_t>(n));
+  for (std::int64_t t = 0; t < n; ++t) {
+    float score = 0.0F;
+    for (std::int64_t d = 0; d < head_dim; ++d) score += q[d] * keys[t * ld + d];
+    weights[static_cast<std::size_t>(t)] = score * scale;
+  }
+  softmax_rows(weights.data(), 1, n);
+  for (std::int64_t d = 0; d < head_dim; ++d) {
+    float acc = 0.0F;
+    for (std::int64_t t = 0; t < n; ++t) {
+      acc += weights[static_cast<std::size_t>(t)] * values[t * ld + d];
+    }
+    out[d] = acc;
+  }
+}
+
+void silu_mul(const float* gate, const float* up, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    out[i] = gate[i] / (1.0F + std::exp(-gate[i])) * up[i];
   }
 }
 

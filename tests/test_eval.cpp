@@ -1,5 +1,7 @@
 // Tests for the evaluation harness, suites, embedding diagnostics, and FLOPs
 // accounting.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "eval/embedding.hpp"
@@ -87,6 +89,32 @@ TEST(Harness, AnswerGenerativeStopsAtQuestionMarker) {
   for (const data::TokenId token : out) {
     EXPECT_NE(token, vocab.eos());
     EXPECT_NE(token, vocab.id("q"));
+  }
+}
+
+// answer_generative prefills the prompt as one span; the result must be
+// exactly what feeding the prompt one decode_step at a time gives.
+TEST(Harness, AnswerGenerativeMatchesPerTokenFeed) {
+  const data::Vocab& vocab = data::Vocab::instance();
+  for (const std::uint64_t seed : {6, 8, 9}) {
+    const nn::TransformerLM model{real_vocab_config(), seed};
+    std::vector<data::TokenId> prompt{vocab.bos()};
+    const auto q = vocab.encode("q : what does the dog say ? what does the dog say ?");
+    prompt.insert(prompt.end(), q.begin(), q.end());
+    prompt.push_back(vocab.sep());
+
+    auto state = model.make_decode_state();
+    std::vector<float> logits;
+    for (const data::TokenId token : prompt) logits = model.decode_step(state, token);
+    std::vector<data::TokenId> want;
+    for (std::int64_t i = 0; i < 20; ++i) {
+      const auto next = static_cast<data::TokenId>(
+          std::max_element(logits.begin(), logits.end()) - logits.begin());
+      if (next == vocab.eos() || next == vocab.id("q")) break;
+      want.push_back(next);
+      if (i + 1 < 20) logits = model.decode_step(state, next);
+    }
+    EXPECT_EQ(answer_generative(model, prompt, 20), want) << "seed " << seed;
   }
 }
 

@@ -1,4 +1,5 @@
 // Correctness tests for the raw compute kernels against naive references.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -278,6 +279,90 @@ TEST(RefEquivalence, RopeTableMatchesPerCallTrig) {
   }
 }
 
+// Decode-path kernels against the reference: gemv over block and tail
+// columns (n not a multiple of 16, k tails), attention at the head sizes the
+// models use, and the SwiGLU gate at d_ff = 24 plus large-magnitude inputs
+// that reach the exp clamps.
+
+float max_abs_diff(const std::vector<float>& got, const std::vector<float>& want) {
+  float max_err = 0.0F;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    max_err = std::max(max_err, std::abs(got[i] - want[i]));
+  }
+  return max_err;
+}
+
+TEST(RefEquivalence, GemvMatchesReference) {
+  for (const std::int64_t k : {5, 16, 24, 64, 100}) {
+    for (const std::int64_t n : {3, 16, 24, 37, 64}) {
+      for (const bool accumulate : {false, true}) {
+        Rng rng{static_cast<std::uint64_t>(k * 131 + n * 7 + (accumulate ? 1 : 0))};
+        const auto x = random_vec(rng, k);
+        const auto w = random_vec(rng, n * k);
+        auto got = random_vec(rng, n);
+        auto want = got;
+        kernels::gemv(x.data(), w.data(), k, got.data(), k, n, accumulate);
+        kernels::ref::gemm_nt(x.data(), w.data(), want.data(), 1, k, n, accumulate);
+        EXPECT_LE(max_abs_diff(got, want), 1e-4F)
+            << "k=" << k << " n=" << n << " accumulate=" << accumulate;
+      }
+    }
+  }
+}
+
+TEST(RefEquivalence, AttendMatchesReference) {
+  const std::int64_t heads = 3;
+  for (const std::int64_t head_dim : {8, 16, 24, 64}) {
+    for (const std::int64_t n : {1, 5, 16, 37, 100}) {
+      const std::int64_t ld = heads * head_dim;
+      Rng rng{static_cast<std::uint64_t>(head_dim * 1009 + n)};
+      const auto q = random_vec(rng, head_dim);
+      const auto keys = random_vec(rng, n * ld);
+      const auto values = random_vec(rng, n * ld);
+      const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim));
+      for (std::int64_t h = 0; h < heads; ++h) {
+        std::vector<float> scratch(static_cast<std::size_t>(n));
+        std::vector<float> got(static_cast<std::size_t>(head_dim));
+        std::vector<float> want(got.size());
+        kernels::attend(q.data(), keys.data() + h * head_dim,
+                        values.data() + h * head_dim, ld, n, head_dim, scale,
+                        scratch.data(), got.data());
+        kernels::ref::attend(q.data(), keys.data() + h * head_dim,
+                             values.data() + h * head_dim, ld, n, head_dim, scale,
+                             want.data());
+        EXPECT_LE(max_abs_diff(got, want), 1e-4F)
+            << "head_dim=" << head_dim << " n=" << n << " head=" << h;
+      }
+    }
+  }
+}
+
+TEST(RefEquivalence, SiluMulMatchesReference) {
+  for (const std::int64_t n : {1, 7, 24, 72, 100}) {
+    Rng rng{static_cast<std::uint64_t>(n)};
+    auto gate = random_vec(rng, n);
+    const auto up = random_vec(rng, n);
+    for (std::int64_t i = 0; i < n; i += 5) gate[static_cast<std::size_t>(i)] *= 40.0F;
+    std::vector<float> got(static_cast<std::size_t>(n));
+    std::vector<float> want(got.size());
+    kernels::silu_mul(gate.data(), up.data(), got.data(), n);
+    kernels::ref::silu_mul(gate.data(), up.data(), want.data(), n);
+    // Relative to the product's magnitude: gates of +-100 give outputs ~100.
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i], want[i], 1e-4F * std::max(1.0F, std::abs(want[i])))
+          << "n=" << n << " i=" << i << " gate=" << gate[i];
+    }
+  }
+  // In place (out aliases gate), as SwiGluMlp uses it.
+  Rng rng{99};
+  auto gate = random_vec(rng, 24);
+  const auto up = random_vec(rng, 24);
+  std::vector<float> want(24);
+  kernels::ref::silu_mul(gate.data(), up.data(), want.data(), 24);
+  kernels::silu_mul(gate.data(), up.data(), gate.data(), 24);
+  EXPECT_LE(max_abs_diff(gate, want), 1e-4F);
+}
+
 // ------------------------------------------------------------------------
 // Determinism: the parallel paths shard disjoint output rows and keep the
 // per-row reduction order fixed, so a kernel run across a thread pool must be
@@ -328,6 +413,111 @@ TEST(KernelDeterminism, ParallelMatchesSerialBitExact) {
       // deterministic resume.
       ASSERT_EQ(serial[o][i], parallel[o][i])
           << "output " << o << " element " << i << " diverged across thread counts";
+    }
+  }
+}
+
+// The decode contract (span == step == speculative verify) rests on these:
+// every gemv output is bitwise a dot() call, whatever its block or tail
+// position, row stride or accumulate mode.
+TEST(KernelDeterminism, GemvMatchesDotBitExact) {
+  for (const std::int64_t k : {1, 7, 15, 16, 17, 24, 33, 64, 100, 257}) {
+    for (const std::int64_t n : {1, 4, 15, 16, 17, 33, 64}) {
+      const std::int64_t ldw = k + 3;  // strided rows, like per-head KV slices
+      Rng rng{static_cast<std::uint64_t>(k * 37 + n)};
+      const auto x = random_vec(rng, k);
+      const auto w = random_vec(rng, n * ldw);
+      const auto y_init = random_vec(rng, n);
+      for (const bool accumulate : {false, true}) {
+        auto y = y_init;
+        kernels::gemv(x.data(), w.data(), ldw, y.data(), k, n, accumulate);
+        for (std::int64_t j = 0; j < n; ++j) {
+          const float value = kernels::dot(x.data(), w.data() + j * ldw, k);
+          const auto at = static_cast<std::size_t>(j);
+          const float want = accumulate ? y_init[at] + value : value;
+          ASSERT_EQ(y[at], want)
+              << "k=" << k << " n=" << n << " j=" << j << " accumulate=" << accumulate;
+        }
+      }
+    }
+  }
+}
+
+// An element's value must not depend on the vector lane it lands in: a span
+// runs silu_mul over count * d_ff contiguous values while a step runs d_ff,
+// so at d_ff = 24 the same gate value sits in a full vector in one call and
+// in a masked tail in the other.
+TEST(KernelDeterminism, DecodeKernelsIndependentOfLanePosition) {
+  Rng rng{17};
+  auto gate = random_vec(rng, 80);
+  const auto up = random_vec(rng, 80);
+  gate[3] = 95.0F;
+  gate[21] = -95.0F;
+  std::vector<float> whole(80);
+  kernels::silu_mul(gate.data(), up.data(), whole.data(), 80);
+  for (std::int64_t offset = 0; offset <= 17; ++offset) {
+    for (const std::int64_t count : {1, 5, 24, 40}) {
+      std::vector<float> part(static_cast<std::size_t>(count));
+      kernels::silu_mul(gate.data() + offset, up.data() + offset, part.data(), count);
+      for (std::int64_t i = 0; i < count; ++i) {
+        ASSERT_EQ(part[static_cast<std::size_t>(i)],
+                  whole[static_cast<std::size_t>(offset + i)])
+            << "offset=" << offset << " count=" << count << " i=" << i;
+      }
+    }
+  }
+
+  // attend's value mix: shifting the value window by `shift` columns moves
+  // each output element to another lane (and across the masked tail at
+  // head_dim 24) without changing its value.
+  const std::int64_t n = 37, head_dim = 24, ld = 48;
+  const auto q = random_vec(rng, head_dim);
+  const auto keys = random_vec(rng, n * ld);
+  const auto values = random_vec(rng, n * ld);
+  std::vector<float> scratch(static_cast<std::size_t>(n));
+  std::vector<float> base(static_cast<std::size_t>(head_dim));
+  kernels::attend(q.data(), keys.data(), values.data(), ld, n, head_dim, 0.25F,
+                  scratch.data(), base.data());
+  for (const std::int64_t shift : {1, 3, 8, 16}) {
+    std::vector<float> moved(static_cast<std::size_t>(head_dim));
+    kernels::attend(q.data(), keys.data(), values.data() + shift, ld, n, head_dim, 0.25F,
+                    scratch.data(), moved.data());
+    for (std::int64_t d = 0; d + shift < head_dim; ++d) {
+      ASSERT_EQ(moved[static_cast<std::size_t>(d)],
+                base[static_cast<std::size_t>(d + shift)])
+          << "shift=" << shift << " d=" << d;
+    }
+  }
+}
+
+TEST(KernelDeterminism, DecodeKernelsParallelMatchSerial) {
+  ThreadPool pool{3};
+  const std::int64_t m = 33, k = 100, n = 129;
+  Rng rng{15};
+  const auto a = random_vec(rng, m * k);
+  const auto b = random_vec(rng, n * k);
+  const auto c_init = random_vec(rng, m * n);
+
+  const auto run_all = [&](kernels::DispatchMode mode, ThreadPool* run_pool) {
+    kernels::ScopedDispatch dispatch{mode, run_pool};
+    std::vector<std::vector<float>> outs;
+    for (const bool accumulate : {false, true}) {
+      auto c = c_init;
+      kernels::gemm_nt_rowwise(a.data(), b.data(), c.data(), m, k, n, accumulate);
+      outs.push_back(c);
+      c = c_init;
+      kernels::gemm_nt(a.data(), b.data(), c.data(), 3, k, n, accumulate);  // gemv rows
+      outs.push_back(c);
+    }
+    return outs;
+  };
+
+  const auto serial = run_all(kernels::DispatchMode::kForceSerial, nullptr);
+  const auto parallel = run_all(kernels::DispatchMode::kForceParallel, &pool);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t o = 0; o < serial.size(); ++o) {
+    for (std::size_t i = 0; i < serial[o].size(); ++i) {
+      ASSERT_EQ(serial[o][i], parallel[o][i]) << "output " << o << " element " << i;
     }
   }
 }

@@ -36,6 +36,7 @@
 #include "serve/router.hpp"
 #include "serve/serve.hpp"
 #include "test_helpers.hpp"
+#include "util/ipc.hpp"
 #include "util/proc.hpp"
 #include "util/signals.hpp"
 
@@ -261,6 +262,56 @@ TEST(RemoteReplicaFork, SwapModelDrainsAndServesNewWeights) {
     EXPECT_EQ(ticket->wait().tokens, reference_tokens(v2, request))
         << "post-swap decode still matches the old weights";
   }
+  replica.shutdown();
+}
+
+// Parents poll tickets by state, so a response frame must carry a terminal
+// state. A worker that answers kRunning is broken: the ticket fails as
+// retryable worker_lost instead of resolving with a non-terminal state.
+TEST(RemoteReplicaFork, NonTerminalResponseStateCountsAsWorkerLost) {
+  RemoteReplicaConfig config = fork_config();
+  config.lease_ms = 10'000;  // the fake worker never heartbeats
+  config.spawn_fn = [](int child_fd, const std::string&,
+                       const std::string&) -> std::int64_t {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      const auto type = [](serve::ReplicaFrame frame) {
+        return static_cast<std::uint8_t>(frame);
+      };
+      ipc::PayloadWriter hello;
+      hello.i64(1);
+      hello.i64(1);
+      ipc::write_frame(child_fd, type(serve::ReplicaFrame::kHello), hello.bytes());
+      ipc::Frame frame;
+      while (ipc::read_frame(child_fd, &frame, 10'000) == ipc::ReadStatus::kFrame) {
+        if (frame.type != type(serve::ReplicaFrame::kRequest)) continue;
+        ipc::PayloadWriter response;  // a well-formed response but for its state
+        response.u64(ipc::PayloadReader{frame.payload}.u64());
+        response.u8(static_cast<std::uint8_t>(RequestState::kRunning));
+        response.vec_i32({});
+        response.u8(0);
+        response.u8(0);
+        response.u8(0);
+        response.u8(0);
+        response.str("");
+        response.i64(0);
+        response.i64(0);
+        ipc::write_frame(child_fd, type(serve::ReplicaFrame::kResponse),
+                         response.bytes());
+      }
+      ::_exit(0);
+    }
+    return static_cast<std::int64_t>(pid);
+  };
+
+  RemoteReplica replica{"fake", "unused.bin", config, [](const std::string&) {}};
+  ASSERT_TRUE(wait_until([&] { return replica.ready(); }, 30s));
+  auto ticket = replica.submit(request_for(0));
+  ASSERT_TRUE(ticket->wait_for(kWait));
+  const serve::Response& response = ticket->wait();
+  EXPECT_EQ(response.state, RequestState::kFailed);
+  ASSERT_TRUE(response.error.has_value());
+  EXPECT_EQ(*response.error, ErrorKind::kWorkerLost);
   replica.shutdown();
 }
 

@@ -227,6 +227,11 @@ TEST(Serve, DeadlineAlreadyExpiredAtAdmissionTimesOutTyped) {
 // deadlines used below, so a tight deadline provably expires before the
 // request can complete (usually mid-generation, at worst while queued —
 // either way it must resolve as a timeout with a partial/empty output).
+// Attention cost grows with the context, so a budget near the long context
+// window is ~1000 decode steps whose later steps attend over ~1000
+// positions: tens of milliseconds on a fast core against a 5 ms deadline.
+constexpr std::int64_t kSlowBudget = 1000;
+
 nn::ModelConfig slow_config() {
   nn::ModelConfig config;
   config.vocab_size = 50;
@@ -234,7 +239,7 @@ nn::ModelConfig slow_config() {
   config.n_heads = 4;
   config.n_layers = 5;
   config.d_ff = 192;
-  config.max_seq_len = 160;
+  config.max_seq_len = 1024;
   return config;
 }
 
@@ -244,7 +249,7 @@ TEST(Serve, DeadlineFreesSlotAndDeterminismSurvives) {
 
   // A ~few-token time budget on a long generation: the request must resolve
   // as a timeout with a *partial* result, freeing its slot mid-generation.
-  Request doomed = request_for(7, /*max_new=*/120);
+  Request doomed = request_for(7, kSlowBudget);
   doomed.deadline_ms = 5;
   auto doomed_ticket = server.submit(doomed);
   const Response& timed_out = wait_resolved(*doomed_ticket);

@@ -116,6 +116,35 @@ TEST(Spec, DecodeSpanAfterPrefixMatchesContinuedSteps) {
   }
 }
 
+TEST(Spec, PrefillMatchesLastDecodeStepUnderAnyChunking) {
+  const TransformerLM model{tiny_config(3), 74};
+  std::vector<std::int32_t> prompt;
+  for (std::int32_t i = 0; i < 41; ++i) prompt.push_back((i * 7 + 3) % 50);
+
+  TransformerLM::DecodeState sequential = model.make_decode_state();
+  std::vector<float> want;
+  for (const std::int32_t token : prompt) want = model.decode_step(sequential, token);
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{5}, std::size_t{32},
+                                  prompt.size()}) {
+    TransformerLM::DecodeState state = model.make_decode_state();
+    std::vector<float> got;
+    for (std::size_t at = 0; at < prompt.size(); at += chunk) {
+      got = model.prefill(state, std::span<const std::int32_t>{prompt}.subspan(
+                                     at, std::min(chunk, prompt.size() - at)));
+    }
+    ASSERT_EQ(state.position, sequential.position);
+    ASSERT_EQ(got, want) << "chunk " << chunk << " logits not bitwise equal";
+    // The caches must match too: the next step agrees bitwise.
+    TransformerLM::DecodeState reference = sequential;
+    EXPECT_EQ(model.decode_step(state, 9), model.decode_step(reference, 9))
+        << "chunk " << chunk;
+  }
+  TransformerLM::DecodeState state = model.make_decode_state();
+  EXPECT_TRUE(model.prefill(state, {}).empty());
+  EXPECT_EQ(state.position, 0);
+}
+
 TEST(Spec, RollbackReplaysBitwiseIdentically) {
   const TransformerLM model{tiny_config(3), 73};
   TransformerLM::DecodeState state = model.make_decode_state();
@@ -346,6 +375,48 @@ TEST(SpecServe, SpeculativeServerBitIdenticalToPlainGreedy) {
   EXPECT_EQ(stats.spec_requests, 5);
   EXPECT_GT(stats.spec.rounds, 0);
   EXPECT_EQ(stats.spec.emitted(), 5 * 10);
+}
+
+// Prompts longer than the server's 32-token prefill chunk are fed over
+// several rounds of span prefill; with or without a draft the output must be
+// nn::generate's, which prefills the prompt in one pass.
+TEST(SpecServe, LongPromptChunkedPrefillMatchesGenerate) {
+  const TransformerLM model{tiny_config(4), 95};
+  const TransformerLM draft = model.pruned(1, 2);
+  for (const TransformerLM* server_draft : {static_cast<const TransformerLM*>(nullptr),
+                                            &draft}) {
+    serve::ServerConfig config;
+    config.spec_k = server_draft != nullptr ? 3 : 0;
+    config.max_batch = 3;
+    serve::InferenceServer server{model, config, server_draft};
+    std::vector<serve::Request> requests;
+    std::vector<serve::TicketPtr> tickets;
+    for (std::int32_t length : {33, 40, 42, 41}) {  // 42 + 6 fills the context
+      serve::Request request;
+      for (std::int32_t i = 0; i < length; ++i) {
+        request.prompt.push_back((i * 11 + length) % 50);
+      }
+      request.max_new_tokens = 6;
+      request.seed = static_cast<std::uint64_t>(length);
+      request.temperature = length == 41 ? 0.8F : 0.0F;  // sampled: no draft
+      requests.push_back(request);
+    }
+    for (const serve::Request& request : requests) {
+      tickets.push_back(server.submit(request));
+    }
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      ASSERT_TRUE(tickets[i]->wait_for(kWait));
+      const serve::Response& response = tickets[i]->wait();
+      ASSERT_EQ(response.state, serve::RequestState::kCompleted) << response.message;
+      nn::GenerateOptions options;
+      options.max_new_tokens = requests[i].max_new_tokens;
+      options.temperature = requests[i].temperature;
+      options.seed = requests[i].seed;
+      EXPECT_EQ(response.tokens, nn::generate(model, requests[i].prompt, options))
+          << "request " << i << (server_draft != nullptr ? " with" : " without")
+          << " a draft";
+    }
+  }
 }
 
 TEST(SpecServe, PerTaskAcceptanceCountersPartitionTheAggregate) {
