@@ -240,6 +240,50 @@ BENCHMARK(BM_SpecDecode)
     ->Args({4, 1})
     ->Unit(benchmark::kMillisecond);
 
+// One batched decode pass (TransformerLM::decode_batch) over `rows` sessions,
+// each feeding one token at context 24 — a serving round of `rows` decoding
+// slots. Shapes: 0 = bench_config() (the served d64 `full`), 1 = its
+// pruned(6, 4) variant `p4`, 2 = the d256 / 8-layer / d_ff 512 target of the
+// wide_spec workload. items_per_second counts rows, so its inverse is the
+// per-row cost of the pass.
+void BM_DecodeBatch(benchmark::State& state) {
+  nn::ModelConfig config = bench_config();
+  if (state.range(0) == 2) {
+    config.d_model = 256;
+    config.n_layers = 8;
+    config.d_ff = 512;
+  }
+  const nn::TransformerLM full{config, 1};
+  const nn::TransformerLM model = state.range(0) == 1 ? full.pruned(6, 4) : full.clone();
+  const auto rows = static_cast<std::size_t>(state.range(1));
+  constexpr std::int64_t kContext = 24;
+  std::vector<nn::TransformerLM::DecodeState> sessions;
+  std::vector<std::int32_t> tokens(rows);
+  Rng rng{5};
+  for (std::size_t s = 0; s < rows; ++s) {
+    sessions.push_back(model.make_decode_state());
+    std::vector<std::int32_t> prompt(kContext);
+    for (auto& id : prompt) {
+      id = static_cast<std::int32_t>(rng.uniform_int(0, config.vocab_size - 1));
+    }
+    model.prefill(sessions.back(), prompt);
+    tokens[s] = prompt.front();
+  }
+  std::vector<nn::TransformerLM::DecodeSegment> segments;
+  for (std::size_t s = 0; s < rows; ++s) {
+    segments.push_back({&sessions[s], {&tokens[s], 1}});
+  }
+  for (auto _ : state) {
+    auto logits = model.decode_batch(segments);
+    benchmark::DoNotOptimize(logits.data());
+    for (auto& session : sessions) session.rollback(kContext);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_DecodeBatch)
+    ->ArgsProduct({{0, 1, 2}, {1, 2, 4, 8}})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PruneMetric(benchmark::State& state) {
   const nn::TransformerLM model{bench_config(), 1};
   const data::World world{42};

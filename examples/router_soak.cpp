@@ -199,23 +199,32 @@ int main() {
     }
   }
 
-  // Recovery phase: with a bounded replica_fail window armed, keep offering
-  // traffic until the quarantined variant's half-open probes burn through
-  // the window and close the breaker again.
+  // Recovery phase: once the target replica fails it ranks behind the
+  // healthy variants, so unpinned traffic may never reach it again. Drive
+  // requests pinned to it, one at a time, until its breaker has opened and
+  // its fault window is used up (dispatch ordinals count the target's
+  // dispatches, exactly ReplicaStats::dispatched) and, with a bounded
+  // replica_fail window, until half-open probes close the breaker again.
+  // breaker_flap's window repeats, so there only the opening counts.
   const bool expect_recovery = fault_config.replica_fail_at >= 0;
   const auto target =
       static_cast<std::size_t>(fault_config.replica_fault_index);
-  if (expect_recovery && target < names.size()) {
+  const std::int64_t window_end =
+      expect_recovery ? fault_config.replica_fail_at + fault_config.replica_fail_count
+                      : 0;
+  if ((expect_recovery || fault_config.breaker_flap) && target < names.size()) {
     const auto recovery_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds{30};
     std::uint64_t extra = 0;
     while (std::chrono::steady_clock::now() < recovery_deadline) {
-      if (router.replicas()[target].health == serve::HealthState::kHealthy) {
+      const serve::ReplicaSnapshot snap = router.replicas()[target];
+      if (snap.stats.breaker_opens >= 1 && snap.stats.dispatched >= window_end &&
+          (!expect_recovery || snap.health == serve::HealthState::kHealthy)) {
         break;
       }
       serve::RouteRequest route = request_for(extra % total);
-      route.variant.clear();
-      route.request.deadline_ms = 0;  // quality routing: probes hit `full`
+      route.variant = names[target];
+      route.request.deadline_ms = 0;
       router.submit(route)->wait_for(5s);
       ++extra;
       std::this_thread::sleep_for(20ms);

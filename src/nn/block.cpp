@@ -1,5 +1,6 @@
 #include "nn/block.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -58,59 +59,84 @@ Tensor CausalSelfAttention::forward(const Tensor& x) const {
 
 void CausalSelfAttention::step(const float* x, float* out, LayerKVCache& cache,
                                std::int64_t pos) const {
-  step_span(x, out, cache, pos, 1);
+  const KVSegment segment{&cache, pos, 1};
+  step_segments(x, out, {&segment, 1});
 }
 
-void CausalSelfAttention::step_span(const float* x, float* out, LayerKVCache& cache,
-                                    std::int64_t pos, std::int64_t count) const {
+void CausalSelfAttention::step_segments(const float* x, float* out,
+                                        std::span<const KVSegment> segments) const {
   const std::int64_t channels = wq_.out_features();
   const std::int64_t head_dim = channels / n_heads_;
   const float inv_sqrt_d = 1.0F / std::sqrt(static_cast<float>(head_dim));
 
-  if (static_cast<std::size_t>((pos + count) * channels) > cache.keys.size()) {
-    throw std::logic_error("attention span: KV cache overflow");
-  }
-  if (pos != cache.length) {
-    throw std::logic_error("attention span: position does not match cache length");
-  }
-
-  if (!cache.rope || cache.rope->positions() < pos + count ||
-      cache.rope->head_dim() != head_dim) {
-    cache.rope = kernels::RopeTable::get(head_dim, rope_base_, pos + count);
+  std::int64_t rows = 0;
+  std::int64_t max_context = 0;
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    const KVSegment& seg = segments[s];
+    const LayerKVCache& cache = *seg.cache;
+    if (static_cast<std::size_t>((seg.pos + seg.rows) * channels) > cache.keys.size()) {
+      throw std::logic_error("attention span: KV cache overflow");
+    }
+    if (seg.pos != cache.length) {
+      throw std::logic_error("attention span: position does not match cache length");
+    }
+    for (std::size_t other = 0; other < s; ++other) {
+      if (segments[other].cache == seg.cache) {
+        throw std::invalid_argument("attention span: a KV cache appears twice in one pass");
+      }
+    }
+    rows += seg.rows;
+    max_context = std::max(max_context, seg.pos + seg.rows);
   }
 
   // Batched projections: each weight row streams through the cache once for
-  // the whole span, with per-row results independent of the row count
-  // (Linear::apply). The K/V rows for the span are consecutive cache slots,
-  // so they project straight into place.
-  std::vector<float> q(static_cast<std::size_t>(count * channels));
-  float* k_rows = cache.keys.data() + pos * channels;
-  float* v_rows = cache.values.data() + pos * channels;
-  wq_.apply(x, q.data(), count);
-  wk_.apply(x, k_rows, count);
-  wv_.apply(x, v_rows, count);
-  for (std::int64_t t = 0; t < count; ++t) {
-    cache.rope->apply(q.data() + t * channels, n_heads_, pos + t, 1.0F);
-    cache.rope->apply(k_rows + t * channels, n_heads_, pos + t, 1.0F);
-  }
-  cache.length = pos + count;
+  // every row of every segment, with per-row results independent of the row
+  // count and of the neighbouring rows (Linear::apply).
+  const auto floats = static_cast<std::size_t>(rows * channels);
+  std::vector<float> q(floats);
+  std::vector<float> k(floats);
+  std::vector<float> v(floats);
+  wq_.apply(x, q.data(), rows);
+  wk_.apply(x, k.data(), rows);
+  wv_.apply(x, v.data(), rows);
 
-  // The attention mixing is causally sequential: token t attends to
-  // positions [0, pos+t], which include the earlier span tokens — whose
-  // keys/values are already in the cache exactly as a per-token loop would
-  // have left them, so every head's kernels::attend call matches the
-  // one-token step bitwise.
-  std::vector<float> mixed(static_cast<std::size_t>(count * channels));
-  std::vector<float> scores(static_cast<std::size_t>(pos + count));
-  for (std::int64_t t = 0; t < count; ++t) {
-    for (std::int64_t h = 0; h < n_heads_; ++h) {
-      const std::int64_t head = t * channels + h * head_dim;
-      kernels::attend(q.data() + head, cache.keys.data() + h * head_dim,
-                      cache.values.data() + h * head_dim, channels, pos + t + 1, head_dim,
-                      inv_sqrt_d, scores.data(), mixed.data() + head);
+  // Per segment: its K/V rows land in consecutive slots of its own cache,
+  // then the mixing runs causally. Token t attends to positions [0, pos+t],
+  // which include the earlier tokens of its segment — whose keys/values are
+  // already in the cache exactly as a per-token loop would have left them,
+  // so every head's kernels::attend call matches the one-token step bitwise.
+  std::vector<float> mixed(floats);
+  std::vector<float> scores(static_cast<std::size_t>(max_context));
+  std::int64_t row = 0;
+  for (const KVSegment& seg : segments) {
+    LayerKVCache& cache = *seg.cache;
+    if (!cache.rope || cache.rope->positions() < seg.pos + seg.rows ||
+        cache.rope->head_dim() != head_dim) {
+      cache.rope = kernels::RopeTable::get(head_dim, rope_base_, seg.pos + seg.rows);
     }
+    const std::size_t offset = static_cast<std::size_t>(row * channels);
+    const std::size_t count = static_cast<std::size_t>(seg.rows * channels);
+    float* k_rows = cache.keys.data() + seg.pos * channels;
+    float* v_rows = cache.values.data() + seg.pos * channels;
+    std::memcpy(k_rows, k.data() + offset, count * sizeof(float));
+    std::memcpy(v_rows, v.data() + offset, count * sizeof(float));
+    for (std::int64_t t = 0; t < seg.rows; ++t) {
+      cache.rope->apply(q.data() + (row + t) * channels, n_heads_, seg.pos + t, 1.0F);
+      cache.rope->apply(k_rows + t * channels, n_heads_, seg.pos + t, 1.0F);
+    }
+    cache.length = seg.pos + seg.rows;
+
+    for (std::int64_t t = 0; t < seg.rows; ++t) {
+      for (std::int64_t h = 0; h < n_heads_; ++h) {
+        const std::int64_t head = (row + t) * channels + h * head_dim;
+        kernels::attend(q.data() + head, cache.keys.data() + h * head_dim,
+                        cache.values.data() + h * head_dim, channels, seg.pos + t + 1,
+                        head_dim, inv_sqrt_d, scores.data(), mixed.data() + head);
+      }
+    }
+    row += seg.rows;
   }
-  wo_.apply(mixed.data(), out, count);
+  wo_.apply(mixed.data(), out, rows);
 }
 
 void CausalSelfAttention::collect_parameters(const std::string& prefix,
@@ -203,25 +229,24 @@ Tensor TransformerBlock::forward(const Tensor& x) const {
   return ops::add(mid, mlp_out);
 }
 
-void TransformerBlock::step(float* x, LayerKVCache& cache, std::int64_t pos) const {
-  step_span(x, cache, pos, 1);
-}
-
-void TransformerBlock::step_span(float* x, LayerKVCache& cache, std::int64_t pos,
-                                 std::int64_t count) const {
+void TransformerBlock::step_segments(float* x,
+                                     std::span<const KVSegment> segments) const {
   const std::int64_t channels = norm1_.weight().dim(0);
-  std::vector<float> normed(static_cast<std::size_t>(count * channels));
-  std::vector<float> delta(static_cast<std::size_t>(count * channels));
+  std::int64_t rows = 0;
+  for (const KVSegment& seg : segments) rows += seg.rows;
+  std::vector<float> normed(static_cast<std::size_t>(rows * channels));
+  std::vector<float> delta(static_cast<std::size_t>(rows * channels));
 
-  // rmsnorm_forward computes rows independently through one shared row body,
-  // so the count-row calls below are bitwise-identical to per-row calls.
-  norm1_.apply(x, normed.data(), count, eps_);
-  attn_.step_span(normed.data(), delta.data(), cache, pos, count);
-  kernels::axpy(1.0F, delta.data(), x, count * channels, /*accumulate=*/true);
+  // rmsnorm_forward computes rows independently through one shared row body
+  // and axpy is elementwise, so these all-row calls are bitwise-identical to
+  // per-row calls.
+  norm1_.apply(x, normed.data(), rows, eps_);
+  attn_.step_segments(normed.data(), delta.data(), segments);
+  kernels::axpy(1.0F, delta.data(), x, rows * channels, /*accumulate=*/true);
 
-  norm2_.apply(x, normed.data(), count, eps_);
-  mlp_.step_span(normed.data(), delta.data(), count);
-  kernels::axpy(1.0F, delta.data(), x, count * channels, /*accumulate=*/true);
+  norm2_.apply(x, normed.data(), rows, eps_);
+  mlp_.step_span(normed.data(), delta.data(), rows);
+  kernels::axpy(1.0F, delta.data(), x, rows * channels, /*accumulate=*/true);
 }
 
 void TransformerBlock::collect_parameters(const std::string& prefix,

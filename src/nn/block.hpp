@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,15 @@ struct LayerKVCache {
   std::int64_t length = 0;
 
   void reset() noexcept { length = 0; }
+};
+
+// One session's share of a ragged multi-session decode pass: `rows`
+// consecutive tokens appended to `cache` at positions pos..pos+rows-1
+// (pos must equal cache->length).
+struct KVSegment {
+  LayerKVCache* cache = nullptr;
+  std::int64_t pos = 0;
+  std::int64_t rows = 0;
 };
 
 class RMSNorm {
@@ -56,17 +66,19 @@ class CausalSelfAttention {
   Tensor forward(const Tensor& x) const;  // x: [B, T, C]
 
   // Single-token decode step: x is one [C] vector at position `pos`
-  // (step_span with count 1).
+  // (a one-row, one-segment step_segments).
   void step(const float* x, float* out, LayerKVCache& cache, std::int64_t pos) const;
 
-  // Multi-token decode span: x/out are [count, C] rows for consecutive
-  // positions pos..pos+count-1. The linear projections batch over the span
-  // (each weight row streamed once) while the attention mixing itself stays
-  // causally sequential per token; the result is bitwise-identical to
-  // `count` successive step() calls. Used by prefill and the speculative
-  // verify pass.
-  void step_span(const float* x, float* out, LayerKVCache& cache, std::int64_t pos,
-                 std::int64_t count) const;
+  // Ragged multi-session decode: x/out hold the rows of every segment
+  // stacked in segment order. The linear projections run once over all rows
+  // (each weight block streamed once per pass, see Linear::apply) while
+  // RoPE, the K/V cache writes and the attention mixing stay per segment,
+  // causally sequential inside it and against that segment's own cache.
+  // Every row is bitwise-identical to feeding its session one token at a
+  // time, whatever else shares the pass. Throws before touching any cache
+  // when a segment is inconsistent or a cache appears twice.
+  void step_segments(const float* x, float* out,
+                     std::span<const KVSegment> segments) const;
 
   Linear& wq() { return wq_; }
   Linear& wk() { return wk_; }
@@ -92,7 +104,9 @@ class SwiGluMlp {
 
   Tensor forward(const Tensor& x) const;
   void step(const float* x, float* out) const;  // single [C] vector
-  // Row-batched step, bitwise-identical to `count` single-row step() calls.
+  // Row-batched step, bitwise-identical to `count` single-row step() calls
+  // (the MLP holds no per-session state, so rows may come from any mix of
+  // sessions).
   void step_span(const float* x, float* out, std::int64_t count) const;
 
   Linear& w_gate() { return w_gate_; }
@@ -115,13 +129,11 @@ class TransformerBlock {
 
   Tensor forward(const Tensor& x) const;
 
-  // In-place single-token decode step on x[C].
-  void step(float* x, LayerKVCache& cache, std::int64_t pos) const;
-
-  // In-place decode over `count` consecutive tokens x[count, C] at positions
-  // pos..pos+count-1; bitwise-identical to `count` step() calls.
-  void step_span(float* x, LayerKVCache& cache, std::int64_t pos,
-                 std::int64_t count) const;
+  // In-place decode of the stacked rows x[R, C] of every segment (R = sum
+  // of segment rows); see CausalSelfAttention::step_segments. This is the
+  // block's only decode body: a single token or a one-session span is the
+  // one-segment case.
+  void step_segments(float* x, std::span<const KVSegment> segments) const;
 
   CausalSelfAttention& attention() { return attn_; }
   SwiGluMlp& mlp() { return mlp_; }

@@ -101,47 +101,94 @@ TransformerLM::DecodeState TransformerLM::make_decode_state() const {
   return state;
 }
 
+std::vector<std::vector<float>> TransformerLM::decode_batch(
+    std::span<const DecodeSegment> segments) const {
+  const std::vector<float> x = run_segments(segments);
+  const std::int64_t channels = config_.d_model;
+  // The LM head runs once over each segment's last row.
+  std::vector<float> last;
+  std::int64_t row = 0;
+  for (const DecodeSegment& seg : segments) {
+    row += static_cast<std::int64_t>(seg.tokens.size());
+    if (seg.tokens.empty()) continue;
+    const float* hidden = x.data() + (row - 1) * channels;
+    last.insert(last.end(), hidden, hidden + channels);
+  }
+  const std::int64_t heads = static_cast<std::int64_t>(last.size()) / channels;
+  const std::vector<float> logits = head_logits(last.data(), heads);
+  std::vector<std::vector<float>> result(segments.size());
+  const float* next = logits.data();
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    if (segments[s].tokens.empty()) continue;
+    result[s].assign(next, next + config_.vocab_size);
+    next += config_.vocab_size;
+  }
+  return result;
+}
+
+std::vector<float> TransformerLM::prefill(DecodeState& state,
+                                          std::span<const std::int32_t> tokens) const {
+  const DecodeSegment segment{&state, tokens};
+  return std::move(decode_batch({&segment, 1}).front());
+}
+
 std::vector<float> TransformerLM::decode_step(DecodeState& state,
                                               std::int32_t token) const {
   return prefill(state, std::span<const std::int32_t>{&token, 1});
 }
 
-std::vector<float> TransformerLM::prefill(DecodeState& state,
-                                          std::span<const std::int32_t> tokens) const {
-  const std::vector<float> x = run_span(state, tokens);
-  if (x.empty()) return {};
-  const std::int64_t channels = config_.d_model;
-  return head_logits(x.data() + x.size() - static_cast<std::size_t>(channels), 1);
-}
-
 std::vector<float> TransformerLM::decode_span(
     DecodeState& state, std::span<const std::int32_t> tokens) const {
-  const std::vector<float> x = run_span(state, tokens);
+  const DecodeSegment segment{&state, tokens};
+  const std::vector<float> x = run_segments({&segment, 1});
   return head_logits(x.data(), static_cast<std::int64_t>(tokens.size()));
 }
 
-std::vector<float> TransformerLM::run_span(DecodeState& state,
-                                           std::span<const std::int32_t> tokens) const {
-  const auto count = static_cast<std::int64_t>(tokens.size());
-  if (count == 0) return {};
-  if (state.position + count > config_.max_seq_len) {
-    throw std::logic_error("decode: exceeded max sequence length");
-  }
-  const std::int64_t channels = config_.d_model;
-  std::vector<float> x(static_cast<std::size_t>(count * channels));
-  for (std::int64_t t = 0; t < count; ++t) {
-    const std::int32_t token = tokens[static_cast<std::size_t>(t)];
-    if (token < 0 || token >= config_.vocab_size) {
-      throw std::invalid_argument("decode: token out of range");
+std::vector<float> TransformerLM::run_segments(
+    std::span<const DecodeSegment> segments) const {
+  // Validate every segment before any state changes, so a bad segment
+  // cannot leave some sessions advanced and others not.
+  std::int64_t rows = 0;
+  for (const DecodeSegment& seg : segments) {
+    const auto count = static_cast<std::int64_t>(seg.tokens.size());
+    if (seg.state->position + count > config_.max_seq_len) {
+      throw std::logic_error("decode: exceeded max sequence length");
     }
-    std::memcpy(x.data() + t * channels, tok_embed_.data().data() + token * channels,
-                static_cast<std::size_t>(channels) * sizeof(float));
+    for (const std::int32_t token : seg.tokens) {
+      if (token < 0 || token >= config_.vocab_size) {
+        throw std::invalid_argument("decode: token out of range");
+      }
+    }
+    rows += count;
+  }
+  if (rows == 0) return {};
+
+  const std::int64_t channels = config_.d_model;
+  std::vector<float> x(static_cast<std::size_t>(rows * channels));
+  float* row = x.data();
+  std::vector<KVSegment> layer;
+  for (const DecodeSegment& seg : segments) {
+    for (const std::int32_t token : seg.tokens) {
+      std::memcpy(row, tok_embed_.data().data() + token * channels,
+                  static_cast<std::size_t>(channels) * sizeof(float));
+      row += channels;
+    }
+    if (!seg.tokens.empty()) {
+      layer.push_back({nullptr, seg.state->position,
+                       static_cast<std::int64_t>(seg.tokens.size())});
+    }
   }
 
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->step_span(x.data(), state.caches[l], state.position, count);
+    std::size_t s = 0;
+    for (const DecodeSegment& seg : segments) {
+      if (!seg.tokens.empty()) layer[s++].cache = &seg.state->caches[l];
+    }
+    blocks_[l]->step_segments(x.data(), layer);
   }
-  state.position += count;
+  for (const DecodeSegment& seg : segments) {
+    seg.state->position += static_cast<std::int64_t>(seg.tokens.size());
+  }
   return x;
 }
 

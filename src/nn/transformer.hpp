@@ -69,22 +69,38 @@ class TransformerLM {
   };
 
   DecodeState make_decode_state() const;
+
+  // One session's share of a batched decode pass: feed `tokens` into
+  // `state` (a prompt chunk, or the one token a decoding session sampled).
+  struct DecodeSegment {
+    DecodeState* state = nullptr;
+    std::span<const std::int32_t> tokens;
+  };
+  // Batched decode across independent sessions: one forward pass over the
+  // stacked rows of every segment. Norms, projections, SwiGLU and the LM
+  // head run once over all rows, so each weight block streams once per pass
+  // instead of once per session; RoPE, K/V writes and attention stay per
+  // segment against its own state. Returns, per segment, the next-token
+  // logits [vocab] after its last token (empty for a segment with no
+  // tokens) — bitwise-identical to prefill() on that state alone, whatever
+  // else shares the pass. Throws, leaving every state untouched, on a token
+  // out of range, a state that appears twice, or a segment that would
+  // overflow the context.
+  std::vector<std::vector<float>> decode_batch(
+      std::span<const DecodeSegment> segments) const;
+  // Prompt prefill: a one-segment decode_batch, returning the logits [vocab]
+  // after the last token (empty for no tokens), bitwise-identical to the
+  // last decode_step() of a per-token feed. Any split of a prompt into
+  // consecutive prefill() calls leaves the same state and final logits.
+  std::vector<float> prefill(DecodeState& state,
+                             std::span<const std::int32_t> tokens) const;
   // Feed one token; returns the next-token logits [vocab].
   std::vector<float> decode_step(DecodeState& state, std::int32_t token) const;
   // Feed `tokens` consecutively and return all next-token logits as a
   // [tokens.size(), vocab] row-major buffer — the speculative verify pass.
-  // Linear projections and the output head batch over the span (each weight
-  // row streamed once) while attention stays causally sequential, and the
-  // result is bitwise-identical to calling decode_step() per token.
+  // Row t is bitwise-identical to the decode_step() of token t.
   std::vector<float> decode_span(DecodeState& state,
                                  std::span<const std::int32_t> tokens) const;
-  // Prompt prefill: decode_span that applies the final norm and LM head to
-  // the last row only and returns its logits [vocab] (empty for no tokens),
-  // bitwise-identical to the last decode_step() of a per-token feed. Any
-  // split of a prompt into consecutive prefill() calls leaves the same state
-  // and final logits.
-  std::vector<float> prefill(DecodeState& state,
-                             std::span<const std::int32_t> tokens) const;
 
   // ---- structural surgery ----------------------------------------------
   TransformerLM clone() const;
@@ -117,10 +133,10 @@ class TransformerLM {
  private:
   Tensor final_hidden(const std::vector<std::int32_t>& ids, std::int64_t batch,
                       std::int64_t seq) const;
-  // Embed `tokens` and run them through every block at the state's
-  // position; returns the final hidden rows [tokens.size(), d_model].
-  std::vector<float> run_span(DecodeState& state,
-                              std::span<const std::int32_t> tokens) const;
+  // Embed every segment's tokens and run the stacked rows through every
+  // block, each segment at its state's position; returns the final hidden
+  // rows [total tokens, d_model] in segment order.
+  std::vector<float> run_segments(std::span<const DecodeSegment> segments) const;
   // Final norm + tied LM head over `rows` hidden rows -> [rows, vocab].
   std::vector<float> head_logits(const float* x, std::int64_t rows) const;
 

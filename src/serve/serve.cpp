@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <span>
 
@@ -261,6 +262,10 @@ TicketPtr InferenceServer::submit(Request request) {
                                       std::chrono::milliseconds{deadline_ms})
                                 : CancelToken::make();
   TicketPtr ticket{new Ticket{job}};
+  const std::int64_t vocab = model_.config().vocab_size;
+  const bool bad_token = std::any_of(
+      job->request.prompt.begin(), job->request.prompt.end(),
+      [vocab](std::int32_t token) { return token < 0 || token >= vocab; });
 
   // One queue_mutex_ critical section covers the submitted counter AND the
   // admission disposition (queue / shed / reject), so a stats() snapshot —
@@ -282,6 +287,12 @@ TicketPtr InferenceServer::submit(Request request) {
     } else if (prompt_len >= model_.config().max_seq_len) {
       resolve(*job, RequestState::kRejected, ErrorKind::kFatal,
               "prompt exceeds context window");
+    } else if (bad_token) {
+      // Caught here rather than in the decode pass, where it would fail
+      // every slot sharing the round.
+      resolve(*job, RequestState::kRejected, ErrorKind::kFatal,
+              "prompt token out of range for vocabulary of " +
+                  std::to_string(vocab));
     } else if (stopping_) {
       resolve(*job, RequestState::kRejected, ErrorKind::kResourceExhausted,
               "server shutting down");
@@ -561,11 +572,12 @@ void InferenceServer::admit_jobs() {
   }
 }
 
-void InferenceServer::retire_slot(std::size_t index, RequestState state,
+void InferenceServer::retire_slot(ActiveSlot& slot, RequestState state,
                                   std::optional<ErrorKind> error,
                                   std::string message) {
-  ActiveSlot slot = std::move(active_[index]);
-  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(index));
+  // A null job marks the slot retired; step_slots sweeps it out of active_
+  // when the round ends.
+  const std::shared_ptr<detail::Job> job = std::move(slot.job);
   if (slot.spec) {
     // Fold the session's acceptance telemetry into the server aggregate and
     // the per-task breakdown, whatever the terminal state — partial rounds
@@ -573,8 +585,8 @@ void InferenceServer::retire_slot(std::size_t index, RequestState state,
     const std::lock_guard<std::mutex> lock{stats_mutex_};
     ++stats_.spec_requests;
     stats_.spec.add(slot.spec->counters());
-    if (!slot.job->request.task.empty()) {
-      stats_.spec_by_task[slot.job->request.task].add(slot.spec->counters());
+    if (!job->request.task.empty()) {
+      stats_.spec_by_task[job->request.task].add(slot.spec->counters());
     }
   }
   if (state == RequestState::kCompleted) {
@@ -585,13 +597,36 @@ void InferenceServer::retire_slot(std::size_t index, RequestState state,
       soft_limit_.store(soft + 1, std::memory_order_release);
     }
   }
-  resolve(*slot.job, state, error, std::move(message),
-          std::move(slot.generated));
+  resolve(*job, state, error, std::move(message), std::move(slot.generated));
 }
 
+// One scheduler round in three phases (docs/serving.md):
+//   1. per slot, in slot order: cancellation, heartbeat, fault hooks,
+//      sampling, stop and budget. A plain slot queues its prompt chunk or
+//      its sampled token as one segment of the round's batched pass; a
+//      speculative slot runs its prefill chunk or draft/verify round here.
+//   2. one TransformerLM::decode_batch over every queued segment, so each
+//      weight block streams once per round instead of once per slot.
+//   3. per stepped slot, in slot order: logit poisoning and the NaN guard.
+// The per-slot decode sequence is exactly nn::generate's, so a request's
+// output is bit-identical to an unloaded single-request decode regardless
+// of what else shares the round.
 bool InferenceServer::step_slots() {
   if (active_.empty()) return false;
-  for (std::size_t i = 0; i < active_.size();) {
+  // Retired slots leave active_ once the round is over, however it ends, so
+  // slot indices stay stable across the three phases.
+  struct Sweep {
+    std::vector<ActiveSlot>& slots;
+    ~Sweep() {
+      std::erase_if(slots, [](const ActiveSlot& slot) { return slot.job == nullptr; });
+    }
+  } sweep{active_};
+
+  std::vector<std::size_t> stepped;  // slots with fresh logits this round
+  std::vector<std::size_t> batched;  // plain slots in the batched pass
+  std::vector<nn::TransformerLM::DecodeSegment> segments;
+  std::exception_ptr recycle;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
     ActiveSlot& slot = active_[i];
     detail::Job& job = *slot.job;
 
@@ -600,7 +635,7 @@ bool InferenceServer::step_slots() {
     if (job.cancel.cancelled()) {
       const bool explicit_cancel =
           std::string_view{job.cancel.reason()} == "cancelled";
-      retire_slot(i,
+      retire_slot(slot,
                   explicit_cancel ? RequestState::kCancelled
                                   : RequestState::kTimeout,
                   explicit_cancel ? std::nullopt
@@ -610,6 +645,10 @@ bool InferenceServer::step_slots() {
       continue;
     }
 
+    const auto queue = [&](std::span<const std::int32_t> tokens) {
+      batched.push_back(i);
+      segments.push_back({&slot.state, tokens});
+    };
     try {
       supervisor::heartbeat();
       fault::on_decode_token();
@@ -620,16 +659,16 @@ bool InferenceServer::step_slots() {
         const std::span<const std::int32_t> prompt{job.request.prompt};
         const std::span<const std::int32_t> chunk = prompt.subspan(
             slot.prompt_fed, std::min(kPrefillChunk, prompt.size() - slot.prompt_fed));
+        slot.prompt_fed += chunk.size();
         if (slot.spec) {
           slot.spec->prefill_span(chunk);
           slot.logits = slot.spec->logits();
         } else {
-          slot.logits = model_.prefill(slot.state, chunk);
+          queue(chunk);
         }
-        slot.prompt_fed += chunk.size();
       } else if (static_cast<std::int64_t>(slot.generated.size()) >=
                  slot.budget) {
-        retire_slot(i, RequestState::kCompleted, std::nullopt, "");
+        retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
         continue;
       } else if (slot.spec) {
         // One speculative round per scheduler round: up to spec_k accepted
@@ -648,58 +687,83 @@ bool InferenceServer::step_slots() {
         }
         if (stopped ||
             static_cast<std::int64_t>(slot.generated.size()) >= slot.budget) {
-          retire_slot(i, RequestState::kCompleted, std::nullopt, "");
+          retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
           continue;
         }
         slot.logits = slot.spec->logits();
       } else {
-        // This mirrors nn::generate token for token (same RNG draws, same
-        // decode_step sequence), so outputs are bit-identical to an
-        // unloaded single-request decode.
+        // Same RNG draws and the same decode sequence as nn::generate.
         const std::int32_t next = nn::sample_token(
             slot.logits, job.request.temperature, slot.rng);
         if (next == job.request.stop_token) {
-          retire_slot(i, RequestState::kCompleted, std::nullopt, "");
+          retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
           continue;
         }
         slot.generated.push_back(next);
         if (static_cast<std::int64_t>(slot.generated.size()) >= slot.budget) {
-          retire_slot(i, RequestState::kCompleted, std::nullopt, "");
+          retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
           continue;
         }
-        slot.logits = model_.decode_step(slot.state, next);
+        queue({&slot.generated.back(), 1});
       }
-      if (fault::should_poison_logits() && !slot.logits.empty()) {
-        slot.logits[0] = std::numeric_limits<float>::quiet_NaN();
-      }
-      if (config_.nan_guard && has_nonfinite(slot.logits)) {
-        retire_slot(i, RequestState::kFailed, ErrorKind::kNumericDivergence,
-                    "non-finite logits during decode");
-        continue;
-      }
+      stepped.push_back(i);
     } catch (const Error& e) {
       if (e.kind() == ErrorKind::kTimeout &&
           supervisor::cancellation_requested()) {
         // The hang watchdog cancelled the worker stage while this slot was
-        // stepping: fail the hung request, then unwind so the supervisor
-        // recycles the stage (fresh cancellation context); the surviving
-        // slots are member state and continue on the next attempt.
-        retire_slot(i, RequestState::kFailed, ErrorKind::kTimeout,
+        // stepping: fail the hung request, finish the round for the slots
+        // already queued (none may keep a sampled token without its
+        // logits), then unwind so the supervisor recycles the stage (fresh
+        // cancellation context); the surviving slots are member state and
+        // continue on the next attempt.
+        retire_slot(slot, RequestState::kFailed, ErrorKind::kTimeout,
                     std::string{"decode hung; worker recycled: "} + e.what());
         {
           const std::lock_guard<std::mutex> lock{stats_mutex_};
           ++stats_.worker_recycles;
         }
-        throw;
+        recycle = std::current_exception();
+        break;
       }
-      retire_slot(i, RequestState::kFailed, e.kind(), e.what());
-      continue;
+      retire_slot(slot, RequestState::kFailed, e.kind(), e.what());
     } catch (const std::exception& e) {
-      retire_slot(i, RequestState::kFailed, ErrorKind::kFatal, e.what());
-      continue;
+      retire_slot(slot, RequestState::kFailed, ErrorKind::kFatal, e.what());
     }
-    ++i;
   }
+
+  if (!segments.empty()) {
+    // A failed pass fails exactly the slots that joined it; speculative
+    // slots and slots that did not step this round carry on.
+    const auto fail_batched = [&](ErrorKind kind, const std::string& message) {
+      for (const std::size_t i : batched) {
+        retire_slot(active_[i], RequestState::kFailed, kind, message);
+      }
+    };
+    try {
+      fault::on_decode_pass();
+      std::vector<std::vector<float>> logits = model_.decode_batch(segments);
+      for (std::size_t j = 0; j < batched.size(); ++j) {
+        active_[batched[j]].logits = std::move(logits[j]);
+      }
+    } catch (const Error& e) {
+      fail_batched(e.kind(), e.what());
+    } catch (const std::exception& e) {
+      fail_batched(ErrorKind::kFatal, e.what());
+    }
+  }
+
+  for (const std::size_t i : stepped) {
+    ActiveSlot& slot = active_[i];
+    if (slot.job == nullptr) continue;  // its batched pass failed
+    if (fault::should_poison_logits() && !slot.logits.empty()) {
+      slot.logits[0] = std::numeric_limits<float>::quiet_NaN();
+    }
+    if (config_.nan_guard && has_nonfinite(slot.logits)) {
+      retire_slot(slot, RequestState::kFailed, ErrorKind::kNumericDivergence,
+                  "non-finite logits during decode");
+    }
+  }
+  if (recycle) std::rethrow_exception(recycle);
   return true;
 }
 

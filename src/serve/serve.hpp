@@ -3,10 +3,10 @@
 // InferenceServer wraps a const model behind a bounded request queue and a
 // single scheduler thread that continuously batches admitted requests: each
 // in-flight request owns a decode slot (its own KV cache, RNG, and token
-// budget) and the scheduler interleaves one step per slot per round — a
-// decode token, or a prompt chunk of up to 32 tokens prefilled as one span —
-// so many requests share the weights while one slow request never blocks the
-// rest for more than a step. Per-request determinism is preserved — a
+// budget) and every round steps each slot once — a decode token, or a prompt
+// chunk of up to 32 tokens — with the plain slots' rows run as ONE batched
+// forward pass, so each weight block streams once per round while one slow
+// request never blocks the rest for more than a step. Per-request determinism is preserved — a
 // request's output depends only on its prompt, seed, and options, never on
 // what else is in the batch.
 //
@@ -252,7 +252,7 @@ class InferenceServer {
   void resolve(detail::Job& job, RequestState state,
                std::optional<ErrorKind> error, std::string message,
                std::vector<std::int32_t> tokens = {});
-  void retire_slot(std::size_t index, RequestState state,
+  void retire_slot(ActiveSlot& slot, RequestState state,
                    std::optional<ErrorKind> error, std::string message);
   void drain_all(ErrorKind kind, const std::string& message);
   std::int64_t queue_depth() const;

@@ -30,6 +30,7 @@ struct State {
   std::atomic<std::int64_t> allocs{0};
   std::atomic<std::int64_t> decode_tokens{0};
   std::atomic<std::int64_t> logit_checks{0};
+  std::atomic<std::int64_t> decode_passes{0};
   std::atomic<std::int64_t> fleet_claims{0};
   std::atomic<std::int64_t> fleet_completions{0};
   std::atomic<std::int64_t> replica_dispatches{0};
@@ -70,7 +71,8 @@ void init_from_env() {
                 "\nfault: valid directives: io_fail:p=P, truncate_write, "
                 "crash_at_step:N, crash_at_io:N, hang_at_step:N, "
                 "nan_at_step:N, slow_io:ms=M, alloc_fail:at=N, "
-                "hang_decode:N, nan_decode:N, worker_kill9:at=N, "
+                "hang_decode:N, nan_decode:N, decode_pass_fail:N, "
+                "worker_kill9:at=N, "
                 "worker_stall:N, claim_race, orch_crash:N, "
                 "replica_fail:at=N, replica_fail_n:K, replica_idx:I, "
                 "replica_slow:MS, breaker_flap, replica_kill9:at=N, "
@@ -171,6 +173,8 @@ FaultConfig parse_fault_spec(const std::string& spec) {
       config.hang_decode = parse_int(arg, directive);
     } else if (name == "nan_decode") {
       config.nan_decode = parse_int(arg, directive);
+    } else if (name == "decode_pass_fail") {
+      config.decode_pass_fail = parse_int(arg, directive);
     } else if (name == "worker_kill9") {
       // accepts "worker_kill9:at=1" and "worker_kill9:1"
       const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
@@ -254,6 +258,7 @@ void configure(const FaultConfig& config) {
   s.allocs.store(0, std::memory_order_relaxed);
   s.decode_tokens.store(0, std::memory_order_relaxed);
   s.logit_checks.store(0, std::memory_order_relaxed);
+  s.decode_passes.store(0, std::memory_order_relaxed);
   s.fleet_claims.store(0, std::memory_order_relaxed);
   s.fleet_completions.store(0, std::memory_order_relaxed);
   s.replica_dispatches.store(0, std::memory_order_relaxed);
@@ -385,6 +390,17 @@ bool should_poison_logits() {
   if (check != s.config.nan_decode) return false;
   log_warn("fault: poisoning decode logits with NaN at token ", check);
   return true;
+}
+
+void on_decode_pass() {
+  if (!enabled()) return;
+  State& s = state();
+  if (s.config.decode_pass_fail < 0) return;
+  const std::int64_t pass = s.decode_passes.fetch_add(1, std::memory_order_relaxed);
+  if (pass != s.config.decode_pass_fail) return;
+  log_warn("fault: failing batched decode pass ", pass);
+  throw Error(ErrorKind::kResourceExhausted,
+              "injected batched decode pass failure at pass " + std::to_string(pass));
 }
 
 namespace {

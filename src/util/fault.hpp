@@ -28,6 +28,9 @@
 //                                   then throw Error{timeout}
 //   SDD_FAULT="nan_decode:N"        poison the logits of the Nth decode
 //                                   token with NaN (serving NaN-guard path)
+//   SDD_FAULT="decode_pass_fail:N"  the Nth batched serving decode pass
+//                                   throws Error{resource_exhausted}; every
+//                                   slot in that pass fails, others go on
 //   SDD_FAULT="worker_kill9:at=N"   a fleet worker raises SIGKILL right after
 //                                   claiming its Nth task (0-based). Fires at
 //                                   most once per fleet run (O_EXCL marker in
@@ -125,6 +128,7 @@ struct FaultConfig {
   std::int64_t alloc_fail_at = -1;  // fail this guarded allocation (-1 = never)
   std::int64_t hang_decode = -1;    // stall at this decode token (-1 = never)
   std::int64_t nan_decode = -1;     // poison this decode token's logits
+  std::int64_t decode_pass_fail = -1;  // fail this batched decode pass
   std::int64_t worker_kill9_at = -1;  // SIGKILL self at this fleet claim
   std::int64_t worker_stall_at = -1;  // go lease-silent at this fleet claim
   bool claim_race = false;            // force fleet claim contention
@@ -147,7 +151,7 @@ struct FaultConfig {
     return io_fail_p > 0.0 || truncate_write || crash_at_step >= 0 ||
            crash_at_io >= 0 || hang_at_step >= 0 || nan_at_step >= 0 ||
            slow_io_ms > 0 || alloc_fail_at >= 0 || hang_decode >= 0 ||
-           nan_decode >= 0 || worker_kill9_at >= 0 || worker_stall_at >= 0 ||
+           nan_decode >= 0 || decode_pass_fail >= 0 || worker_kill9_at >= 0 || worker_stall_at >= 0 ||
            claim_race || orch_crash_at >= 0 || replica_fail_at >= 0 ||
            replica_slow_ms > 0 || breaker_flap || replica_kill9_at >= 0 ||
            replica_wedge_at >= 0 || ipc_torn_frame || spec_reject_p > 0.0 ||
@@ -211,6 +215,11 @@ void on_decode_token();
 // on the armed nan_decode call (its own counter); the caller poisons its
 // logits with NaN so the serving NaN guard can be exercised end to end.
 bool should_poison_logits();
+
+// Called by the serving scheduler before each batched decode pass (its own
+// counter). Throws Error{resource_exhausted} on the armed decode_pass_fail
+// call, so the pass's failure semantics can be exercised end to end.
+void on_decode_pass();
 
 // Called by a fleet worker immediately after it wins a claim, with the fleet
 // run directory (per-process claim counter). worker_kill9 raises SIGKILL —

@@ -1,5 +1,6 @@
 // Tests for the transformer modules: shapes, KV-cache parity with the batched
 // forward, pruning surgery, LoRA algebra, and checkpoint round-trips.
+#include <cstring>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -200,6 +201,119 @@ TEST(Lora, DecodeIncludesAdapterContribution) {
   for (std::int64_t v = 0; v < vocab; ++v) {
     EXPECT_NEAR(step[static_cast<std::size_t>(v)], logits.data()[4 * vocab + v], 2e-3F);
   }
+}
+
+// ----------------------------- batched decode -----------------------------
+
+bool bitwise_equal(const float* a, const float* b, std::size_t count) {
+  return std::memcmp(a, b, count * sizeof(float)) == 0;
+}
+
+// Six sessions at different positions advance together by 0-32 rows each in
+// one decode_batch; every session's logits, position and KV cache must equal
+// prefill() on that session alone, bit for bit.
+void expect_decode_batch_matches_prefill(const nn::TransformerLM& model) {
+  using State = nn::TransformerLM::DecodeState;
+  const std::int64_t vocab = model.config().vocab_size;
+  const std::int64_t channels = model.config().d_model;
+  const std::vector<std::int64_t> prefix = {0, 5, 1, 17, 9, 3};
+  const std::vector<std::int64_t> rows = {32, 1, 7, 1, 19, 0};
+  Rng rng{77};
+  std::vector<State> batched;
+  std::vector<State> single;
+  std::vector<std::vector<std::int32_t>> feeds;
+  for (std::size_t s = 0; s < prefix.size(); ++s) {
+    State state = model.make_decode_state();
+    model.prefill(state, random_ids(rng, prefix[s], vocab));
+    batched.push_back(state);
+    single.push_back(state);
+    feeds.push_back(random_ids(rng, rows[s], vocab));
+  }
+  std::vector<nn::TransformerLM::DecodeSegment> segments;
+  for (std::size_t s = 0; s < batched.size(); ++s) {
+    segments.push_back({&batched[s], feeds[s]});
+  }
+  const std::vector<std::vector<float>> logits = model.decode_batch(segments);
+  ASSERT_EQ(logits.size(), segments.size());
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    const std::vector<float> want = model.prefill(single[s], feeds[s]);
+    ASSERT_EQ(logits[s].size(), want.size()) << "segment " << s;
+    EXPECT_TRUE(bitwise_equal(logits[s].data(), want.data(), want.size()))
+        << "segment " << s << " logits differ from its own prefill";
+    ASSERT_EQ(batched[s].position, single[s].position);
+    for (std::size_t l = 0; l < batched[s].caches.size(); ++l) {
+      const nn::LayerKVCache& got = batched[s].caches[l];
+      const nn::LayerKVCache& ref = single[s].caches[l];
+      ASSERT_EQ(got.length, ref.length);
+      const auto floats = static_cast<std::size_t>(ref.length * channels);
+      EXPECT_TRUE(bitwise_equal(got.keys.data(), ref.keys.data(), floats))
+          << "segment " << s << " layer " << l << " keys";
+      EXPECT_TRUE(bitwise_equal(got.values.data(), ref.values.data(), floats))
+          << "segment " << s << " layer " << l << " values";
+    }
+  }
+}
+
+TEST(TransformerLM, DecodeBatchMatchesPerStatePrefillTiny) {
+  // d_ff 24: the SwiGLU rows end in a partial 16-lane block.
+  expect_decode_batch_matches_prefill(nn::TransformerLM{tiny_config(), 61});
+}
+
+TEST(TransformerLM, DecodeBatchMatchesPerStatePrefillD64) {
+  nn::ModelConfig config;
+  config.vocab_size = 300;
+  config.d_model = 64;
+  config.n_heads = 4;
+  config.n_layers = 3;
+  config.d_ff = 128;
+  config.max_seq_len = 64;
+  expect_decode_batch_matches_prefill(nn::TransformerLM{config, 62});
+}
+
+TEST(TransformerLM, DecodeBatchMatchesPerStatePrefillWithLora) {
+  nn::TransformerLM model{tiny_config(2), 63};
+  model.attach_lora(nn::LoraConfig{}, 82);
+  Rng rng{10};
+  for (const nn::NamedParam& p : model.trainable_parameters()) {
+    Tensor t = p.tensor;
+    for (float& v : t.data()) v = rng.gaussian_float(0.0F, 0.05F);
+  }
+  expect_decode_batch_matches_prefill(model);
+}
+
+TEST(TransformerLM, DecodeBatchValidatesBeforeTouchingAnyState) {
+  const nn::TransformerLM model{tiny_config(), 64};
+  auto a = model.make_decode_state();
+  auto b = model.make_decode_state();
+  const std::vector<std::int32_t> prompt{4, 8, 15};
+  model.prefill(a, prompt);
+  const std::vector<std::int32_t> ok{1, 2};
+  const std::vector<std::int32_t> bad{1, 50};  // vocab is 50
+  const std::vector<std::int32_t> too_long(49, 3);  // context is 48
+  const auto untouched = [&] {
+    EXPECT_EQ(a.position, 3);
+    EXPECT_EQ(b.position, 0);
+    for (const nn::LayerKVCache& cache : a.caches) EXPECT_EQ(cache.length, 3);
+    for (const nn::LayerKVCache& cache : b.caches) EXPECT_EQ(cache.length, 0);
+  };
+  using Segment = nn::TransformerLM::DecodeSegment;
+  const std::vector<Segment> bad_token{{&a, ok}, {&b, bad}};
+  EXPECT_THROW(model.decode_batch(bad_token), std::invalid_argument);
+  untouched();
+  const std::vector<Segment> twice{{&a, ok}, {&a, ok}};
+  EXPECT_THROW(model.decode_batch(twice), std::invalid_argument);
+  untouched();
+  const std::vector<Segment> overflow{{&a, ok}, {&b, too_long}};
+  EXPECT_THROW(model.decode_batch(overflow), std::logic_error);
+  untouched();
+
+  auto reference = model.make_decode_state();
+  model.prefill(reference, prompt);
+  const std::vector<Segment> good{{&a, ok}, {&b, {}}};
+  const std::vector<std::vector<float>> logits = model.decode_batch(good);
+  EXPECT_EQ(logits[0], model.prefill(reference, ok));
+  EXPECT_TRUE(logits[1].empty());
+  EXPECT_EQ(b.position, 0);
 }
 
 // --------------------------------- decode ---------------------------------

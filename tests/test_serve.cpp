@@ -394,6 +394,36 @@ TEST(Serve, HungDecodeIsRecycledByWatchdog) {
   fault::reset();
 }
 
+// A hang on the second slot of a round, after the first slot queued its
+// prefill for the batched pass: the queued slot must still get its pass
+// before the worker unwinds, or it would keep a prompt marked fed with no
+// logits behind it.
+TEST(Serve, HangMidRoundStillRunsTheQueuedSlotsPass) {
+  const nn::TransformerLM model{tiny_config(), 55};
+  ServerConfig config;
+  config.start_worker = false;
+  config.worker.hang_ms = 200;
+  InferenceServer server{model, config};
+
+  fault::FaultConfig faults;
+  faults.hang_decode = 1;  // the second slot of the first round
+  faults.hang_cap_ms = 10'000;
+  fault::configure(faults);
+
+  auto survivor = server.submit(request_for(1, /*max_new=*/10));
+  auto hung = server.submit(request_for(2, /*max_new=*/10));
+  server.start();
+
+  const Response& failed = wait_resolved(*hung);
+  EXPECT_EQ(failed.state, RequestState::kFailed);
+  EXPECT_EQ(failed.error, ErrorKind::kTimeout);
+  const Response& ok = wait_resolved(*survivor);
+  ASSERT_EQ(ok.state, RequestState::kCompleted) << ok.message;
+  EXPECT_EQ(ok.tokens, reference_tokens(model, request_for(1, 10)));
+  EXPECT_GE(server.stats().worker_recycles, 1);
+  fault::reset();
+}
+
 TEST(Serve, OverloadDegradesTokenBudget) {
   const nn::TransformerLM model{tiny_config(), 51};
   ServerConfig config;
@@ -568,6 +598,158 @@ TEST(Serve, FaultSpecParsesNewDirectives) {
   EXPECT_EQ(fault::parse_fault_spec("alloc_fail:2").alloc_fail_at, 2);
   EXPECT_THROW(fault::parse_fault_spec("alloc_fail:at=x"),
                std::invalid_argument);
+}
+
+// ---- batched rounds ---------------------------------------------------------
+
+// Requests that share every scheduler round when queued before start(): two
+// 33-40 token prompts prefilled in two chunks, a sampled request that
+// retires after one token, a greedy short one.
+std::vector<Request> mixed_round_requests() {
+  const std::int64_t lengths[] = {40, 3, 3, 35};
+  const float temperatures[] = {0.0F, 0.7F, 0.0F, 0.9F};
+  const std::int64_t budgets[] = {4, 1, 6, 5};
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < 4; ++i) {
+    Request request;
+    for (std::int64_t t = 0; t < lengths[i]; ++t) {
+      request.prompt.push_back(static_cast<std::int32_t>((t * 7 + i * 3 + 1) % 50));
+    }
+    request.max_new_tokens = budgets[i];
+    request.temperature = temperatures[i];
+    request.seed = 500 + i;
+    requests.push_back(request);
+  }
+  return requests;
+}
+
+// Arms nan_decode:N over mixed_round_requests() and returns the index of the
+// request it failed (-1 for none); every other request must still equal
+// nn::generate.
+int nan_decode_victim(const nn::TransformerLM& model, const nn::TransformerLM* draft,
+                      std::int64_t nan_at) {
+  ServerConfig config;
+  config.start_worker = false;
+  config.max_batch = 4;
+  config.spec_k = draft != nullptr ? 3 : 0;
+  InferenceServer server{model, config, draft};
+  fault::FaultConfig faults;
+  faults.nan_decode = nan_at;
+  fault::configure(faults);
+  const std::vector<Request> requests = mixed_round_requests();
+  std::vector<serve::TicketPtr> tickets;
+  for (const Request& request : requests) tickets.push_back(server.submit(request));
+  server.start();
+  int victim = -1;
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const Response& response = wait_resolved(*tickets[i]);
+    if (response.state == RequestState::kFailed) {
+      EXPECT_EQ(response.error, ErrorKind::kNumericDivergence);
+      EXPECT_EQ(victim, -1) << "nan_decode:" << nan_at << " failed two requests";
+      victim = static_cast<int>(i);
+    } else {
+      EXPECT_EQ(response.state, RequestState::kCompleted) << response.message;
+      EXPECT_EQ(response.tokens, reference_tokens(model, requests[i]));
+    }
+  }
+  fault::reset();
+  return victim;
+}
+
+// The logit checks keep their per-slot order inside a batched round, so
+// each nan_decode ordinal poisons the request it poisoned when every slot
+// ran its own decode pass (the expected tables were recorded that way).
+TEST(Serve, NanDecodePoisonsTheSameRequestAsPerSlotDecoding) {
+  const nn::TransformerLM model{tiny_config(), 58};
+  const nn::TransformerLM draft = model.pruned(1, 1);
+  // nan_decode:N -> failed request index, N = 0, 1, ...
+  const std::vector<int> plain = {0, 1, 2, 3, 0, 2, 3, 0, 2,  3,
+                                  0, 2, 3, 0, 2, 3, 2, 3, -1, -1};
+  const std::vector<int> speculative = {0, 1, 2, 3, 0, 2, 3,  2,  3,  2,
+                                        3, 2, 3, 2, 3, -1, -1, -1, -1, -1};
+  for (std::size_t n = 0; n < plain.size(); ++n) {
+    EXPECT_EQ(nan_decode_victim(model, nullptr, static_cast<std::int64_t>(n)), plain[n])
+        << "plain server, nan_decode:" << n;
+    EXPECT_EQ(nan_decode_victim(model, &draft, static_cast<std::int64_t>(n)),
+              speculative[n])
+        << "speculative server, nan_decode:" << n;
+  }
+}
+
+TEST(Serve, FailedDecodePassFailsExactlyItsOwnSlots) {
+  EXPECT_EQ(fault::parse_fault_spec("decode_pass_fail:3").decode_pass_fail, 3);
+  const nn::TransformerLM model{tiny_config(), 59};
+  const nn::TransformerLM draft = model.pruned(1, 1);
+  ServerConfig config;
+  config.start_worker = false;
+  config.spec_k = 3;
+  InferenceServer server{model, config, &draft};
+
+  // Pass 0 prefills the three sampled requests (the greedy one prefills
+  // speculatively, outside the pass); in round 2 request 1 retires on its
+  // one-token budget before pass 1, which fails for requests 2 and 3 only.
+  fault::FaultConfig faults;
+  faults.decode_pass_fail = 1;
+  fault::configure(faults);
+  std::vector<Request> requests;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    requests.push_back(request_for(i, i == 1 ? 1 : 8));
+    requests.back().temperature = i == 0 ? 0.0F : 0.8F;
+  }
+  std::vector<serve::TicketPtr> tickets;
+  for (const Request& request : requests) tickets.push_back(server.submit(request));
+  server.start();
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Response& ok = wait_resolved(*tickets[i]);
+    ASSERT_EQ(ok.state, RequestState::kCompleted) << "request " << i << ": " << ok.message;
+    EXPECT_EQ(ok.tokens, reference_tokens(model, requests[i])) << "request " << i;
+  }
+  for (std::size_t i = 2; i < 4; ++i) {
+    const Response& failed = wait_resolved(*tickets[i]);
+    EXPECT_EQ(failed.state, RequestState::kFailed) << "request " << i;
+    EXPECT_EQ(failed.error, ErrorKind::kResourceExhausted) << "request " << i;
+    EXPECT_TRUE(failed.retryable);
+  }
+
+  // The server keeps serving after the failed pass.
+  const Request after = [] {
+    Request request = request_for(7, 6);
+    request.temperature = 0.8F;
+    return request;
+  }();
+  const serve::TicketPtr later_ticket = server.submit(after);
+  const Response& later = wait_resolved(*later_ticket);
+  ASSERT_EQ(later.state, RequestState::kCompleted) << later.message;
+  EXPECT_EQ(later.tokens, reference_tokens(model, after));
+  EXPECT_EQ(server.stats().failed, 2);
+  fault::reset();
+}
+
+TEST(Serve, OutOfRangePromptTokenIsRejectedAtAdmission) {
+  const nn::TransformerLM model{tiny_config(), 60};
+  ServerConfig config;
+  config.start_worker = false;
+  InferenceServer server{model, config};
+  std::vector<Request> requests = {request_for(1), request_for(2), request_for(3),
+                                   request_for(4)};
+  requests[1].prompt.push_back(50);  // vocab is 50
+  requests[2].prompt[0] = -1;
+  std::vector<serve::TicketPtr> tickets;
+  for (const Request& request : requests) tickets.push_back(server.submit(request));
+  for (const std::size_t bad : {1, 2}) {
+    ASSERT_EQ(tickets[bad]->state(), RequestState::kRejected);
+    const Response& rejected = tickets[bad]->wait();
+    EXPECT_EQ(rejected.error, ErrorKind::kFatal);
+    EXPECT_FALSE(rejected.retryable);
+  }
+  server.start();
+  for (const std::size_t good : {0, 3}) {
+    const Response& ok = wait_resolved(*tickets[good]);
+    ASSERT_EQ(ok.state, RequestState::kCompleted) << ok.message;
+    EXPECT_EQ(ok.tokens, reference_tokens(model, requests[good]));
+  }
+  EXPECT_EQ(server.stats().rejected, 2);
 }
 
 TEST(ServeConcurrency, SharedConstModelGenerateIsDeterministic) {

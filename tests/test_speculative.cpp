@@ -419,6 +419,53 @@ TEST(SpecServe, LongPromptChunkedPrefillMatchesGenerate) {
   }
 }
 
+// One round mixing every slot kind: prompts prefilled in 32-token chunks
+// next to short ones, greedy and sampled requests, and — on the
+// draft-equipped server — speculative slots stepping beside the batched
+// pass of the plain ones. Every output must be nn::generate's.
+TEST(SpecServe, MixedRoundsOfEverySlotKindMatchGenerate) {
+  const TransformerLM model{tiny_config(4), 96};
+  const TransformerLM draft = model.pruned(1, 2);
+  for (const TransformerLM* server_draft : {static_cast<const TransformerLM*>(nullptr),
+                                            &draft}) {
+    serve::ServerConfig config;
+    config.spec_k = server_draft != nullptr ? 3 : 0;
+    config.max_batch = 8;
+    config.start_worker = false;  // every request joins the first round
+    serve::InferenceServer server{model, config, server_draft};
+    std::vector<serve::Request> requests;
+    for (std::int32_t i = 0; i < 8; ++i) {
+      serve::Request request;
+      const std::int32_t length = i % 2 == 0 ? 34 + i : 1 + i;
+      for (std::int32_t t = 0; t < length; ++t) {
+        request.prompt.push_back((t * 13 + i * 5 + 2) % 50);
+      }
+      request.max_new_tokens = 3 + i % 4;
+      request.seed = 300 + static_cast<std::uint64_t>(i);
+      request.temperature = i % 4 < 2 ? 0.0F : 0.7F;
+      requests.push_back(request);
+    }
+    std::vector<serve::TicketPtr> tickets;
+    for (const serve::Request& request : requests) {
+      tickets.push_back(server.submit(request));
+    }
+    server.start();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      ASSERT_TRUE(tickets[i]->wait_for(kWait));
+      const serve::Response& response = tickets[i]->wait();
+      ASSERT_EQ(response.state, serve::RequestState::kCompleted) << response.message;
+      nn::GenerateOptions options;
+      options.max_new_tokens = requests[i].max_new_tokens;
+      options.temperature = requests[i].temperature;
+      options.seed = requests[i].seed;
+      EXPECT_EQ(response.tokens, nn::generate(model, requests[i].prompt, options))
+          << "request " << i << (server_draft != nullptr ? " with" : " without")
+          << " a draft";
+    }
+    EXPECT_EQ(server.stats().spec_requests, server_draft != nullptr ? 4 : 0);
+  }
+}
+
 TEST(SpecServe, PerTaskAcceptanceCountersPartitionTheAggregate) {
   const TransformerLM model{tiny_config(3), 92};
   serve::ServerConfig config;
