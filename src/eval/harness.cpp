@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/decode.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -130,26 +131,10 @@ TaskResult evaluate_mc(const nn::TransformerLM& model, const data::McTask& task,
 std::vector<data::TokenId> answer_generative(const nn::TransformerLM& model,
                                              std::span<const data::TokenId> prompt,
                                              std::int64_t max_new_tokens) {
-  NoGradGuard no_grad;
   const data::Vocab& vocab = data::Vocab::instance();
-  const TokenId stop_eos = vocab.eos();
-  const TokenId stop_q = vocab.id("q");
-
-  auto state = model.make_decode_state();
-  std::vector<float> logits = model.prefill(state, prompt);
-
-  std::vector<TokenId> generated;
-  const std::int64_t budget =
-      std::min(max_new_tokens, model.config().max_seq_len -
-                                   static_cast<std::int64_t>(prompt.size()));
-  for (std::int64_t i = 0; i < budget; ++i) {
-    const auto next = static_cast<TokenId>(
-        std::max_element(logits.begin(), logits.end()) - logits.begin());
-    if (next == stop_eos || next == stop_q) break;
-    generated.push_back(next);
-    if (i + 1 < budget) logits = model.decode_step(state, next);
-  }
-  return generated;
+  return nn::DecodeSession{model, prompt, {.max_new_tokens = max_new_tokens},
+                           {vocab.eos(), vocab.id("q")}}
+      .run();
 }
 
 TaskResult evaluate_gen(const nn::TransformerLM& model, const data::GenTask& task,

@@ -32,9 +32,8 @@ TaskResult evaluate_mc(const nn::TransformerLM& model, const data::McTask& task,
 TaskResult evaluate_gen(const nn::TransformerLM& model, const data::GenTask& task,
                         const EvalOptions& options = {});
 
-// Greedy-decode a response for one generative item (used by the embedding
-// diagnostics); stops at <eos>, at the start of a new "q" turn, or after
-// `max_new_tokens`.
+// Greedy-decode a response for one generative item: a DecodeSession that
+// stops at <eos>, at the start of a new "q" turn, or after `max_new_tokens`.
 std::vector<data::TokenId> answer_generative(const nn::TransformerLM& model,
                                              std::span<const data::TokenId> prompt,
                                              std::int64_t max_new_tokens = 40);

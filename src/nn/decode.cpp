@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/speculative.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/supervisor.hpp"
@@ -41,36 +42,100 @@ std::int32_t sample_token(std::span<const float> logits, float temperature,
                              : sample_with_temperature(logits, temperature, rng);
 }
 
+DecodeSession::DecodeSession(const TransformerLM& model,
+                             std::span<const std::int32_t> prompt,
+                             const GenerateOptions& options,
+                             std::vector<std::int32_t> stop,
+                             std::size_t prefill_chunk, const TransformerLM* draft,
+                             std::int64_t k, bool nan_guard)
+    : model_{&model},
+      prompt_{prompt.begin(), prompt.end()},
+      stop_{std::move(stop)},
+      temperature_{options.temperature},
+      cancel_{options.cancel},
+      prefill_chunk_{prefill_chunk > 0 ? prefill_chunk : prompt.size()},
+      budget_{std::min(options.max_new_tokens,
+                       model.config().max_seq_len -
+                           static_cast<std::int64_t>(prompt.size()))},
+      rng_{options.seed} {
+  if (prompt.empty()) throw std::invalid_argument("DecodeSession: empty prompt");
+  if (draft == nullptr) {
+    state_ = model.make_decode_state();
+  } else if (temperature_ > 0.0F) {
+    throw std::invalid_argument("DecodeSession: drafting is greedy only");
+  } else {
+    spec_ = std::make_unique<SpeculativeSession>(model, *draft, k, nan_guard);
+  }
+}
+
+DecodeSession::DecodeSession(DecodeSession&&) noexcept = default;
+DecodeSession& DecodeSession::operator=(DecodeSession&&) noexcept = default;
+DecodeSession::~DecodeSession() = default;
+
+std::optional<TransformerLM::DecodeSegment> DecodeSession::advance() {
+  if (done_) return std::nullopt;
+  if (cancel_.cancelled()) {
+    cancelled_ = done_ = true;
+    return std::nullopt;
+  }
+  supervisor::heartbeat();
+  fault::on_decode_token();
+
+  if (fed_ < prompt_.size()) {
+    // Chunked span prefill leaves the same state and logits as one pass.
+    const std::span<const std::int32_t> chunk = std::span{prompt_}.subspan(
+        fed_, std::min(prefill_chunk_, prompt_.size() - fed_));
+    fed_ += chunk.size();
+    if (!spec_) return TransformerLM::DecodeSegment{&state_, chunk};
+    spec_->prefill_span(chunk);
+    return std::nullopt;
+  }
+  const auto remaining = budget_ - static_cast<std::int64_t>(generated_.size());
+  done_ = remaining <= 0;
+  if (done_) return std::nullopt;
+  // Keeps `token` unless it is in the stop set, which ends the session.
+  const auto keep = [this](std::int32_t token) {
+    done_ = std::ranges::find(stop_, token) != stop_.end();
+    if (!done_) generated_.push_back(token);
+    return !done_;
+  };
+  if (!spec_) {
+    if (!keep(sample_token(logits_, temperature_, rng_))) return std::nullopt;
+  } else {
+    // A round emits the target's greedy choices in order, so the stop set
+    // and budget see exactly the sequence a plain session produces.
+    for (const std::int32_t token : spec_->round(remaining)) {
+      if (!keep(token)) return std::nullopt;
+    }
+  }
+  // The token that spends the budget is never fed.
+  done_ = static_cast<std::int64_t>(generated_.size()) >= budget_;
+  if (done_ || spec_) return std::nullopt;
+  return TransformerLM::DecodeSegment{&state_, {&generated_.back(), 1}};
+}
+
+std::vector<std::int32_t> DecodeSession::run() {
+  NoGradGuard no_grad;
+  while (!done_) {
+    if (const auto segment = advance()) {
+      set_logits(std::move(model_->decode_batch({&*segment, 1}).front()));
+    }
+  }
+  return take_generated();
+}
+
+std::vector<float>& DecodeSession::logits() {
+  return spec_ ? spec_->logits() : logits_;
+}
+
+const SpecCounters* DecodeSession::spec_counters() const {
+  return spec_ ? &spec_->counters() : nullptr;
+}
+
 std::vector<std::int32_t> generate(const TransformerLM& model,
                                    std::span<const std::int32_t> prompt,
                                    const GenerateOptions& options) {
-  if (prompt.empty()) throw std::invalid_argument("generate: empty prompt");
-  NoGradGuard no_grad;
-  Rng rng{options.seed};
-
-  auto state = model.make_decode_state();
-  supervisor::heartbeat();
-  if (options.cancel.cancelled()) return {};
-  // Batched prefill: one span pass streams each weight row once for the
-  // whole prompt (bitwise-identical to per-token decode_step), and only the
-  // final row, which predicts the first generated token, goes through the
-  // LM head.
-  std::vector<float> logits = model.prefill(state, prompt);
-
-  std::vector<std::int32_t> generated;
-  const std::int64_t budget =
-      std::min(options.max_new_tokens,
-               model.config().max_seq_len - static_cast<std::int64_t>(prompt.size()));
-  for (std::int64_t i = 0; i < budget; ++i) {
-    supervisor::heartbeat();
-    fault::on_decode_token();
-    if (options.cancel.cancelled()) break;
-    const std::int32_t next = sample_token(logits, options.temperature, rng);
-    if (next == options.stop_token) break;
-    generated.push_back(next);
-    if (i + 1 < budget) logits = model.decode_step(state, next);
-  }
-  return generated;
+  return DecodeSession{model, prompt, options, {options.stop_token}}.run();
 }
 
 double sequence_logprob(const TransformerLM& model,

@@ -1,7 +1,10 @@
 // Autoregressive decoding (greedy and temperature sampling) with KV cache.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -17,24 +20,81 @@ struct GenerateOptions {
   std::int32_t stop_token = -1;
   std::uint64_t seed = 1234;
   // Cooperative cancellation / deadline. The default (empty) token costs a
-  // single null check per token; a real token is polled once per prompt and
-  // generated token, and generation returns the tokens produced so far when
-  // it reads as cancelled.
+  // single null check per step; a real token is polled once per
+  // DecodeSession step (a prompt chunk or a generated token, the unit
+  // hang_decode ordinals count), and generation returns the tokens produced
+  // so far when it reads as cancelled.
   CancelToken cancel{};
 };
 
+class SpeculativeSession;
+struct SpecCounters;
+
 // Pick the next token from a logits row: argmax when temperature <= 0,
-// softmax sampling at the given temperature otherwise. Shared by generate()
-// and the batched serving decode loop so both sample bit-identically.
+// softmax sampling at the given temperature otherwise. Shared by
+// DecodeSession and SpeculativeSession so every decode samples identically.
 std::int32_t sample_token(std::span<const float> logits, float temperature,
                           Rng& rng);
+
+// One request's decode policy, shared by generate(), speculative_generate(),
+// generative eval and every serving slot: prompt chunks of `prefill_chunk`
+// tokens (0 = whole prompt), sampling seeded from options.seed, the stop set
+// `stop` (not emitted) and the budget min(max_new_tokens, max_seq_len -
+// prompt). Each advance() is one step: cancellation check, heartbeat,
+// fault::on_decode_token, then a prompt chunk or a sampled token, whose
+// segment the caller runs (alone or in a shared decode_batch) and answers
+// with set_logits(). With a `draft` (greedy only, `k` proposals per round)
+// the session steps itself: a prefill chunk or a draft/verify round. Throws
+// std::invalid_argument on an empty prompt or a sampled draft.
+class DecodeSession {
+ public:
+  DecodeSession(const TransformerLM& model, std::span<const std::int32_t> prompt,
+                const GenerateOptions& options, std::vector<std::int32_t> stop,
+                std::size_t prefill_chunk = 0, const TransformerLM* draft = nullptr,
+                std::int64_t k = 1, bool nan_guard = true);
+  DecodeSession(DecodeSession&&) noexcept;
+  DecodeSession& operator=(DecodeSession&&) noexcept;
+  ~DecodeSession();
+
+  // The segment to run (valid until the session moves or advances), or
+  // nothing when the session stepped itself or is done().
+  std::optional<TransformerLM::DecodeSegment> advance();
+  void set_logits(std::vector<float> logits) { logits_ = std::move(logits); }
+  // Step to completion, one segment per pass; returns the generated tokens.
+  std::vector<std::int32_t> run();
+
+  bool done() const { return done_; }
+  // Done because options.cancel fired; the output is partial.
+  bool cancelled() const { return cancelled_; }
+  // Next-token logits; the serving fault hook and NaN guard inspect them.
+  std::vector<float>& logits();
+  std::vector<std::int32_t> take_generated() { return std::move(generated_); }
+  const SpecCounters* spec_counters() const;  // null without a draft
+
+ private:
+  const TransformerLM* model_;
+  std::vector<std::int32_t> prompt_;
+  std::vector<std::int32_t> stop_;
+  float temperature_;
+  CancelToken cancel_;
+  std::size_t prefill_chunk_;
+  std::size_t fed_ = 0;
+  std::int64_t budget_;
+  Rng rng_;
+  TransformerLM::DecodeState state_;  // empty when drafting
+  std::unique_ptr<SpeculativeSession> spec_;
+  std::vector<float> logits_;
+  std::vector<std::int32_t> generated_;
+  bool done_ = false;
+  bool cancelled_ = false;
+};
 
 // Feed `prompt` through the model and decode up to max_new_tokens more.
 // Returns ONLY the newly generated tokens; generation stops at stop_token
 // (which is not included), at the model's context limit, or early — with a
 // partial result — when options.cancel is cancelled or past its deadline.
-// Emits a supervisor heartbeat per token, so decodes running under a
-// supervised stage are covered by SDD_STAGE_HANG_SEC watchdogs.
+// It runs a DecodeSession, so it heartbeats once per step and is covered by
+// SDD_STAGE_HANG_SEC watchdogs under a supervised stage.
 std::vector<std::int32_t> generate(const TransformerLM& model,
                                    std::span<const std::int32_t> prompt,
                                    const GenerateOptions& options);

@@ -48,7 +48,9 @@ std::int32_t SpeculativeSession::greedy(std::span<const float> logits) {
 
 void SpeculativeSession::prefill_span(std::span<const std::int32_t> tokens) {
   if (tokens.empty()) return;
-  flush_pending();
+  if (pending_ >= 0) {
+    throw std::logic_error("speculative prefill: the prompt must precede every round");
+  }
   target_logits_ = target_.prefill(target_state_, tokens);
   if (nan_guard_ && has_nonfinite(target_logits_)) {
     throw Error(ErrorKind::kNumericDivergence,
@@ -64,24 +66,6 @@ void SpeculativeSession::prefill_span(std::span<const std::int32_t> tokens) {
     poison = fault::should_poison_draft_logits();
   }
   if (poison && !draft_logits_.empty()) {
-    draft_logits_[0] = std::numeric_limits<float>::quiet_NaN();
-  }
-}
-
-// Settle the lazily-pending token into both models sequentially. Only the
-// prefill path uses this; round() instead feeds the draft directly and rides
-// the target's copy at the front of the batched verify span.
-void SpeculativeSession::flush_pending() {
-  if (pending_ < 0) return;
-  const std::int32_t token = pending_;
-  pending_ = -1;
-  target_logits_ = target_.decode_step(target_state_, token);
-  if (nan_guard_ && has_nonfinite(target_logits_)) {
-    throw Error(ErrorKind::kNumericDivergence,
-                "speculative: non-finite target logits during decode");
-  }
-  draft_logits_ = draft_.decode_step(draft_state_, token);
-  if (fault::should_poison_draft_logits() && !draft_logits_.empty()) {
     draft_logits_[0] = std::numeric_limits<float>::quiet_NaN();
   }
 }
@@ -225,33 +209,9 @@ std::vector<std::int32_t> speculative_generate(const TransformerLM& target,
     throw std::invalid_argument(
         "speculative_generate: greedy only (temperature must be 0)");
   }
-  NoGradGuard no_grad;
-  SpeculativeSession session{target, draft, k};
-  supervisor::heartbeat();
-  if (options.cancel.cancelled()) return {};
-  session.prefill_span(prompt);
-
-  std::vector<std::int32_t> generated;
-  const std::int64_t budget =
-      std::min(options.max_new_tokens,
-               target.config().max_seq_len -
-                   static_cast<std::int64_t>(prompt.size()));
-  bool stopped = false;
-  while (!stopped && static_cast<std::int64_t>(generated.size()) < budget) {
-    supervisor::heartbeat();
-    fault::on_decode_token();
-    if (options.cancel.cancelled()) break;
-    const std::vector<std::int32_t> emitted =
-        session.round(budget - static_cast<std::int64_t>(generated.size()));
-    for (const std::int32_t token : emitted) {
-      if (token == options.stop_token) {
-        stopped = true;
-        break;
-      }
-      generated.push_back(token);
-    }
-  }
-  if (counters != nullptr) counters->add(session.counters());
+  DecodeSession session{target, prompt, options, {options.stop_token}, 0, &draft, k};
+  std::vector<std::int32_t> generated = session.run();
+  if (counters != nullptr) counters->add(*session.spec_counters());
   return generated;
 }
 

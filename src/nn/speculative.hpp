@@ -65,11 +65,11 @@ struct SpecCounters {
   }
 };
 
-// Incremental draft-and-verify session over a (target, draft) pair; the
-// serving layer drives one per speculative decode slot, sdd_cli and the
-// one-shot speculative_generate() drive it directly. Both models must
-// outlive the session, share the vocabulary, and the draft's context window
-// must not be smaller than the target's.
+// Incremental draft-and-verify session over a (target, draft) pair, stepped
+// by a draft-equipped DecodeSession (speculative_generate() and every
+// speculative serving slot). Both models must outlive the session, share
+// the vocabulary, and the draft's context window must not be smaller than
+// the target's.
 class SpeculativeSession {
  public:
   SpeculativeSession(const TransformerLM& target, const TransformerLM& draft,
@@ -79,10 +79,8 @@ class SpeculativeSession {
   // TransformerLM::prefill pass each, so each weight row streams once per
   // span and only the last row reaches the LM head. Consecutive calls may
   // split a prompt anywhere: the state and logits match one call over the
-  // whole prompt bitwise. The serving layer feeds prompts in fixed-size
-  // chunks, one per scheduler round; speculative_generate() feeds the whole
-  // prompt at once. After the last prompt token the session is ready for
-  // round().
+  // whole prompt bitwise. The whole prompt precedes the first round()
+  // (std::logic_error otherwise).
   void prefill_span(std::span<const std::int32_t> tokens);
 
   // One speculative round. Emits between 1 and min(k, remaining-1)+1 tokens
@@ -94,22 +92,13 @@ class SpeculativeSession {
   std::vector<std::int32_t> round(std::int64_t remaining);
 
   // Target next-token logits after everything consumed so far [vocab]; the
-  // serving NaN guard inspects these between rounds.
+  // serving fault hook and NaN guard inspect them between rounds.
   const std::vector<float>& logits() const { return target_logits_; }
-
-  // Tokens consumed by the target (prompt + emitted, minus the lazily fed
-  // trailing token).
-  std::int64_t position() const { return target_state_.position; }
+  std::vector<float>& logits() { return target_logits_; }
 
   const SpecCounters& counters() const { return counters_; }
 
  private:
-  // The last emitted token of a round is fed lazily at the next round /
-  // prefill, mirroring nn::generate which never steps past the budget. The
-  // next round feeds it to the draft sequentially but folds the target's
-  // copy into the front of the batched verify span, so each round costs the
-  // target exactly one decode_span pass.
-  void flush_pending();
   std::int32_t greedy(std::span<const float> logits);
 
   const TransformerLM& target_;
@@ -120,6 +109,11 @@ class SpeculativeSession {
   TransformerLM::DecodeState draft_state_;
   std::vector<float> target_logits_;
   std::vector<float> draft_logits_;
+  // The last emitted token of a round is fed lazily at the next round,
+  // mirroring DecodeSession which never steps past the budget. The next
+  // round feeds it to the draft sequentially but folds the target's copy
+  // into the front of the batched verify span, so each round costs the
+  // target exactly one decode_span pass.
   std::int32_t pending_ = -1;
   Rng rng_{0};  // unused by greedy sampling; keeps sample_token shared
   SpecCounters counters_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <exception>
 #include <limits>
-#include <span>
 
 #include "util/env.hpp"
 #include "util/fault.hpp"
@@ -77,13 +76,6 @@ std::int64_t ms_between(Clock::time_point from, Clock::time_point to) {
 // span amortizes the per-step fixed costs, short enough that one long prompt
 // delays the other slots' tokens by about one span pass.
 constexpr std::size_t kPrefillChunk = 32;
-
-bool has_nonfinite(const std::vector<float>& logits) {
-  for (const float v : logits) {
-    if (!std::isfinite(v)) return true;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -169,23 +161,13 @@ RequestState Ticket::state() const {
 
 // ---- server ----------------------------------------------------------------
 
-// One in-flight request: its own KV cache, RNG, and budget. The decode
-// sequence for a slot is exactly the one nn::generate would run, so a
-// request's output is bit-identical to an unloaded single-request decode
-// regardless of what else shares the batch.
+// One in-flight request and its decode session (KV cache, RNG, stop set and
+// degradation-clamped budget). The session runs exactly the decode sequence
+// nn::generate runs, so a request's output is bit-identical to an unloaded
+// single-request decode regardless of what else shares the batch.
 struct InferenceServer::ActiveSlot {
   std::shared_ptr<detail::Job> job;
-  nn::TransformerLM::DecodeState state;
-  // Non-null for a speculative slot (greedy request on a draft-equipped
-  // server): the session owns both KV caches and `state` stays empty. The
-  // slot still mirrors the session's target logits into `logits` every
-  // round so the fault-injection and NaN-guard path below is shared.
-  std::unique_ptr<nn::SpeculativeSession> spec;
-  Rng rng{0};
-  std::vector<float> logits;
-  std::vector<std::int32_t> generated;
-  std::size_t prompt_fed = 0;
-  std::int64_t budget = 0;  // max generated tokens (degradation-clamped)
+  nn::DecodeSession session;
 };
 
 InferenceServer::InferenceServer(const nn::TransformerLM& model,
@@ -430,7 +412,7 @@ void InferenceServer::worker_main() {
 void InferenceServer::drain_all(ErrorKind kind, const std::string& message) {
   for (auto& slot : active_) {
     resolve(*slot.job, RequestState::kFailed, kind, message,
-            std::move(slot.generated));
+            slot.session.take_generated());
   }
   active_.clear();
   std::deque<std::shared_ptr<detail::Job>> pending;
@@ -502,20 +484,32 @@ void InferenceServer::admit_jobs() {
       continue;
     }
 
-    ActiveSlot slot;
-    slot.job = job;
+    const Request& request = job->request;
+    const std::int64_t watermark = config_.degrade_queue_depth > 0
+                                       ? config_.degrade_queue_depth
+                                       : (config_.queue_capacity * 3) / 4;
+    const bool degrade = watermark > 0 && depth_behind >= watermark &&
+                         config_.degrade_max_new_tokens > 0 &&
+                         request.max_new_tokens > config_.degrade_max_new_tokens;
+    const nn::GenerateOptions options{
+        .max_new_tokens =
+            degrade ? config_.degrade_max_new_tokens : request.max_new_tokens,
+        .temperature = request.temperature,
+        .stop_token = request.stop_token,
+        .seed = request.seed,
+        .cancel = job->cancel};
+    std::optional<nn::DecodeSession> session;
     try {
       // Guarded allocation (util/fault alloc_fail; real allocators can throw
       // here too): failure shrinks the admissible batch instead of crashing.
-      if (speculative() && job->request.temperature == 0.0F) {
-        // Greedy request on a draft-equipped server: decode speculatively.
-        // The session allocates both KV caches (through the same guarded
-        // path) and its outputs are bit-identical to the plain decode below.
-        slot.spec = std::make_unique<nn::SpeculativeSession>(
-            model_, *draft_, config_.spec_k, config_.nan_guard);
-      } else {
-        slot.state = model_.make_decode_state();
-      }
+      // A greedy request on a draft-equipped server decodes speculatively,
+      // bit-identically to a plain decode, with both KV caches allocated
+      // through the same guarded path.
+      const bool greedy_spec = speculative() && request.temperature == 0.0F;
+      session.emplace(model_, request.prompt, options,
+                      std::vector<std::int32_t>{request.stop_token}, kPrefillChunk,
+                      greedy_spec ? draft_ : nullptr, config_.spec_k,
+                      config_.nan_guard);
     } catch (const Error& e) {
       if (e.kind() == ErrorKind::kResourceExhausted) {
         const auto floor_limit =
@@ -540,30 +534,18 @@ void InferenceServer::admit_jobs() {
       continue;
     }
 
-    const nn::ModelConfig& mc = model_.config();
-    const auto prompt_len =
-        static_cast<std::int64_t>(job->request.prompt.size());
-    std::int64_t max_new = job->request.max_new_tokens;
-    const std::int64_t watermark = config_.degrade_queue_depth > 0
-                                       ? config_.degrade_queue_depth
-                                       : (config_.queue_capacity * 3) / 4;
-    if (watermark > 0 && depth_behind >= watermark &&
-        config_.degrade_max_new_tokens > 0 &&
-        max_new > config_.degrade_max_new_tokens) {
-      max_new = config_.degrade_max_new_tokens;
+    if (degrade) {
       job->degraded = true;
       const std::lock_guard<std::mutex> lock{stats_mutex_};
       ++stats_.degraded;
     }
-    slot.budget = std::min(max_new, mc.max_seq_len - prompt_len);
-    slot.rng = Rng{job->request.seed};
     {
       const std::lock_guard<std::mutex> lock{job->mutex};
       job->started = true;
       job->started_at = Clock::now();
       job->response.state = RequestState::kRunning;
     }
-    active_.push_back(std::move(slot));
+    active_.push_back({job, std::move(*session)});
     {
       const std::lock_guard<std::mutex> lock{stats_mutex_};
       stats_.peak_active = std::max(
@@ -578,15 +560,15 @@ void InferenceServer::retire_slot(ActiveSlot& slot, RequestState state,
   // A null job marks the slot retired; step_slots sweeps it out of active_
   // when the round ends.
   const std::shared_ptr<detail::Job> job = std::move(slot.job);
-  if (slot.spec) {
+  if (const nn::SpecCounters* counters = slot.session.spec_counters()) {
     // Fold the session's acceptance telemetry into the server aggregate and
     // the per-task breakdown, whatever the terminal state — partial rounds
     // from a cancelled or failed request still describe draft quality.
     const std::lock_guard<std::mutex> lock{stats_mutex_};
     ++stats_.spec_requests;
-    stats_.spec.add(slot.spec->counters());
+    stats_.spec.add(*counters);
     if (!job->request.task.empty()) {
-      stats_.spec_by_task[job->request.task].add(slot.spec->counters());
+      stats_.spec_by_task[job->request.task].add(*counters);
     }
   }
   if (state == RequestState::kCompleted) {
@@ -597,14 +579,15 @@ void InferenceServer::retire_slot(ActiveSlot& slot, RequestState state,
       soft_limit_.store(soft + 1, std::memory_order_release);
     }
   }
-  resolve(*job, state, error, std::move(message), std::move(slot.generated));
+  resolve(*job, state, error, std::move(message), slot.session.take_generated());
 }
 
 // One scheduler round in three phases (docs/serving.md):
-//   1. per slot, in slot order: cancellation, heartbeat, fault hooks,
-//      sampling, stop and budget. A plain slot queues its prompt chunk or
-//      its sampled token as one segment of the round's batched pass; a
-//      speculative slot runs its prefill chunk or draft/verify round here.
+//   1. per slot, in slot order: DecodeSession::advance() (cancellation,
+//      heartbeat, fault hooks, sampling, stop and budget). A plain session
+//      returns its prompt chunk or sampled token as one segment of the
+//      round's batched pass; a speculative session runs its prefill chunk
+//      or draft/verify round itself. A finished session retires its slot.
 //   2. one TransformerLM::decode_batch over every queued segment, so each
 //      weight block streams once per round instead of once per slot.
 //   3. per stepped slot, in slot order: logit poisoning and the NaN guard.
@@ -630,81 +613,30 @@ bool InferenceServer::step_slots() {
     ActiveSlot& slot = active_[i];
     detail::Job& job = *slot.job;
 
-    // Token-boundary cancellation: deadline expiry or a client abandon
-    // frees the slot with the partial output.
-    if (job.cancel.cancelled()) {
-      const bool explicit_cancel =
-          std::string_view{job.cancel.reason()} == "cancelled";
-      retire_slot(slot,
-                  explicit_cancel ? RequestState::kCancelled
-                                  : RequestState::kTimeout,
-                  explicit_cancel ? std::nullopt
-                                  : std::optional<ErrorKind>{ErrorKind::kTimeout},
-                  explicit_cancel ? "cancelled mid-generation"
-                                  : "deadline expired mid-generation");
-      continue;
-    }
-
-    const auto queue = [&](std::span<const std::int32_t> tokens) {
-      batched.push_back(i);
-      segments.push_back({&slot.state, tokens});
-    };
     try {
-      supervisor::heartbeat();
-      fault::on_decode_token();
-      if (slot.prompt_fed < job.request.prompt.size()) {
-        // Prefill one chunk per round, so a long prompt cannot starve the
-        // rest of the batch. Chunked span prefill leaves the same state and
-        // logits as nn::generate's one-pass prefill.
-        const std::span<const std::int32_t> prompt{job.request.prompt};
-        const std::span<const std::int32_t> chunk = prompt.subspan(
-            slot.prompt_fed, std::min(kPrefillChunk, prompt.size() - slot.prompt_fed));
-        slot.prompt_fed += chunk.size();
-        if (slot.spec) {
-          slot.spec->prefill_span(chunk);
-          slot.logits = slot.spec->logits();
-        } else {
-          queue(chunk);
-        }
-      } else if (static_cast<std::int64_t>(slot.generated.size()) >=
-                 slot.budget) {
+      const std::optional<nn::TransformerLM::DecodeSegment> segment =
+          slot.session.advance();
+      if (slot.session.cancelled()) {
+        // Token-boundary cancellation: deadline expiry or a client abandon
+        // frees the slot with the partial output.
+        const bool explicit_cancel =
+            std::string_view{job.cancel.reason()} == "cancelled";
+        retire_slot(slot,
+                    explicit_cancel ? RequestState::kCancelled
+                                    : RequestState::kTimeout,
+                    explicit_cancel ? std::nullopt
+                                    : std::optional<ErrorKind>{ErrorKind::kTimeout},
+                    explicit_cancel ? "cancelled mid-generation"
+                                    : "deadline expired mid-generation");
+        continue;
+      }
+      if (slot.session.done()) {
         retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
         continue;
-      } else if (slot.spec) {
-        // One speculative round per scheduler round: up to spec_k accepted
-        // draft tokens plus the target's own token. Emitted tokens are the
-        // target's greedy choices in order, so stop-token and budget
-        // handling see exactly the sequence the plain path would produce.
-        const std::vector<std::int32_t> emitted = slot.spec->round(
-            slot.budget - static_cast<std::int64_t>(slot.generated.size()));
-        bool stopped = false;
-        for (const std::int32_t token : emitted) {
-          if (token == job.request.stop_token) {
-            stopped = true;
-            break;
-          }
-          slot.generated.push_back(token);
-        }
-        if (stopped ||
-            static_cast<std::int64_t>(slot.generated.size()) >= slot.budget) {
-          retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
-          continue;
-        }
-        slot.logits = slot.spec->logits();
-      } else {
-        // Same RNG draws and the same decode sequence as nn::generate.
-        const std::int32_t next = nn::sample_token(
-            slot.logits, job.request.temperature, slot.rng);
-        if (next == job.request.stop_token) {
-          retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
-          continue;
-        }
-        slot.generated.push_back(next);
-        if (static_cast<std::int64_t>(slot.generated.size()) >= slot.budget) {
-          retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
-          continue;
-        }
-        queue({&slot.generated.back(), 1});
+      }
+      if (segment) {
+        batched.push_back(i);
+        segments.push_back(*segment);
       }
       stepped.push_back(i);
     } catch (const Error& e) {
@@ -743,7 +675,7 @@ bool InferenceServer::step_slots() {
       fault::on_decode_pass();
       std::vector<std::vector<float>> logits = model_.decode_batch(segments);
       for (std::size_t j = 0; j < batched.size(); ++j) {
-        active_[batched[j]].logits = std::move(logits[j]);
+        active_[batched[j]].session.set_logits(std::move(logits[j]));
       }
     } catch (const Error& e) {
       fail_batched(e.kind(), e.what());
@@ -755,10 +687,12 @@ bool InferenceServer::step_slots() {
   for (const std::size_t i : stepped) {
     ActiveSlot& slot = active_[i];
     if (slot.job == nullptr) continue;  // its batched pass failed
-    if (fault::should_poison_logits() && !slot.logits.empty()) {
-      slot.logits[0] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float>& logits = slot.session.logits();
+    if (fault::should_poison_logits() && !logits.empty()) {
+      logits[0] = std::numeric_limits<float>::quiet_NaN();
     }
-    if (config_.nan_guard && has_nonfinite(slot.logits)) {
+    if (config_.nan_guard &&
+        std::ranges::any_of(logits, [](float v) { return !std::isfinite(v); })) {
       retire_slot(slot, RequestState::kFailed, ErrorKind::kNumericDivergence,
                   "non-finite logits during decode");
     }

@@ -23,8 +23,9 @@
 //   SDD_FAULT="alloc_fail:at=N"     the Nth guarded tensor/KV-cache
 //                                   allocation throws Error{resource_
 //                                   exhausted} (counter starts at 0)
-//   SDD_FAULT="hang_decode:N"       stall the Nth decode token: block until
-//                                   a watchdog cancels the enclosing stage,
+//   SDD_FAULT="hang_decode:N"       stall the Nth decode step (a prompt
+//                                   chunk or a token): block until a
+//                                   watchdog cancels the enclosing stage,
 //                                   then throw Error{timeout}
 //   SDD_FAULT="nan_decode:N"        poison the logits of the Nth decode
 //                                   token with NaN (serving NaN-guard path)
@@ -205,8 +206,8 @@ void io_delay(const std::filesystem::path& path);
 // the armed alloc_fail_at call (its own counter, one count per call).
 void on_alloc(std::size_t bytes);
 
-// Called once per decode token by nn::generate and the serving decode loop.
-// Handles hang_decode exactly like on_train_step handles hang_at_step: the
+// Called once per DecodeSession step (a prompt chunk or a decode token), so
+// generate, generative eval and every serving slot count. Handles hang_decode exactly like on_train_step handles hang_at_step: the
 // hang parks in supervisor::wait_for_cancellation and throws Error{timeout}
 // when a watchdog fires or the safety cap expires.
 void on_decode_token();

@@ -76,6 +76,9 @@ std::int64_t spawn(const std::vector<std::string>& argv,
                 std::string{"proc: fork failed: "} + std::strerror(errno));
   }
   if (pid == 0) {
+    // Lead a process group so terminate() reaches everything the child
+    // starts; set on both sides of the fork so neither side races the other.
+    ::setpgid(0, 0);
     // Clear FD_CLOEXEC on the fds this child must keep (fcntl is
     // async-signal-safe); every other CLOEXEC fd — including the socketpair
     // ends of concurrently spawned siblings — closes at exec.
@@ -86,6 +89,7 @@ std::int64_t spawn(const std::vector<std::string>& argv,
     // exec failed; 127 is the shell convention for "command not runnable".
     ::_exit(127);
   }
+  ::setpgid(pid, 0);
   return pid;
 }
 
@@ -134,15 +138,42 @@ std::optional<ExitStatus> wait_reap(std::int64_t pid, std::int64_t timeout_ms) {
   }
 }
 
+namespace {
+
+// Signals the process group `pid` leads, or `pid` alone when it leads none.
+void signal_group(std::int64_t pid, int signum) {
+  if (::kill(-static_cast<pid_t>(pid), signum) != 0) send_signal(pid, signum);
+}
+
+// True once child `pid` has exited. Leaves it unreaped: while the zombie
+// stands its pid, and so its group id, cannot be reused.
+bool exited(std::int64_t pid) {
+  siginfo_t info{};
+  if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+               WEXITED | WNOHANG | WNOWAIT) != 0) {
+    throw Error(ErrorKind::kWorkerLost,
+                "proc: waitid(" + std::to_string(pid) +
+                    ") failed: " + std::strerror(errno));
+  }
+  return info.si_pid == pid;
+}
+
+}  // namespace
+
 ExitStatus terminate(std::int64_t pid, std::int64_t grace_ms) {
   if (pid <= 1) {
     throw Error(ErrorKind::kFatal,
                 "proc: refusing to terminate pid " + std::to_string(pid) +
                     " (stale sentinel would signal the whole session)");
   }
-  send_signal(pid, SIGTERM);
-  if (auto status = wait_reap(pid, grace_ms)) return *status;
-  send_signal(pid, SIGKILL);
+  signal_group(pid, SIGTERM);
+  const std::int64_t deadline = monotonic_ms() + grace_ms;
+  while (!exited(pid) && monotonic_ms() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  // Kill what is left of the group: the child if it outlived the grace
+  // period, and any descendant that survived SIGTERM.
+  signal_group(pid, SIGKILL);
   // SIGKILL cannot be blocked; the bounded wait is belt-and-braces against a
   // child stuck in an uninterruptible state.
   if (auto status = wait_reap(pid, 10'000)) return *status;

@@ -26,7 +26,8 @@ std::int64_t monotonic_ms();
 // itself with a worker subcommand, so workers always run the same binary.
 std::filesystem::path self_exe();
 
-// fork + execve. `argv[0]` is the program path; `env_overrides` are KEY=VALUE
+// fork + execve; the child leads a new process group (see terminate()).
+// `argv[0]` is the program path; `env_overrides` are KEY=VALUE
 // strings appended to (and overriding) the inherited environment.
 // `inherit_fds` are descriptors that survive the exec: they are opened
 // CLOEXEC in the parent (so concurrently spawned siblings never leak them)
@@ -60,8 +61,9 @@ std::optional<ExitStatus> try_reap(std::int64_t pid);
 // Polls try_reap until the child exits or `timeout_ms` elapses.
 std::optional<ExitStatus> wait_reap(std::int64_t pid, std::int64_t timeout_ms);
 
-// SIGTERM, wait up to `grace_ms`, then SIGKILL and reap. Used for fleet
-// shutdown so workers get a chance to run their graceful-signal path.
+// SIGTERM the child's process group, wait up to `grace_ms` for the child,
+// then SIGKILL the group (no descendant outlives it) and reap the child.
+// Used for fleet and replica shutdown so workers can run their graceful path.
 // Throws Error{kFatal} on pid <= 1 — a stale sentinel here would
 // kill(-1, SIGKILL) everything the user owns.
 ExitStatus terminate(std::int64_t pid, std::int64_t grace_ms);

@@ -9,6 +9,9 @@
 #include "eval/harness.hpp"
 #include "eval/suite.hpp"
 #include "test_helpers.hpp"
+#include "util/error.hpp"
+#include "util/fault.hpp"
+#include "util/supervisor.hpp"
 
 namespace sdd::eval {
 namespace {
@@ -116,6 +119,40 @@ TEST(Harness, AnswerGenerativeMatchesPerTokenFeed) {
     }
     EXPECT_EQ(answer_generative(model, prompt, 20), want) << "seed " << seed;
   }
+}
+
+// Like nn::generate, an empty prompt has no logits to decode from.
+TEST(Harness, AnswerGenerativeRejectsEmptyPrompt) {
+  const nn::TransformerLM model{real_vocab_config(), 6};
+  EXPECT_THROW(answer_generative(model, {}, 20), std::invalid_argument);
+}
+
+// Generative eval steps through the same per-step hooks as every other
+// decode, so a stalled eval decode is cancelled by the stage's hang
+// watchdog instead of running unwatched.
+TEST(Harness, GenerativeEvalIsCoveredByTheHangWatchdog) {
+  const nn::TransformerLM model{real_vocab_config(), 6};
+  const data::Vocab& vocab = data::Vocab::instance();
+  std::vector<data::TokenId> prompt{vocab.bos()};
+  const auto q = vocab.encode("q : what does the dog say ?");
+  prompt.insert(prompt.end(), q.begin(), q.end());
+
+  fault::FaultConfig faults;
+  faults.hang_decode = 0;
+  faults.hang_cap_ms = 10'000;
+  fault::configure(faults);
+  supervisor::SupervisorConfig config;
+  config.retry_max = 0;
+  config.hang_ms = 100;
+  std::optional<ErrorKind> kind;
+  try {
+    supervisor::run_stage("eval.generative", config,
+                          [&] { answer_generative(model, prompt, 20); });
+  } catch (const Error& e) {
+    kind = e.kind();
+  }
+  fault::reset();
+  EXPECT_EQ(kind, ErrorKind::kTimeout);
 }
 
 TEST(Suite, TaskListsMatchPaper) {

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -256,6 +257,42 @@ TEST(ProcFork, TerminateEscalatesToSigkillWhenTermIsIgnored) {
   const auto status = proc::terminate(pid, /*grace_ms=*/300);
   EXPECT_EQ(status.term_signal, SIGKILL);
   EXPECT_FALSE(proc::alive(pid));
+}
+
+// True while `pid` exists and is not a zombie. A killed grandchild is
+// reparented and reaped by someone else, possibly later; its zombie no
+// longer runs.
+bool running(std::int64_t pid) {
+  std::ifstream stat{"/proc/" + std::to_string(pid) + "/stat"};
+  std::string line;
+  if (!std::getline(stat, line)) return false;
+  // The state field follows the parenthesized command name.
+  const std::size_t close = line.rfind(')');
+  return close != std::string::npos && close + 2 < line.size() &&
+         line[close + 2] != 'Z';
+}
+
+TEST(ProcFork, TerminateKillsTheWholeProcessGroup) {
+  // The child starts a background grandchild, reports its pid, and waits.
+  // Terminating the child alone would leave the grandchild running.
+  Pair ready;
+  const std::int64_t pid = proc::spawn(
+      {"/bin/sh", "-c",
+       "sleep 30 & echo $! >&" + std::to_string(ready.b) + "; wait"},
+      {}, {ready.b});
+  std::string line;
+  char byte = 0;
+  while (::read(ready.a, &byte, 1) == 1 && byte != '\n') line.push_back(byte);
+  const std::int64_t grandchild = std::stoll(line);
+  ASSERT_TRUE(running(grandchild));
+
+  proc::terminate(pid, /*grace_ms=*/300);
+  EXPECT_FALSE(proc::alive(pid));
+  const std::int64_t deadline = proc::monotonic_ms() + 5'000;
+  while (running(grandchild) && proc::monotonic_ms() < deadline) {
+    ::usleep(5'000);
+  }
+  EXPECT_FALSE(running(grandchild)) << "grandchild " << grandchild << " survived";
 }
 
 TEST(ProcFork, TryReapNonChildIsWorkerLost) {
