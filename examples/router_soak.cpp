@@ -15,8 +15,8 @@
 //     failure window passes, and the router recorded failovers meanwhile;
 //   * under breaker_flap chaos the breaker opened at least once.
 //
-// Faults come from SDD_ROUTE_FAULT (same syntax as SDD_FAULT — see
-// src/util/fault.hpp) and are armed only after the models are built and the
+// Faults come from SDD_FAULT (see src/util/fault.hpp) and are armed only
+// after the models are built and the
 // per-variant reference outputs are decoded, so injector ordinals count
 // routed dispatches, not setup work. A malformed spec exits 64 (EX_USAGE).
 //
@@ -86,19 +86,9 @@ std::vector<std::int32_t> reference_tokens(const nn::TransformerLM& model,
 }  // namespace
 
 int main() {
-  // Keep lazy SDD_FAULT arming out of the setup phase: this driver arms
-  // faults itself, from SDD_ROUTE_FAULT, once setup is done.
-  const std::string fault_spec = env_string("SDD_ROUTE_FAULT", "");
-  fault::FaultConfig fault_config;
-  if (!fault_spec.empty()) {
-    try {
-      fault_config = fault::parse_fault_spec(fault_spec);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "router_soak: malformed SDD_ROUTE_FAULT: %s\n",
-                   e.what());
-      return 64;  // EX_USAGE, matching the SDD_FAULT contract
-    }
-  }
+  // Setup and reference decoding run fault-free; SDD_FAULT is armed after.
+  const fault::Spec faults = fault::env_spec();
+  fault::reset();
 
   // The variant family the paper produces: the full model plus depth-pruned
   // variants (which SDD recovery would fine-tune; weights here are random —
@@ -133,10 +123,7 @@ int main() {
     }
   }
 
-  if (!fault_spec.empty()) {
-    fault::configure(fault_config);
-    std::printf("router_soak: armed SDD_ROUTE_FAULT=%s\n", fault_spec.c_str());
-  }
+  fault::configure(faults);
 
   serve::VariantRouter router{std::move(variants), config};
 
@@ -206,13 +193,16 @@ int main() {
   // dispatches, exactly ReplicaStats::dispatched) and, with a bounded
   // replica_fail window, until half-open probes close the breaker again.
   // breaker_flap's window repeats, so there only the opening counts.
-  const bool expect_recovery = fault_config.replica_fail_at >= 0;
+  using fault::Directive;
+  const bool flap = faults.armed(Directive::breaker_flap);
+  const bool expect_recovery = faults.armed(Directive::replica_fail);
   const auto target =
-      static_cast<std::size_t>(fault_config.replica_fault_index);
+      static_cast<std::size_t>(faults.value(Directive::replica_idx));
   const std::int64_t window_end =
-      expect_recovery ? fault_config.replica_fail_at + fault_config.replica_fail_count
+      expect_recovery ? faults.value(Directive::replica_fail) +
+                            faults.value(Directive::replica_fail_n)
                       : 0;
-  if ((expect_recovery || fault_config.breaker_flap) && target < names.size()) {
+  if ((expect_recovery || flap) && target < names.size()) {
     const auto recovery_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds{30};
     std::uint64_t extra = 0;
@@ -308,7 +298,7 @@ int main() {
       ok = false;
     }
   }
-  if (fault_config.breaker_flap && target < names.size() &&
+  if (flap && target < names.size() &&
       router.replicas()[target].stats.breaker_opens < 1) {
     std::fprintf(stderr, "router_soak: breaker_flap armed but the breaker "
                  "never opened\n");

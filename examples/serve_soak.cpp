@@ -10,10 +10,10 @@
 //     unloaded-server reference output for that request (equal when the
 //     request completed undegraded), regardless of batching or faults.
 //
-// Faults come from SDD_SERVE_FAULT (same syntax as SDD_FAULT — see
-// src/util/fault.hpp) and are armed only after the model is built and the
-// reference outputs are decoded, so injector counters (alloc_fail:at=N,
-// hang_decode:N, nan_decode:N) are relative to serving work, not setup.
+// Faults come from SDD_FAULT (see src/util/fault.hpp) and are armed only
+// after the model is built and the reference outputs are decoded, so
+// injector counters (alloc_fail:at=N, hang_decode:N, nan_decode:N) are
+// relative to serving work, not setup. A malformed spec exits 64 (EX_USAGE).
 // The model is also round-tripped through the fault-instrumented artifact
 // store before serving (exercising slow_io/io_fail); a failed store is
 // tolerated — serving continues from the in-memory model.
@@ -75,9 +75,9 @@ serve::Request request_for(std::uint64_t index) {
 }  // namespace
 
 int main() {
-  // Keep lazy SDD_FAULT arming out of the setup phase: this driver arms
-  // faults itself, from SDD_SERVE_FAULT, once setup is done.
-  const std::string fault_spec = env_string("SDD_SERVE_FAULT", "");
+  // Setup and reference decoding run fault-free; SDD_FAULT is armed after.
+  const fault::Spec faults = fault::env_spec();
+  fault::reset();
 
   const nn::TransformerLM model{soak_model_config(), 2025};
 
@@ -105,16 +105,7 @@ int main() {
     reference[i] = nn::generate(model, request.prompt, options);
   }
 
-  if (!fault_spec.empty()) {
-    try {
-      fault::configure(fault::parse_fault_spec(fault_spec));
-      std::printf("serve_soak: armed SDD_SERVE_FAULT=%s\n", fault_spec.c_str());
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "serve_soak: malformed SDD_SERVE_FAULT: %s\n",
-                   e.what());
-      return 64;  // EX_USAGE, matching the SDD_FAULT contract
-    }
-  }
+  fault::configure(faults);
 
   // Round-trip the model through the fault-instrumented artifact store
   // (exercises slow_io / io faults; alloc_fail can also fire on the load

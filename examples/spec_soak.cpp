@@ -16,8 +16,8 @@
 //   * a poisoned draft (draft_nan) degrades rounds to target-only steps
 //     (draft_fallbacks > 0) instead of failing any request.
 //
-// Faults come from SDD_SPEC_FAULT (same syntax as SDD_FAULT — see
-// src/util/fault.hpp) and are armed only after the models are built and the
+// Faults come from SDD_FAULT (see src/util/fault.hpp) and are armed only
+// after the models are built and the
 // reference outputs are decoded, so injector ordinals count speculative
 // work, not setup. A malformed spec exits 64 (EX_USAGE).
 //
@@ -70,19 +70,9 @@ void expect(bool condition, const char* what) {
 }  // namespace
 
 int main() {
-  // Keep lazy SDD_FAULT arming out of the setup phase: this driver arms
-  // faults itself, from SDD_SPEC_FAULT, once setup is done.
-  const std::string fault_spec = env_string("SDD_SPEC_FAULT", "");
-  fault::FaultConfig fault_config;
-  if (!fault_spec.empty()) {
-    try {
-      fault_config = fault::parse_fault_spec(fault_spec);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "spec_soak: malformed SDD_SPEC_FAULT: %s\n",
-                   e.what());
-      return 64;  // EX_USAGE, matching the SDD_FAULT contract
-    }
-  }
+  // Setup and reference decoding run fault-free; SDD_FAULT is armed after.
+  const fault::Spec faults = fault::env_spec();
+  fault::reset();
 
   const std::int64_t k = env_int("SDD_SPEC_K", 4);
   const std::int64_t n_prompts = env_int("SDD_SPEC_SOAK_PROMPTS", 8);
@@ -108,12 +98,10 @@ int main() {
         full, prompt_for(static_cast<std::uint64_t>(i)), options);
   }
 
-  if (!fault_spec.empty()) {
-    fault::configure(fault_config);
-    std::printf("spec_soak: armed SDD_SPEC_FAULT=%s\n", fault_spec.c_str());
-  }
-  const bool storm_full = fault_config.spec_reject_p >= 1.0;
-  const bool clean = fault_spec.empty();
+  fault::configure(faults);
+  const bool storm_full =
+      faults.probability(fault::Directive::spec_reject_storm) >= 1.0;
+  const bool clean = !faults.armed();
 
   // ---- phase 1: one-shot API, every draft depth x every prompt ------------
   for (const auto& [name, draft] : drafts) {
@@ -152,7 +140,7 @@ int main() {
                "full rejection storm must drive self-draft acceptance to 0");
       }
     }
-    if (fault_config.draft_nan >= 0 && name == "self") {
+    if (faults.armed(fault::Directive::draft_nan) && name == "self") {
       expect(counters.draft_fallbacks > 0,
              "draft_nan armed but no round degraded to a target-only step");
     }
@@ -160,7 +148,7 @@ int main() {
 
   // ---- phase 2: serving layer with a paired draft -------------------------
   for (const auto& [name, draft] : drafts) {
-    if (!fault_spec.empty()) fault::configure(fault_config);  // reset counters
+    fault::configure(faults);  // restart the counters
     serve::ServerConfig config = serve::ServerConfig::from_env();
     config.queue_capacity = std::max<std::int64_t>(n_prompts, 8);
     config.degrade_queue_depth = config.queue_capacity;  // no budget clamping
@@ -210,7 +198,7 @@ int main() {
 
   // ---- phase 3: router pairing (the deepest draft serves its siblings) ----
   {
-    if (!fault_spec.empty()) fault::configure(fault_config);  // reset counters
+    fault::configure(faults);  // restart the counters
     serve::RouterConfig config = serve::RouterConfig::from_env();
     config.spec_draft = "p2";
     config.server.spec_k = k;

@@ -9,7 +9,7 @@
 #
 # Usage: scripts/fleet_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_FLEET_FAULT so the
+# Faults exercised (see src/util/fault.hpp; armed via SDD_CHILD_FAULT so the
 # orchestrator stays fault-free and only workers inherit the injector):
 #   worker_kill9:at=N  the worker raises SIGKILL at its Nth task claim, once
 #                      per fleet run; the lease must expire, the orphaned
@@ -65,11 +65,11 @@ chaos_case() { # name fleet-fault-spec [VAR=VALUE ...]
   local name="$1" fault="$2"
   shift 2
   local digest="${WORK}/digest_${name}.txt" log="${WORK}/${name}.log"
-  echo "== ${name} (SDD_FLEET_FAULT=${fault:-<none>})"
+  echo "== ${name} (SDD_CHILD_FAULT=${fault:-<none>})"
   local rc=0
   run_eval "${digest}" "${log}" \
     SDD_FLEET_WORKERS=2 SDD_FLEET_DIR="${WORK}/fleet_${name}" \
-    SDD_FLEET_FAULT="${fault}" "$@" || rc=$?
+    SDD_CHILD_FAULT="${fault}" "$@" || rc=$?
   if [[ "${rc}" -ne 0 ]]; then
     echo "   fleet run failed (exit ${rc}); last log lines:"
     tail -n 8 "${log}" | sed 's/^/   | /'

@@ -10,8 +10,8 @@
 #
 # Usage: scripts/replica_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_REPLICA_FAULT +
-# SDD_REPLICA_FAULT_IDX so only one worker's environment carries the spec):
+# Faults exercised (see src/util/fault.hpp; armed via SDD_CHILD_FAULT, which
+# the router hands only to the first worker of variant replica_idx, 0 here):
 #   replica_kill9:at=N  the worker _Exit(137)s on its Nth request, mid-decode
 #                       from the router's point of view: in-flight requests
 #                       must fail over to sibling variants, the breaker opens,
@@ -53,12 +53,12 @@ export SDD_REPLICA_BACKOFF_CAP_MS="${SDD_REPLICA_BACKOFF_CAP_MS:-500}"
 check_case() { # name fault-spec [extra VAR=VAL ...]
   local name="$1" fault="$2"
   shift 2
-  echo "== ${name} (SDD_REPLICA_FAULT=${fault:-<none>}${*:+ $*})"
+  echo "== ${name} (SDD_CHILD_FAULT=${fault:-<none>}${*:+ $*})"
   local dir="${WORK}/${name}"
   mkdir -p "${dir}"
   local rc=0
-  env SDD_REPLICA_SOAK_DIR="${dir}" SDD_REPLICA_FAULT="${fault}" \
-    SDD_REPLICA_FAULT_IDX=0 "$@" "${SOAK}" || rc=$?
+  env SDD_REPLICA_SOAK_DIR="${dir}" SDD_CHILD_FAULT="${fault}" "$@" \
+    "${SOAK}" || rc=$?
   if [[ "${rc}" -eq 0 ]]; then
     soak_report "${name}" ok
   else

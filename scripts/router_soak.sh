@@ -9,8 +9,8 @@
 #
 # Usage: scripts/router_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_ROUTE_FAULT so
-# model construction and the per-variant reference decodes stay fault-free):
+# Faults exercised (see src/util/fault.hpp; the soak arms SDD_FAULT only
+# after model construction and the per-variant reference decodes):
 #   replica_fail:at=N  dispatches to the target replica die pre-queue for a
 #                      window of replica_fail_n ordinals; the breaker must
 #                      open, requests fail over, and half-open probes must
@@ -41,9 +41,9 @@ export SDD_ROUTE_PROBE_MAX="${SDD_ROUTE_PROBE_MAX:-1}"
 
 check_case() { # name fault-spec
   local name="$1" fault="$2"
-  echo "== ${name} (SDD_ROUTE_FAULT=${fault:-<none>})"
+  echo "== ${name} (SDD_FAULT=${fault:-<none>})"
   local rc=0
-  SDD_ROUTE_FAULT="${fault}" "${SOAK}" || rc=$?
+  SDD_FAULT="${fault}" "${SOAK}" || rc=$?
   if [[ "${rc}" -eq 0 ]]; then
     soak_report "${name}" ok
   else

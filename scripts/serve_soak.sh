@@ -8,8 +8,8 @@
 #
 # Usage: scripts/serve_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_SERVE_FAULT so
-# model construction and reference decoding stay fault-free):
+# Faults exercised (see src/util/fault.hpp; the soak arms SDD_FAULT only
+# after model construction and reference decoding):
 #   alloc_fail:at=N   Nth guarded tensor allocation throws resource_exhausted;
 #                     the server must shrink its admissible batch, not crash
 #   hang_decode:N     decode stalls at the Nth token; the worker watchdog
@@ -51,11 +51,11 @@ check_case() { # name [env VAR=VALUE ...] -- fault-spec
   done
   shift
   local fault="${1:-}"
-  echo "== ${name} (SDD_SERVE_FAULT=${fault:-<none>})"
+  echo "== ${name} (SDD_FAULT=${fault:-<none>})"
   # Run the driver directly (no pipeline) so its exit code is what we test,
   # and capture it explicitly rather than trusting $? after other commands.
   local rc=0
-  env "${extra_env[@]}" SDD_SERVE_FAULT="${fault}" "${SOAK}" || rc=$?
+  env "${extra_env[@]}" SDD_FAULT="${fault}" "${SOAK}" || rc=$?
   if [[ "${rc}" -eq 0 ]]; then
     soak_report "${name}" ok
   else

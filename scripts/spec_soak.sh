@@ -10,8 +10,8 @@
 #
 # Usage: scripts/spec_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_SPEC_FAULT so
-# model construction and reference decoding stay fault-free):
+# Faults exercised (see src/util/fault.hpp; the soak arms SDD_FAULT only
+# after model construction and reference decoding):
 #   spec_reject_storm        every draft proposal is corrupted; acceptance
 #                            collapses (self-draft: to exactly 0), bytes don't
 #   spec_reject_storm:p=0.5  probabilistic rejection storm
@@ -36,9 +36,9 @@ check_case() { # name -- fault-spec
   shift
   [[ "$1" == "--" ]] && shift
   local fault="${1:-}"
-  echo "== ${name} (SDD_SPEC_FAULT=${fault:-<none>})"
+  echo "== ${name} (SDD_FAULT=${fault:-<none>})"
   local rc=0
-  SDD_SPEC_FAULT="${fault}" "${SOAK}" || rc=$?
+  SDD_FAULT="${fault}" "${SOAK}" || rc=$?
   if [[ "${rc}" -eq 0 ]]; then
     soak_report "${name}" ok
   else

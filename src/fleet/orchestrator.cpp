@@ -76,11 +76,11 @@ std::int64_t spawn_worker(const fs::path& dir, const FleetConfig& config,
       "--poll",   std::to_string(config.poll_ms),
   };
   std::vector<std::string> env;
-  // Worker-side faults arrive via SDD_FLEET_FAULT so the orchestrator's own
+  // Worker-side faults arrive via SDD_CHILD_FAULT so the orchestrator's own
   // process (and any model construction done before orchestrate()) stays
-  // fault-free — the same split SDD_SERVE_FAULT uses for the serving soak.
-  if (const char* fleet_fault = std::getenv("SDD_FLEET_FAULT")) {
-    env.push_back(std::string{"SDD_FAULT="} + fleet_fault);
+  // fault-free.
+  if (const char* child_fault = std::getenv(fault::kChildEnv)) {
+    env.push_back(std::string{"SDD_FAULT="} + child_fault);
   }
   return proc::spawn(argv, env);
 }

@@ -69,9 +69,8 @@ using ExecuteFn = std::function<void(const TaskSpec&)>;
 // gone and the respawn budget is exhausted with work remaining, and
 // Error{kInterrupted} on graceful shutdown (live workers are SIGTERMed
 // first). Quarantined tasks do NOT throw — callers inspect stats.dead.
-// When SDD_FLEET_FAULT is set, its value is forwarded to workers as their
-// SDD_FAULT (the orchestrator's own SDD_FAULT is not touched), mirroring how
-// SDD_SERVE_FAULT keeps parent model construction fault-free.
+// When SDD_CHILD_FAULT is set, its value is forwarded to every worker as
+// its SDD_FAULT (the orchestrator's own SDD_FAULT is not touched).
 FleetStats orchestrate(const std::filesystem::path& dir,
                        const std::vector<TaskSpec>& tasks,
                        const FleetConfig& config,

@@ -192,11 +192,13 @@ VariantRouter::VariantRouter(std::vector<VariantSpec> variants,
                   "(the draft pointer cannot cross a process boundary); "
                   "unset SDD_SPEC_DRAFT or SDD_REPLICA_PROCESS");
     }
-    // One `replica-worker` child per variant. Chaos (SDD_REPLICA_FAULT)
-    // targets exactly one variant's first worker generation so the soak can
-    // assert that the siblings absorb the failover.
-    const std::string child_fault = env_string("SDD_REPLICA_FAULT", "");
-    const std::int64_t fault_index = env_int("SDD_REPLICA_FAULT_IDX", 0);
+    // One `replica-worker` child per variant. Chaos (SDD_CHILD_FAULT)
+    // targets exactly one variant's first worker generation, the one its
+    // replica_idx names, so the soak can assert that the siblings absorb
+    // the failover.
+    const std::string child_fault = env_string(fault::kChildEnv, "");
+    const std::int64_t fault_index =
+        fault::env_spec(fault::kChildEnv).value(fault::Directive::replica_idx);
     replicas_.resize(variants.size());
     for (std::size_t i = 0; i < variants.size(); ++i) {
       VariantSpec& spec = variants[i];

@@ -3,15 +3,17 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
+#include <type_traits>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -21,23 +23,62 @@
 namespace sdd::fault {
 namespace {
 
+using D = Directive;
+
+constexpr std::size_t index_of(D d) { return static_cast<std::size_t>(d); }
+
+// Per argument kind, in ArgKind order: how usage() writes the argument, the
+// optional key before its value ("at=3", "p=0.5", "ms=20"), and the least
+// integer value accepted.
+struct KindSyntax {
+  const char* placeholder;
+  const char* key;
+  std::int64_t min;
+};
+
+constexpr KindSyntax kSyntax[] = {
+    {"", "", 0},                                           // kNone
+    {":N", "at=", 0},                                      // kOrdinal
+    {"[:P]", "p=", 0},                                     // kProb
+    {":MS", "ms=", 0},                                     // kMs
+    {":K", "", 1},                                         // kCount
+    {":I", "", 0},                                         // kIndex
+    {":exit/throw", "", 0},                                // kMode
+    {":N", "", std::numeric_limits<std::int64_t>::min()},  // kSeed
+};
+
+const KindSyntax& syntax(ArgKind kind) {
+  return kSyntax[static_cast<std::size_t>(kind)];
+}
+
+std::invalid_argument malformed(const std::string& directive, const std::string& why) {
+  return std::invalid_argument("fault: " + why + " in '" + directive + "'");
+}
+
+// Parses all of `text` as one number.
+template <typename T>
+T number(const std::string& text, const std::string& directive) {
+  try {
+    std::size_t used = 0;
+    T value;
+    if constexpr (std::is_same_v<T, double>) {
+      value = std::stod(text, &used);
+    } else {
+      value = std::stoll(text, &used);
+    }
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw malformed(directive, "bad number '" + text + "'");
+}
+
 struct State {
-  FaultConfig config;
+  Spec spec;
   std::atomic<bool> armed{false};
-  std::atomic<std::int64_t> train_steps{0};
-  std::atomic<std::int64_t> io_commits{0};
-  std::atomic<std::int64_t> loss_checks{0};
-  std::atomic<std::int64_t> allocs{0};
-  std::atomic<std::int64_t> decode_tokens{0};
-  std::atomic<std::int64_t> logit_checks{0};
-  std::atomic<std::int64_t> decode_passes{0};
-  std::atomic<std::int64_t> fleet_claims{0};
-  std::atomic<std::int64_t> fleet_completions{0};
-  std::atomic<std::int64_t> replica_dispatches{0};
-  std::atomic<std::int64_t> replica_requests{0};
-  std::atomic<bool> replica_wedge_flag{false};
-  std::atomic<bool> torn_frame_fired{false};
-  std::atomic<std::int64_t> draft_logit_checks{0};
+  std::array<std::atomic<std::int64_t>, static_cast<std::size_t>(Site::kCount)>
+      counters{};
+  // Sites that an armed directive reads; the others never count.
+  std::array<bool, static_cast<std::size_t>(Site::kCount)> live{};
   std::mutex rng_mutex;
   Rng rng{0};
 };
@@ -47,370 +88,116 @@ State& state() {
   return s;
 }
 
-// SDD_FAULT is read once, on the first hook that fires; configure()/reset()
-// preempt it.
+const Spec& spec() { return state().spec; }
+
+// SDD_FAULT is read once, at the first hook; any configure()/reset() before
+// that consumes the read, so a programmatic spec always wins.
 std::once_flag g_env_once;
+
+void arm(const Spec& armed) {
+  State& s = state();
+  s.spec = armed;
+  s.live.fill(false);
+  for (std::size_t i = 0; i < kRows.size(); ++i) {
+    if (armed.armed(static_cast<D>(i))) {
+      s.live[static_cast<std::size_t>(kRows[i].site)] = true;
+    }
+  }
+  for (auto& counter : s.counters) counter.store(0, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock{s.rng_mutex};
+    s.rng.reseed(static_cast<std::uint64_t>(armed.value(D::seed)));
+  }
+  s.armed.store(armed.armed(), std::memory_order_release);
+}
 
 void init_from_env() {
   std::call_once(g_env_once, [] {
-    const char* spec = std::getenv("SDD_FAULT");
-    if (spec == nullptr || *spec == '\0') return;
-    State& s = state();
-    // A programmatic configure() beats the environment.
-    if (s.armed.load(std::memory_order_acquire)) return;
-    try {
-      const FaultConfig config = parse_fault_spec(spec);
-      s.config = config;
-      s.rng.reseed(config.seed);
-      s.armed.store(config.any(), std::memory_order_release);
-      if (config.any()) log_warn("fault: armed from SDD_FAULT=", spec);
-    } catch (const std::invalid_argument& e) {
-      // A typo'd spec must not silently run the soak fault-free: fail fast
-      // with an actionable message instead.
-      log_error("fault: malformed SDD_FAULT='", spec, "': ", e.what(),
-                "\nfault: valid directives: io_fail:p=P, truncate_write, "
-                "crash_at_step:N, crash_at_io:N, hang_at_step:N, "
-                "nan_at_step:N, slow_io:ms=M, alloc_fail:at=N, "
-                "hang_decode:N, nan_decode:N, decode_pass_fail:N, "
-                "worker_kill9:at=N, "
-                "worker_stall:N, claim_race, orch_crash:N, "
-                "replica_fail:at=N, replica_fail_n:K, replica_idx:I, "
-                "replica_slow:MS, breaker_flap, replica_kill9:at=N, "
-                "replica_wedge:N, ipc_torn_frame, spec_reject_storm[:p=P], "
-                "draft_nan:N, mode:throw|exit, seed:N (comma-combined)");
-      std::exit(64);  // EX_USAGE
-    }
+    const Spec env = env_spec();
+    if (!env.armed()) return;
+    arm(env);
+    log_warn("fault: armed from SDD_FAULT=", std::getenv("SDD_FAULT"));
   });
 }
 
-[[noreturn]] void crash(const char* where, std::int64_t count) {
+bool on(D d) { return spec().armed(d); }
+
+// The ordinal of this event at `site`, or -1 when no armed directive reads
+// the site (its counter then stays put).
+std::int64_t tick(Site site) {
   State& s = state();
-  if (s.config.mode == CrashMode::kThrow) {
-    throw FaultCrash(std::string{"injected crash at "} + where + " #" +
-                     std::to_string(count));
-  }
-  log_error("fault: injected crash at ", where, " #", count, " — _Exit(137)");
+  const auto i = static_cast<std::size_t>(site);
+  if (!s.live[i]) return -1;
+  return s.counters[i].fetch_add(1, std::memory_order_relaxed);
+}
+
+// "crash_at_step:7": the directive as written, naming the event it fired at.
+std::string label(D d) {
+  return std::string{row(d).name} + ":" + std::to_string(spec().value(d));
+}
+
+// True when ordinal directive `d` is armed for event `ordinal`.
+bool fire(D d, std::int64_t ordinal) {
+  if (ordinal < 0 || !on(d) || spec().value(d) != ordinal) return false;
+  log_warn("fault: firing ", label(d));
+  return true;
+}
+
+// Counts one event at `d`'s own site and fires `d` on its ordinal.
+bool fires(D d) { return fire(d, tick(row(d).site)); }
+
+bool draw(double p) {
+  State& s = state();
+  const std::lock_guard<std::mutex> lock{s.rng_mutex};
+  return s.rng.bernoulli(p);
+}
+
+std::chrono::milliseconds hang_cap() {
+  return std::chrono::milliseconds{spec().value(D::hang_cap)};
+}
+
+// ---- shared actions ----------------------------------------------------------
+
+[[noreturn]] void crash(D d) {
+  if (spec().mode() == CrashMode::kThrow) throw FaultCrash("injected " + label(d));
+  log_error("fault: ", label(d), " — _Exit(137)");
   std::_Exit(137);  // no atexit/flush, like SIGKILL
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
+[[noreturn]] void kill9(D d) {
+  if (spec().mode() == CrashMode::kThrow) throw FaultCrash("injected " + label(d));
+  log_error("fault: ", label(d), " — raising SIGKILL");
+  ::raise(SIGKILL);
+  std::_Exit(137);  // unreachable backstop
 }
 
-std::int64_t parse_int(const std::string& text, const std::string& directive) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault: bad integer '" + text + "' in '" +
-                                directive + "'");
-  }
-}
-
-double parse_prob(const std::string& text, const std::string& directive) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size() || value < 0.0 || value > 1.0) {
-      throw std::invalid_argument(text);
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault: bad probability '" + text + "' in '" +
-                                directive + "'");
-  }
-}
-
-}  // namespace
-
-FaultConfig parse_fault_spec(const std::string& spec) {
-  FaultConfig config;
-  for (const std::string& directive : split(spec, ',')) {
-    if (directive.empty()) continue;
-    const std::size_t colon = directive.find(':');
-    const std::string name = directive.substr(0, colon);
-    const std::string arg =
-        colon == std::string::npos ? "" : directive.substr(colon + 1);
-    if (name == "io_fail") {
-      // accepts "io_fail:p=0.05" and "io_fail:0.05"
-      const std::string p = arg.rfind("p=", 0) == 0 ? arg.substr(2) : arg;
-      config.io_fail_p = parse_prob(p, directive);
-    } else if (name == "truncate_write") {
-      config.truncate_write = true;
-    } else if (name == "crash_at_step") {
-      config.crash_at_step = parse_int(arg, directive);
-    } else if (name == "crash_at_io") {
-      config.crash_at_io = parse_int(arg, directive);
-    } else if (name == "hang_at_step") {
-      config.hang_at_step = parse_int(arg, directive);
-    } else if (name == "nan_at_step") {
-      config.nan_at_step = parse_int(arg, directive);
-    } else if (name == "slow_io") {
-      // accepts "slow_io:ms=20" and "slow_io:20"
-      const std::string ms = arg.rfind("ms=", 0) == 0 ? arg.substr(3) : arg;
-      config.slow_io_ms = parse_int(ms, directive);
-      if (config.slow_io_ms < 0) {
-        throw std::invalid_argument("fault: negative delay in '" + directive + "'");
-      }
-    } else if (name == "alloc_fail") {
-      // accepts "alloc_fail:at=3" and "alloc_fail:3"
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.alloc_fail_at = parse_int(at, directive);
-    } else if (name == "hang_decode") {
-      config.hang_decode = parse_int(arg, directive);
-    } else if (name == "nan_decode") {
-      config.nan_decode = parse_int(arg, directive);
-    } else if (name == "decode_pass_fail") {
-      config.decode_pass_fail = parse_int(arg, directive);
-    } else if (name == "worker_kill9") {
-      // accepts "worker_kill9:at=1" and "worker_kill9:1"
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.worker_kill9_at = parse_int(at, directive);
-    } else if (name == "worker_stall") {
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.worker_stall_at = parse_int(at, directive);
-    } else if (name == "claim_race") {
-      config.claim_race = true;
-    } else if (name == "orch_crash") {
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.orch_crash_at = parse_int(at, directive);
-    } else if (name == "replica_fail") {
-      // accepts "replica_fail:at=2" and "replica_fail:2"
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.replica_fail_at = parse_int(at, directive);
-    } else if (name == "replica_fail_n") {
-      config.replica_fail_count = parse_int(arg, directive);
-      if (config.replica_fail_count < 1) {
-        throw std::invalid_argument("fault: bad window in '" + directive + "'");
-      }
-    } else if (name == "replica_idx") {
-      config.replica_fault_index = parse_int(arg, directive);
-      if (config.replica_fault_index < 0) {
-        throw std::invalid_argument("fault: bad index in '" + directive + "'");
-      }
-    } else if (name == "replica_slow") {
-      // accepts "replica_slow:ms=30" and "replica_slow:30"
-      const std::string ms = arg.rfind("ms=", 0) == 0 ? arg.substr(3) : arg;
-      config.replica_slow_ms = parse_int(ms, directive);
-      if (config.replica_slow_ms < 0) {
-        throw std::invalid_argument("fault: negative delay in '" + directive + "'");
-      }
-    } else if (name == "breaker_flap") {
-      config.breaker_flap = true;
-    } else if (name == "replica_kill9") {
-      // accepts "replica_kill9:at=2" and "replica_kill9:2"
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.replica_kill9_at = parse_int(at, directive);
-    } else if (name == "replica_wedge") {
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.replica_wedge_at = parse_int(at, directive);
-    } else if (name == "ipc_torn_frame") {
-      config.ipc_torn_frame = true;
-    } else if (name == "spec_reject_storm") {
-      // accepts bare "spec_reject_storm" (always corrupt),
-      // "spec_reject_storm:p=0.5", and "spec_reject_storm:0.5"
-      if (arg.empty()) {
-        config.spec_reject_p = 1.0;
-      } else {
-        const std::string p = arg.rfind("p=", 0) == 0 ? arg.substr(2) : arg;
-        config.spec_reject_p = parse_prob(p, directive);
-      }
-    } else if (name == "draft_nan") {
-      config.draft_nan = parse_int(arg, directive);
-    } else if (name == "hang_cap") {
-      config.hang_cap_ms = parse_int(arg, directive);
-    } else if (name == "mode") {
-      if (arg == "exit") {
-        config.mode = CrashMode::kExit;
-      } else if (arg == "throw") {
-        config.mode = CrashMode::kThrow;
-      } else {
-        throw std::invalid_argument("fault: unknown mode '" + arg + "'");
-      }
-    } else if (name == "seed") {
-      config.seed = static_cast<std::uint64_t>(parse_int(arg, directive));
-    } else {
-      throw std::invalid_argument("fault: unknown directive '" + directive + "'");
-    }
-  }
-  return config;
-}
-
-void configure(const FaultConfig& config) {
-  State& s = state();
-  s.config = config;
-  s.train_steps.store(0, std::memory_order_relaxed);
-  s.io_commits.store(0, std::memory_order_relaxed);
-  s.loss_checks.store(0, std::memory_order_relaxed);
-  s.allocs.store(0, std::memory_order_relaxed);
-  s.decode_tokens.store(0, std::memory_order_relaxed);
-  s.logit_checks.store(0, std::memory_order_relaxed);
-  s.decode_passes.store(0, std::memory_order_relaxed);
-  s.fleet_claims.store(0, std::memory_order_relaxed);
-  s.fleet_completions.store(0, std::memory_order_relaxed);
-  s.replica_dispatches.store(0, std::memory_order_relaxed);
-  s.replica_requests.store(0, std::memory_order_relaxed);
-  s.replica_wedge_flag.store(false, std::memory_order_relaxed);
-  s.torn_frame_fired.store(false, std::memory_order_relaxed);
-  s.draft_logit_checks.store(0, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock{s.rng_mutex};
-    s.rng.reseed(config.seed);
-  }
-  s.armed.store(config.any(), std::memory_order_release);
-}
-
-void reset() { configure(FaultConfig{}); }
-
-bool enabled() {
-  init_from_env();
-  return state().armed.load(std::memory_order_acquire);
-}
-
-void on_train_step() {
-  if (!enabled()) return;
-  State& s = state();
-  const std::int64_t step = s.train_steps.fetch_add(1, std::memory_order_relaxed);
-  if (s.config.crash_at_step >= 0 && step == s.config.crash_at_step) {
-    crash("train_step", step);
-  }
-  if (s.config.hang_at_step >= 0 && step == s.config.hang_at_step) {
-    log_warn("fault: hanging at train step ", step,
-             " (waiting for watchdog cancellation)");
-    const bool cancelled = supervisor::wait_for_cancellation(
-        std::chrono::milliseconds{s.config.hang_cap_ms});
-    throw Error(ErrorKind::kTimeout,
-                cancelled ? "injected hang aborted by watchdog at step " +
-                                std::to_string(step)
-                          : "injected hang expired unwatched at step " +
-                                std::to_string(step));
-  }
-}
-
-float poison_loss(float loss) {
-  if (!enabled()) return loss;
-  State& s = state();
-  if (s.config.nan_at_step < 0) return loss;
-  const std::int64_t check = s.loss_checks.fetch_add(1, std::memory_order_relaxed);
-  if (check != s.config.nan_at_step) return loss;
-  log_warn("fault: poisoning loss with NaN at loss check ", check);
-  return std::numeric_limits<float>::quiet_NaN();
-}
-
-bool should_fail_io(const std::filesystem::path& path) {
-  if (!enabled()) return false;
-  State& s = state();
-  if (s.config.io_fail_p <= 0.0) return false;
-  bool fail;
-  {
-    const std::lock_guard<std::mutex> lock{s.rng_mutex};
-    fail = s.rng.bernoulli(s.config.io_fail_p);
-  }
-  if (fail) log_warn("fault: injected io failure for ", path.string());
-  return fail;
-}
-
-bool should_truncate_write(const std::filesystem::path& path) {
-  if (!enabled()) return false;
-  State& s = state();
-  if (!s.config.truncate_write) return false;
-  log_warn("fault: tearing write of ", path.string());
-  return true;
-}
-
-void on_io_commit(const std::filesystem::path& path) {
-  if (!enabled()) return;
-  State& s = state();
-  const std::int64_t commit = s.io_commits.fetch_add(1, std::memory_order_relaxed);
-  if (s.config.crash_at_io >= 0 && commit == s.config.crash_at_io) {
-    log_error("fault: crashing during commit of ", path.string());
-    crash("io_commit", commit);
-  }
-}
-
-void io_delay(const std::filesystem::path& path) {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.slow_io_ms <= 0) return;
-  log_debug("fault: delaying commit of ", path.string(), " by ",
-            s.config.slow_io_ms, " ms");
-  std::this_thread::sleep_for(std::chrono::milliseconds{s.config.slow_io_ms});
-}
-
-void on_alloc(std::size_t bytes) {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.alloc_fail_at < 0) return;
-  const std::int64_t alloc = s.allocs.fetch_add(1, std::memory_order_relaxed);
-  if (alloc != s.config.alloc_fail_at) return;
-  log_warn("fault: failing guarded allocation #", alloc, " (", bytes, " bytes)");
-  throw Error(ErrorKind::kResourceExhausted,
-              "injected allocation failure at guarded allocation #" +
-                  std::to_string(alloc) + " (" + std::to_string(bytes) +
-                  " bytes)");
-}
-
-void on_decode_token() {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.hang_decode < 0) return;
-  const std::int64_t token =
-      s.decode_tokens.fetch_add(1, std::memory_order_relaxed);
-  if (token != s.config.hang_decode) return;
-  log_warn("fault: hanging at decode token ", token,
-           " (waiting for watchdog cancellation)");
-  const bool cancelled = supervisor::wait_for_cancellation(
-      std::chrono::milliseconds{s.config.hang_cap_ms});
+// Parks in supervisor::wait_for_cancellation: Error{timeout} once a watchdog
+// cancels the enclosing stage or hang_cap expires.
+[[noreturn]] void hang(D d) {
+  const bool cancelled = supervisor::wait_for_cancellation(hang_cap());
   throw Error(ErrorKind::kTimeout,
-              cancelled ? "injected decode hang aborted by watchdog at token " +
-                              std::to_string(token)
-                        : "injected decode hang expired unwatched at token " +
-                              std::to_string(token));
+              "injected " + label(d) +
+                  (cancelled ? " aborted by watchdog" : " expired unwatched"));
 }
 
-bool should_poison_logits() {
-  if (!enabled()) return false;
-  State& s = state();
-  if (s.config.nan_decode < 0) return false;
-  const std::int64_t check =
-      s.logit_checks.fetch_add(1, std::memory_order_relaxed);
-  if (check != s.config.nan_decode) return false;
-  log_warn("fault: poisoning decode logits with NaN at token ", check);
-  return true;
+// Goes silent until another process kills this one; crashes at hang_cap.
+[[noreturn]] void stall(D d) {
+  std::this_thread::sleep_for(hang_cap());
+  log_error("fault: nothing killed ", label(d), " within hang_cap");
+  crash(d);
 }
 
-void on_decode_pass() {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.decode_pass_fail < 0) return;
-  const std::int64_t pass = s.decode_passes.fetch_add(1, std::memory_order_relaxed);
-  if (pass != s.config.decode_pass_fail) return;
-  log_warn("fault: failing batched decode pass ", pass);
-  throw Error(ErrorKind::kResourceExhausted,
-              "injected batched decode pass failure at pass " + std::to_string(pass));
+[[noreturn]] void exhaust(D d) {
+  throw Error(ErrorKind::kResourceExhausted, "injected " + label(d));
 }
 
-namespace {
-
-// O_EXCL marker under the fleet run directory: the first process to create it
-// wins, so a fleet-level fault fires at most once per run even though every
-// respawned worker inherits the same SDD_FAULT environment.
-bool try_create_marker(const std::filesystem::path& marker) {
-  const int fd =
-      ::open(marker.string().c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+// O_EXCL marker under the fleet run directory: the first process to create
+// it wins, so a fleet-level fault fires at most once per run even though
+// every respawned worker inherits the same spec.
+bool once_per_run(const std::filesystem::path& fleet_dir, D d) {
+  const std::filesystem::path marker =
+      fleet_dir / (std::string{".fault_"} + row(d).name);
+  const int fd = ::open(marker.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
   if (fd < 0) return false;
   ::close(fd);
   return true;
@@ -418,157 +205,256 @@ bool try_create_marker(const std::filesystem::path& marker) {
 
 }  // namespace
 
+// ---- the table -----------------------------------------------------------------
+
+std::string usage(const Row& row) {
+  return std::string{row.name} + syntax(row.kind).placeholder;
+}
+
+std::string directive_help() {
+  std::string text;
+  for (const Row& row : kRows) {
+    std::string line = "  " + usage(row);
+    line.resize(std::max<std::size_t>(line.size() + 1, 24), ' ');
+    text += line + row.doc + "\n";
+  }
+  return text;
+}
+
+Spec::Spec() {
+  for (std::size_t i = 0; i < kRows.size(); ++i) value_[i] = kRows[i].fallback;
+}
+
+bool Spec::armed(D d) const {
+  const std::size_t i = index_of(d);
+  if (!named_[i]) return false;
+  switch (row(d).kind) {
+    case ArgKind::kNone:
+    case ArgKind::kOrdinal: return true;
+    case ArgKind::kProb: return probability_[i] > 0.0;
+    case ArgKind::kMs: return value_[i] > 0;
+    default: return false;
+  }
+}
+
+bool Spec::armed() const {
+  for (std::size_t i = 0; i < kRows.size(); ++i) {
+    if (armed(static_cast<D>(i))) return true;
+  }
+  return false;
+}
+
+std::int64_t Spec::value(D d) const { return value_[index_of(d)]; }
+
+double Spec::probability(D d) const { return probability_[index_of(d)]; }
+
+CrashMode Spec::mode() const { return static_cast<CrashMode>(value(D::mode)); }
+
+Spec parse_fault_spec(const std::string& text) {
+  Spec spec;
+  std::size_t begin = 0;
+  while (begin <= text.size()) {
+    const std::size_t end = std::min(text.find(',', begin), text.size());
+    const std::string directive = text.substr(begin, end - begin);
+    begin = end + 1;
+    if (directive.empty()) continue;
+
+    const std::size_t colon = directive.find(':');
+    const std::string name = directive.substr(0, colon);
+    const auto found = std::find_if(kRows.begin(), kRows.end(),
+                                    [&](const Row& r) { return name == r.name; });
+    if (found == kRows.end()) throw malformed(directive, "unknown directive");
+    const auto i = static_cast<std::size_t>(found - kRows.begin());
+    const KindSyntax& syn = syntax(found->kind);
+    std::optional<std::string> arg;
+    if (colon != std::string::npos) {
+      arg = directive.substr(colon + 1);
+      if (*syn.key != '\0' && arg->rfind(syn.key, 0) == 0) {
+        arg = arg->substr(std::string{syn.key}.size());
+      }
+    }
+
+    switch (found->kind) {
+      case ArgKind::kNone:
+        if (arg) throw malformed(directive, "unexpected argument");
+        break;
+      case ArgKind::kMode:
+        if (arg != "exit" && arg != "throw") {
+          throw malformed(directive, "mode must be exit or throw");
+        }
+        spec.value_[i] = static_cast<std::int64_t>(arg == "throw" ? CrashMode::kThrow
+                                                                  : CrashMode::kExit);
+        break;
+      case ArgKind::kProb: {
+        const double p = arg ? number<double>(*arg, directive) : 1.0;
+        if (!(p >= 0.0 && p <= 1.0)) throw malformed(directive, "probability outside [0, 1]");
+        spec.probability_[i] = p;
+        break;
+      }
+      default: {
+        const auto value = number<std::int64_t>(arg.value_or(""), directive);
+        if (value < syn.min) {
+          throw malformed(directive, "value below " + std::to_string(syn.min));
+        }
+        spec.value_[i] = value;
+      }
+    }
+    spec.named_[i] = true;
+  }
+  return spec;
+}
+
+Spec env_spec(const char* var) {
+  const char* text = std::getenv(var);
+  if (text == nullptr || *text == '\0') return Spec{};
+  try {
+    return parse_fault_spec(text);
+  } catch (const std::invalid_argument& e) {
+    // A typo'd spec must not silently run the soak fault-free.
+    log_error("fault: malformed ", var, "='", text, "': ", e.what(),
+              "\nfault: valid directives (comma-combined):\n", directive_help());
+    std::exit(64);  // EX_USAGE
+  }
+}
+
+void configure(const Spec& spec) {
+  std::call_once(g_env_once, [] {});
+  arm(spec);
+}
+
+void configure(const std::string& spec) { configure(parse_fault_spec(spec)); }
+
+void reset() { configure(Spec{}); }
+
+bool enabled() {
+  init_from_env();
+  return state().armed.load(std::memory_order_acquire);
+}
+
+// ---- hooks -------------------------------------------------------------------
+
+void on_train_step() {
+  if (!enabled()) return;
+  const std::int64_t step = tick(Site::kTrainStep);
+  if (fire(D::crash_at_step, step)) crash(D::crash_at_step);
+  if (fire(D::hang_at_step, step)) hang(D::hang_at_step);
+}
+
+float poison_loss(float loss) {
+  if (enabled() && fires(D::nan_at_step)) return std::numeric_limits<float>::quiet_NaN();
+  return loss;
+}
+
+bool should_fail_io(const std::filesystem::path& path) {
+  if (!enabled() || !on(D::io_fail)) return false;
+  const bool fail = draw(spec().probability(D::io_fail));
+  if (fail) log_warn("fault: injected io failure for ", path.string());
+  return fail;
+}
+
+bool should_truncate_write(const std::filesystem::path& path) {
+  if (!enabled() || !on(D::truncate_write)) return false;
+  log_warn("fault: tearing write of ", path.string());
+  return true;
+}
+
+void on_io_commit(const std::filesystem::path& path) {
+  if (!enabled() || !fires(D::crash_at_io)) return;
+  log_error("fault: crashing during commit of ", path.string());
+  crash(D::crash_at_io);
+}
+
+void io_delay(const std::filesystem::path& path) {
+  if (!enabled() || !on(D::slow_io)) return;
+  const std::int64_t ms = spec().value(D::slow_io);
+  log_debug("fault: delaying commit of ", path.string(), " by ", ms, " ms");
+  std::this_thread::sleep_for(std::chrono::milliseconds{ms});
+}
+
+void on_alloc(std::size_t bytes) {
+  if (!enabled() || !fires(D::alloc_fail)) return;
+  log_warn("fault: failing a guarded allocation of ", bytes, " bytes");
+  exhaust(D::alloc_fail);
+}
+
+void on_decode_token() {
+  if (enabled() && fires(D::hang_decode)) hang(D::hang_decode);
+}
+
+bool should_poison_logits() { return enabled() && fires(D::nan_decode); }
+
+void on_decode_pass() {
+  if (enabled() && fires(D::decode_pass_fail)) exhaust(D::decode_pass_fail);
+}
+
 void on_fleet_claim(const std::filesystem::path& fleet_dir) {
   if (!enabled()) return;
-  State& s = state();
-  if (s.config.worker_kill9_at < 0 && s.config.worker_stall_at < 0) return;
-  const std::int64_t claim =
-      s.fleet_claims.fetch_add(1, std::memory_order_relaxed);
-  if (s.config.worker_kill9_at >= 0 && claim == s.config.worker_kill9_at &&
-      try_create_marker(fleet_dir / ".fault_worker_kill9")) {
-    if (s.config.mode == CrashMode::kThrow) {
-      throw FaultCrash("injected worker kill -9 at fleet claim #" +
-                       std::to_string(claim));
-    }
-    log_error("fault: SIGKILLing worker at fleet claim #", claim);
-    ::raise(SIGKILL);
-    std::_Exit(137);  // unreachable backstop
+  const std::int64_t claim = tick(Site::kFleetClaim);
+  if (fire(D::worker_kill9, claim) && once_per_run(fleet_dir, D::worker_kill9)) {
+    kill9(D::worker_kill9);
   }
-  if (s.config.worker_stall_at >= 0 && claim == s.config.worker_stall_at &&
-      try_create_marker(fleet_dir / ".fault_worker_stall")) {
-    log_warn("fault: worker going lease-silent at fleet claim #", claim,
-             " (waiting for orchestrator SIGKILL, cap ", s.config.hang_cap_ms,
-             " ms)");
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds{s.config.hang_cap_ms});
-    if (s.config.mode == CrashMode::kThrow) {
-      throw FaultCrash("injected worker stall expired unkilled at claim #" +
-                       std::to_string(claim));
-    }
-    log_error("fault: stalled worker outlived hang cap — _Exit(137)");
-    std::_Exit(137);
+  if (fire(D::worker_stall, claim) && once_per_run(fleet_dir, D::worker_stall)) {
+    stall(D::worker_stall);
   }
 }
 
-bool claim_race_armed() {
-  if (!enabled()) return false;
-  return state().config.claim_race;
-}
+bool claim_race_armed() { return enabled() && on(D::claim_race); }
 
 void on_fleet_completion() {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.orch_crash_at < 0) return;
-  const std::int64_t done =
-      s.fleet_completions.fetch_add(1, std::memory_order_relaxed);
-  if (done == s.config.orch_crash_at) {
-    crash("fleet_completion", done);
-  }
+  if (enabled() && fires(D::orch_crash)) crash(D::orch_crash);
 }
 
 bool should_fail_replica(std::int64_t index) {
-  if (!enabled()) return false;
-  State& s = state();
-  if (s.config.replica_fail_at < 0 && !s.config.breaker_flap) return false;
-  if (index != s.config.replica_fault_index) return false;
+  if (!enabled() || index != spec().value(D::replica_idx)) return false;
   // The ordinal only advances for dispatches to the target replica, so the
-  // failure window is stable regardless of how much traffic the healthy
-  // replicas absorb meanwhile.
-  const std::int64_t ordinal =
-      s.replica_dispatches.fetch_add(1, std::memory_order_relaxed);
+  // failure window is stable however much traffic the healthy replicas take.
+  const std::int64_t ordinal = tick(Site::kReplicaDispatch);
+  if (ordinal < 0) return false;
   bool fail = false;
-  if (s.config.breaker_flap) {
+  if (on(D::breaker_flap)) {
     // Bursts of three consecutive failures (the default breaker threshold):
-    // the breaker genuinely opens, probes half-open, closes, and re-opens.
+    // the breaker opens, probes half-open, closes, and re-opens.
     fail = (ordinal / 3) % 2 == 1;
   } else {
-    fail = ordinal >= s.config.replica_fail_at &&
-           ordinal < s.config.replica_fail_at + s.config.replica_fail_count;
+    const std::int64_t first = spec().value(D::replica_fail);
+    fail = ordinal >= first && ordinal < first + spec().value(D::replica_fail_n);
   }
-  if (fail) {
-    log_warn("fault: failing router dispatch #", ordinal, " to replica ",
-             index);
-  }
+  if (fail) log_warn("fault: failing router dispatch #", ordinal, " to replica ", index);
   return fail;
 }
 
 std::int64_t replica_dispatch_delay_ms(std::int64_t index) {
-  if (!enabled()) return 0;
-  State& s = state();
-  if (s.config.replica_slow_ms <= 0) return 0;
-  return index == s.config.replica_fault_index ? s.config.replica_slow_ms : 0;
+  if (!enabled() || index != spec().value(D::replica_idx)) return 0;
+  return spec().value(D::replica_slow);
 }
 
 void on_replica_request() {
   if (!enabled()) return;
-  State& s = state();
-  if (s.config.replica_kill9_at < 0 && s.config.replica_wedge_at < 0) return;
-  const std::int64_t request =
-      s.replica_requests.fetch_add(1, std::memory_order_relaxed);
-  if (s.config.replica_kill9_at >= 0 &&
-      request == s.config.replica_kill9_at) {
-    if (s.config.mode == CrashMode::kThrow) {
-      throw FaultCrash("injected replica kill -9 at request frame #" +
-                       std::to_string(request));
-    }
-    log_error("fault: SIGKILLing replica worker at request frame #", request);
-    ::raise(SIGKILL);
-    std::_Exit(137);  // unreachable backstop
-  }
-  if (s.config.replica_wedge_at >= 0 &&
-      request == s.config.replica_wedge_at) {
-    // Flag first so the heartbeat thread falls silent, then park the request
-    // loop: the supervisor's liveness lease — not a request error — must be
-    // what detects this.
-    s.replica_wedge_flag.store(true, std::memory_order_release);
-    log_warn("fault: replica worker wedging at request frame #", request,
-             " (heartbeats stop; waiting for supervisor SIGKILL, cap ",
-             s.config.hang_cap_ms, " ms)");
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds{s.config.hang_cap_ms});
-    if (s.config.mode == CrashMode::kThrow) {
-      throw FaultCrash("injected replica wedge expired unkilled at frame #" +
-                       std::to_string(request));
-    }
-    log_error("fault: wedged replica outlived hang cap — _Exit(137)");
-    std::_Exit(137);
-  }
+  const std::int64_t frame = tick(Site::kReplicaRequest);
+  if (fire(D::replica_kill9, frame)) kill9(D::replica_kill9);
+  // replica_wedged() turns true with this frame, so the heartbeat thread
+  // falls silent: the supervisor's lease, not a request error, must detect it.
+  if (fire(D::replica_wedge, frame)) stall(D::replica_wedge);
 }
 
 bool replica_wedged() {
-  if (!enabled()) return false;
-  return state().replica_wedge_flag.load(std::memory_order_acquire);
+  if (!enabled() || !on(D::replica_wedge)) return false;
+  const auto site = static_cast<std::size_t>(Site::kReplicaRequest);
+  return state().counters[site].load(std::memory_order_relaxed) >
+         spec().value(D::replica_wedge);
 }
 
 bool should_tear_frame() {
-  if (!enabled()) return false;
-  State& s = state();
-  if (!s.config.ipc_torn_frame) return false;
-  return !s.torn_frame_fired.exchange(true, std::memory_order_acq_rel);
+  return enabled() && on(D::ipc_torn_frame) && tick(Site::kResponseFrame) == 0;
 }
 
 std::int32_t corrupt_draft_token(std::int32_t token, std::int32_t vocab) {
-  if (!enabled()) return token;
-  State& s = state();
-  if (s.config.spec_reject_p <= 0.0 || vocab <= 1) return token;
-  bool corrupt = s.config.spec_reject_p >= 1.0;
-  if (!corrupt) {
-    const std::lock_guard<std::mutex> lock{s.rng_mutex};
-    corrupt = s.rng.bernoulli(s.config.spec_reject_p);
-  }
-  if (!corrupt) return token;
+  if (!enabled() || !on(D::spec_reject_storm) || vocab <= 1) return token;
+  const double p = spec().probability(D::spec_reject_storm);
+  if (p < 1.0 && !draw(p)) return token;
   return static_cast<std::int32_t>((token + 1) % vocab);
 }
 
-bool should_poison_draft_logits() {
-  if (!enabled()) return false;
-  State& s = state();
-  if (s.config.draft_nan < 0) return false;
-  const std::int64_t check =
-      s.draft_logit_checks.fetch_add(1, std::memory_order_relaxed);
-  if (check != s.config.draft_nan) return false;
-  log_warn("fault: poisoning draft logits with NaN at draft row ", check);
-  return true;
-}
+bool should_poison_draft_logits() { return enabled() && fires(D::draft_nan); }
 
 }  // namespace sdd::fault

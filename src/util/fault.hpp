@@ -1,106 +1,38 @@
-// Fault-injection framework for durability testing.
+// Fault-injection framework for durability and chaos testing.
 //
-// Production code is instrumented with a handful of hook points (artifact
-// commits, training steps). Faults are armed either programmatically
-// (tests) or through the SDD_FAULT environment variable (soak scripts):
+// Production code calls a handful of hooks (artifact commits, training and
+// decode steps, fleet claims, replica dispatches and frames). A fault spec
+// arms some of them. It is a comma-separated list of directives, one per
+// row of SDD_FAULT_DIRECTIVES below, e.g. "io_fail:p=0.5,seed:7,mode:throw".
 //
-//   SDD_FAULT="io_fail:p=0.05"      every artifact commit fails (throws
-//                                   SerializeError) with probability p
-//   SDD_FAULT="truncate_write"      artifact commits tear: half the bytes
-//                                   land at the final path, no rename
-//   SDD_FAULT="crash_at_step:N"     die at the Nth training step (process-
-//                                   global counter across all loops)
-//   SDD_FAULT="crash_at_io:N"       die during the Nth artifact commit,
-//                                   after the temp file is durable but
-//                                   before the rename
-//   SDD_FAULT="hang_at_step:N"      stall the Nth training step: block until
-//                                   the supervisor watchdog cancels the stage
-//                                   (then throw Error{timeout}), or until a
-//                                   safety cap expires
-//   SDD_FAULT="nan_at_step:N"       poison the Nth training loss with NaN
-//                                   (own counter, one counted call per step)
-//   SDD_FAULT="slow_io:ms=M"        delay every artifact commit by M ms
-//   SDD_FAULT="alloc_fail:at=N"     the Nth guarded tensor/KV-cache
-//                                   allocation throws Error{resource_
-//                                   exhausted} (counter starts at 0)
-//   SDD_FAULT="hang_decode:N"       stall the Nth decode step (a prompt
-//                                   chunk or a token): block until a
-//                                   watchdog cancels the enclosing stage,
-//                                   then throw Error{timeout}
-//   SDD_FAULT="nan_decode:N"        poison the logits of the Nth decode
-//                                   token with NaN (serving NaN-guard path)
-//   SDD_FAULT="decode_pass_fail:N"  the Nth batched serving decode pass
-//                                   throws Error{resource_exhausted}; every
-//                                   slot in that pass fails, others go on
-//   SDD_FAULT="worker_kill9:at=N"   a fleet worker raises SIGKILL right after
-//                                   claiming its Nth task (0-based). Fires at
-//                                   most once per fleet run (O_EXCL marker in
-//                                   the fleet dir) so respawned workers make
-//                                   progress; the orchestrator must reclaim
-//                                   the orphaned lease
-//   SDD_FAULT="worker_stall:N"      a fleet worker goes silent after claiming
-//                                   its Nth task: no lease renewal, no
-//                                   progress, until the orchestrator SIGKILLs
-//                                   it (hang_cap safety exit 137 otherwise).
-//                                   Once per fleet run, like worker_kill9
-//   SDD_FAULT="claim_race"          fleet workers scan tasks in identical
-//                                   order and pause between scan and claim,
-//                                   forcing many workers to race one claim
-//                                   file (exactly one may win)
-//   SDD_FAULT="orch_crash:N"        the fleet orchestrator dies after
-//                                   observing its Nth completed task; a
-//                                   restart must resume from queue state
-//   SDD_FAULT="replica_fail:at=N"   router dispatches to the target replica
-//                                   (replica_idx, default 0) fail before
-//                                   reaching its queue, starting at the Nth
-//                                   dispatch to it, for replica_fail_n
-//                                   consecutive dispatches (default 6) — long
-//                                   enough to trip the circuit breaker; the
-//                                   replica then "recovers" and half-open
-//                                   probes succeed
-//   SDD_FAULT="replica_fail_n:K"    width of the replica_fail failure window
-//   SDD_FAULT="replica_idx:I"       which replica index the replica faults
-//                                   target (default 0)
-//   SDD_FAULT="replica_slow:MS"     transit to the target replica is slow:
-//                                   the router delays a request's first
-//                                   dispatch to it by MS ms (non-blocking
-//                                   not_before gate, never stalls others)
-//   SDD_FAULT="breaker_flap"        dispatches to the target replica fail in
-//                                   bursts of three (ordinals 3-5, 9-11, ...)
-//                                   so its breaker repeatedly opens, probes
-//                                   closed, and re-opens
-//   SDD_FAULT="replica_kill9:at=N"  a serving replica worker raises SIGKILL
-//                                   on receiving its Nth REQUEST frame
-//                                   (0-based, per-process counter) — the
-//                                   supervisor must fail the in-flight
-//                                   requests over and respawn
-//   SDD_FAULT="replica_wedge:N"     a replica worker wedges on its Nth
-//                                   REQUEST frame: the heartbeat thread goes
-//                                   silent and the worker parks until the
-//                                   supervisor's lease expires and SIGKILLs
-//                                   it (hang_cap safety exit 137 otherwise)
-//   SDD_FAULT="ipc_torn_frame"      a replica worker writes half a RESPONSE
-//                                   frame then dies (once per process); the
-//                                   reader must classify the torn frame as
-//                                   retryable worker_lost
-//   SDD_FAULT="spec_reject_storm"   corrupt every speculative draft proposal
-//                                   (or a fraction with :p=P) so the target
-//                                   rejects it; output bytes must not change
-//                                   — only the acceptance rate collapses
-//   SDD_FAULT="draft_nan:N"         poison the Nth draft-model logits row
-//                                   with NaN (own counter); the speculative
-//                                   round degrades to a target-only step
-//   SDD_FAULT="mode:throw"          crash by throwing FaultCrash instead of
-//                                   _Exit(137) (for in-process tests)
-//   SDD_FAULT="seed:N"              seed for the io_fail coin
+// Arguments, by kind:
+//   N   ordinal, 0-based, of an event at the row's counter site; "at=N" too
+//   P   probability in [0, 1]; "p=P" too; a bare directive means P = 1
+//   MS  milliseconds >= 0; "ms=MS" too
+//   K   count >= 1
+//   I   index >= 0
+// A directive named twice keeps its last value. Counters are per process,
+// restart at configure(), and count the events at their site while a
+// directive on it is armed; directives that share a site share one ordinal
+// (crash_at_step and hang_at_step count the same training steps).
 //
-// Directives combine with commas: "io_fail:p=0.5,seed:7,mode:throw".
-// With nothing armed every hook is a cheap branch on an atomic flag.
-// A malformed SDD_FAULT value terminates the process with an actionable
-// message at the first instrumented operation — a soak run with a typo'd
-// spec must fail loudly, not silently run fault-free.
+// Specs are armed three ways:
+//   * SDD_FAULT, read at the first hook that runs. A malformed value logs the
+//     directive table and exits 64 (EX_USAGE): a soak with a typo'd spec
+//     must fail loudly, not run fault-free.
+//   * configure(), from tests and from the serve/router/spec soaks, which
+//     parse SDD_FAULT themselves (env_spec) and arm it only after setup. Any configure() or
+//     reset() means SDD_FAULT is never read lazily afterwards.
+//   * SDD_CHILD_FAULT (kChildEnv), which a spawner hands its workers as their
+//     SDD_FAULT: the fleet orchestrator to every worker, the cross-process
+//     router to the first worker generation of variant replica_idx only.
+//
+// With nothing armed every hook is one branch on an atomic flag.
+// docs/robustness.md keeps the same table for readers.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <stdexcept>
@@ -108,7 +40,150 @@
 
 namespace sdd::fault {
 
-// Thrown by crash points when mode is kThrow; simulates an abrupt process
+// How a directive's argument is written (see the grammar above). Count,
+// index, mode and seed arguments only tune other directives; they arm
+// nothing on their own.
+enum class ArgKind : std::uint8_t {
+  kNone, kOrdinal, kProb, kMs, kCount, kIndex, kMode, kSeed
+};
+
+// The per-process event counter a directive's ordinal refers to.
+enum class Site : std::uint8_t {
+  kNone,
+  kTrainStep,        // completed optimizer steps, every training loop
+  kLossCheck,        // computed training losses
+  kIoCommit,         // artifact commits, mid-commit
+  kAlloc,            // guarded tensor / KV-cache allocations
+  kDecodeStep,       // DecodeSession steps (a prompt chunk or a token)
+  kDecodeLogits,     // served decode-token logits rows
+  kDecodePass,       // batched serving decode passes
+  kFleetClaim,       // tasks a fleet worker claimed
+  kFleetCompletion,  // completions the orchestrator observed
+  kReplicaDispatch,  // router dispatches to replica replica_idx
+  kReplicaRequest,   // REQUEST frames a replica worker received
+  kResponseFrame,    // RESPONSE frames a replica worker wrote
+  kDraftLogits,      // draft-model logits rows
+  kCount
+};
+
+// One row per directive: name (the spec token), argument kind, counter
+// site, value when the spec does not name it, and the doc line shown in the
+// malformed-spec message. Adding a directive means adding a row and reading
+// it in a hook.
+#define SDD_FAULT_DIRECTIVES(X)                                                 \
+  X(io_fail, kProb, kNone, 0,                                                   \
+    "every artifact commit fails (SerializeError) with probability P")          \
+  X(truncate_write, kNone, kNone, 0,                                            \
+    "artifact commits tear: half the bytes land at the final path, no rename")  \
+  X(crash_at_step, kOrdinal, kTrainStep, 0,                                     \
+    "die at the Nth training step, counted across every training loop")         \
+  X(crash_at_io, kOrdinal, kIoCommit, 0,                                        \
+    "die in the Nth artifact commit, after the temp file is durable and "       \
+    "before the rename")                                                        \
+  X(hang_at_step, kOrdinal, kTrainStep, 0,                                      \
+    "stall the Nth training step until a watchdog cancels it (then "            \
+    "Error{timeout}) or hang_cap expires")                                      \
+  X(nan_at_step, kOrdinal, kLossCheck, 0,                                       \
+    "poison the Nth computed training loss with NaN")                           \
+  X(slow_io, kMs, kNone, 0, "delay every artifact commit by MS ms")             \
+  X(alloc_fail, kOrdinal, kAlloc, 0,                                            \
+    "the Nth guarded tensor or KV-cache allocation throws "                     \
+    "Error{resource_exhausted}")                                                \
+  X(hang_decode, kOrdinal, kDecodeStep, 0,                                      \
+    "stall the Nth decode step (a prompt chunk or a token) until a watchdog "   \
+    "cancels it (then Error{timeout}) or hang_cap expires")                     \
+  X(nan_decode, kOrdinal, kDecodeLogits, 0,                                     \
+    "poison the logits of the Nth served decode token with NaN")                \
+  X(decode_pass_fail, kOrdinal, kDecodePass, 0,                                 \
+    "the Nth batched serving decode pass throws Error{resource_exhausted}; "    \
+    "every slot in it fails")                                                   \
+  X(worker_kill9, kOrdinal, kFleetClaim, 0,                                     \
+    "a fleet worker raises SIGKILL right after its Nth claim; once per fleet "  \
+    "run")                                                                      \
+  X(worker_stall, kOrdinal, kFleetClaim, 0,                                     \
+    "a fleet worker goes lease-silent after its Nth claim until it is "         \
+    "killed (exit 137 at hang_cap); once per fleet run")                        \
+  X(claim_race, kNone, kNone, 0,                                                \
+    "fleet workers scan tasks in one order and pause before claiming, so "      \
+    "they race for one claim file")                                             \
+  X(orch_crash, kOrdinal, kFleetCompletion, 0,                                  \
+    "the fleet orchestrator dies after observing its Nth completed task")       \
+  X(replica_fail, kOrdinal, kReplicaDispatch, 0,                                \
+    "router dispatches to replica replica_idx fail from its Nth dispatch on, "  \
+    "for replica_fail_n dispatches")                                            \
+  X(replica_fail_n, kCount, kNone, 6,                                           \
+    "width of the replica_fail window (default 6)")                             \
+  X(replica_idx, kIndex, kNone, 0,                                              \
+    "the replica the router faults and SDD_CHILD_FAULT target (default 0)")     \
+  X(replica_slow, kMs, kNone, 0,                                                \
+    "the router delays a request's first dispatch to replica replica_idx by "   \
+    "MS ms")                                                                    \
+  X(breaker_flap, kNone, kReplicaDispatch, 0,                                   \
+    "dispatches to replica replica_idx fail in bursts of three (ordinals 3-5, " \
+    "9-11, ...)")                                                               \
+  X(replica_kill9, kOrdinal, kReplicaRequest, 0,                                \
+    "a replica worker raises SIGKILL on its Nth REQUEST frame")                 \
+  X(replica_wedge, kOrdinal, kReplicaRequest, 0,                                \
+    "a replica worker stops heartbeating and parks on its Nth REQUEST frame "   \
+    "until it is killed (exit 137 at hang_cap)")                                \
+  X(ipc_torn_frame, kNone, kResponseFrame, 0,                                   \
+    "a replica worker writes half a RESPONSE frame, then dies; once per "       \
+    "process")                                                                  \
+  X(spec_reject_storm, kProb, kNone, 0,                                         \
+    "corrupt each speculative draft proposal with probability P; output "       \
+    "bytes must not change")                                                    \
+  X(draft_nan, kOrdinal, kDraftLogits, 0,                                       \
+    "poison the Nth draft-model logits row with NaN; the round falls back to "  \
+    "a target-only step")                                                       \
+  X(hang_cap, kCount, kNone, 60'000,                                            \
+    "safety cap in ms for a hang, stall or wedge that nothing ends (default "   \
+    "60000)")                                                                   \
+  X(mode, kMode, kNone, 0,                                                      \
+    "crash by _Exit(137) (exit, the default) or by throwing FaultCrash "        \
+    "(throw, for in-process tests)")                                            \
+  X(seed, kSeed, kNone, 0x5DDFA017,                                             \
+    "seed of the RNG that io_fail and spec_reject_storm draw from")
+
+// Enumerators are the spec tokens themselves, so a row names its directive
+// once.
+enum class Directive : std::uint8_t {
+#define SDD_FAULT_ENUMERATOR(name, kind, site, fallback, doc) name,
+  SDD_FAULT_DIRECTIVES(SDD_FAULT_ENUMERATOR)
+#undef SDD_FAULT_ENUMERATOR
+};
+
+struct Row {
+  const char* name;
+  ArgKind kind;
+  Site site;
+  std::int64_t fallback;
+  const char* doc;
+};
+
+inline constexpr std::array kRows{
+#define SDD_FAULT_ROW(name, kind, site, fallback, doc) \
+  Row{#name, ArgKind::kind, Site::site, fallback, doc},
+    SDD_FAULT_DIRECTIVES(SDD_FAULT_ROW)
+#undef SDD_FAULT_ROW
+};
+
+inline constexpr const Row& row(Directive d) {
+  return kRows[static_cast<std::size_t>(d)];
+}
+
+// "truncate_write", "crash_at_step:N", "io_fail[:P]", ...: a row's grammar as
+// the help text and the docs write it.
+std::string usage(const Row& row);
+
+// Every row as "usage  doc", one per line.
+std::string directive_help();
+
+// The environment variable a spawner forwards to its workers as SDD_FAULT.
+inline constexpr const char* kChildEnv = "SDD_CHILD_FAULT";
+
+enum class CrashMode : std::int64_t { kExit = 0, kThrow = 1 };
+
+// Thrown by crash points when mode is throw; simulates an abrupt process
 // death inside a single test process. Deliberately NOT derived from
 // SerializeError: recovery code must not swallow it.
 class FaultCrash : public std::runtime_error {
@@ -116,174 +191,134 @@ class FaultCrash : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-enum class CrashMode { kExit, kThrow };
+// A parsed spec: one argument per row.
+class Spec {
+ public:
+  Spec();
 
-struct FaultConfig {
-  double io_fail_p = 0.0;           // probability an artifact commit fails
-  bool truncate_write = false;      // tear artifact commits
-  std::int64_t crash_at_step = -1;  // die at this training step (-1 = never)
-  std::int64_t crash_at_io = -1;    // die at this artifact commit (-1 = never)
-  std::int64_t hang_at_step = -1;   // stall at this training step (-1 = never)
-  std::int64_t nan_at_step = -1;    // poison this training loss (-1 = never)
-  std::int64_t slow_io_ms = 0;      // per-commit delay in milliseconds
-  std::int64_t alloc_fail_at = -1;  // fail this guarded allocation (-1 = never)
-  std::int64_t hang_decode = -1;    // stall at this decode token (-1 = never)
-  std::int64_t nan_decode = -1;     // poison this decode token's logits
-  std::int64_t decode_pass_fail = -1;  // fail this batched decode pass
-  std::int64_t worker_kill9_at = -1;  // SIGKILL self at this fleet claim
-  std::int64_t worker_stall_at = -1;  // go lease-silent at this fleet claim
-  bool claim_race = false;            // force fleet claim contention
-  std::int64_t orch_crash_at = -1;  // orchestrator dies at Nth completion
-  std::int64_t replica_fault_index = 0;  // replica the router faults target
-  std::int64_t replica_fail_at = -1;  // fail target dispatches from this one
-  std::int64_t replica_fail_count = 6;   // width of the failure window
-  std::int64_t replica_slow_ms = 0;   // transit delay to the target replica
-  bool breaker_flap = false;          // fail target dispatches in bursts of 3
-  std::int64_t replica_kill9_at = -1;  // SIGKILL self at this REQUEST frame
-  std::int64_t replica_wedge_at = -1;  // wedge (heartbeats stop) at this frame
-  bool ipc_torn_frame = false;         // tear one RESPONSE frame, then die
-  double spec_reject_p = 0.0;         // probability a draft proposal is corrupted
-  std::int64_t draft_nan = -1;        // poison this draft logits row (-1 = never)
-  std::int64_t hang_cap_ms = 60'000;  // safety cap for an unwatched hang
-  CrashMode mode = CrashMode::kExit;
-  std::uint64_t seed = 0x5DDFA017ULL;
+  // True when the spec names `d` with an argument that arms it: a flag, an
+  // ordinal, a probability or a delay above 0. Count, index, mode and seed
+  // rows never arm anything.
+  bool armed(Directive d) const;
+  // True when any directive is armed.
+  bool armed() const;
+  // The integer argument (mode: 0 exit, 1 throw), or the row's fallback.
+  std::int64_t value(Directive d) const;
+  // The probability argument, 0 when the spec does not name `d`.
+  double probability(Directive d) const;
+  CrashMode mode() const;
 
-  bool any() const {
-    return io_fail_p > 0.0 || truncate_write || crash_at_step >= 0 ||
-           crash_at_io >= 0 || hang_at_step >= 0 || nan_at_step >= 0 ||
-           slow_io_ms > 0 || alloc_fail_at >= 0 || hang_decode >= 0 ||
-           nan_decode >= 0 || decode_pass_fail >= 0 || worker_kill9_at >= 0 || worker_stall_at >= 0 ||
-           claim_race || orch_crash_at >= 0 || replica_fail_at >= 0 ||
-           replica_slow_ms > 0 || breaker_flap || replica_kill9_at >= 0 ||
-           replica_wedge_at >= 0 || ipc_torn_frame || spec_reject_p > 0.0 ||
-           draft_nan >= 0;
-  }
+ private:
+  friend Spec parse_fault_spec(const std::string& spec);
+
+  std::array<bool, kRows.size()> named_{};
+  std::array<std::int64_t, kRows.size()> value_{};
+  std::array<double, kRows.size()> probability_{};
 };
 
-// Parses an SDD_FAULT-style spec; throws std::invalid_argument on malformed
-// directives. Exposed for tests.
-FaultConfig parse_fault_spec(const std::string& spec);
+// Parses a spec; throws std::invalid_argument on a malformed directive.
+Spec parse_fault_spec(const std::string& spec);
 
-// Arm faults programmatically (overrides any SDD_FAULT value) and reset all
-// event counters. Tests should pair this with reset().
-void configure(const FaultConfig& config);
+// Parses the spec in environment variable `var` (empty or unset: nothing
+// armed). A malformed value logs the directive table and exits 64. Arms
+// nothing.
+Spec env_spec(const char* var = "SDD_FAULT");
 
-// Disarm all faults and reset counters.
+// Arm `spec` and restart every counter. Tests pair this with reset().
+void configure(const Spec& spec);
+// Parse, then arm; throws std::invalid_argument on a malformed spec.
+void configure(const std::string& spec);
+
+// Disarm all faults and restart every counter.
 void reset();
 
-// True when any fault is armed (after lazy SDD_FAULT initialization).
+// True when any fault is armed (after the lazy SDD_FAULT read).
 bool enabled();
 
 // ---- hook points ----------------------------------------------------------
 
 // Called by training loops once per completed optimizer step, after any
-// checkpoint write for that step. Handles crash_at_step and hang_at_step
-// (the hang parks in supervisor::wait_for_cancellation and throws
-// Error{timeout} when the watchdog fires or the safety cap expires).
+// checkpoint write for that step: crash_at_step, hang_at_step.
 void on_train_step();
 
-// Called by training loops on every computed loss value, before it is used.
-// Returns NaN on the armed nan_at_step call (its own counter, incremented
-// every call), the input unchanged otherwise.
+// Called on every computed training loss before it is used: returns NaN on
+// the nan_at_step check, `loss` otherwise.
 float poison_loss(float loss);
 
-// Called at the start of an artifact commit. Returns true when the commit
-// must fail; the caller throws SerializeError.
+// Called at the start of an artifact commit: true when the commit must fail
+// (io_fail); the caller throws SerializeError.
 bool should_fail_io(const std::filesystem::path& path);
 
-// Returns true when the caller must simulate a torn, non-atomic write.
+// True when the caller must simulate a torn, non-atomic write.
 bool should_truncate_write(const std::filesystem::path& path);
 
-// Called mid-commit, after the temp file is durable but before the rename.
-// Handles crash_at_io.
+// Called mid-commit, after the temp file is durable but before the rename:
+// crash_at_io.
 void on_io_commit(const std::filesystem::path& path);
 
-// Called at the start of an artifact commit; sleeps slow_io_ms when armed.
+// Called at the start of an artifact commit; sleeps slow_io ms.
 void io_delay(const std::filesystem::path& path);
 
 // Called by guarded allocation sites (Tensor construction, decode KV-cache
-// slots) with the requested byte count. Throws Error{resource_exhausted} on
-// the armed alloc_fail_at call (its own counter, one count per call).
+// slots) with the requested byte count: alloc_fail.
 void on_alloc(std::size_t bytes);
 
 // Called once per DecodeSession step (a prompt chunk or a decode token), so
-// generate, generative eval and every serving slot count. Handles hang_decode exactly like on_train_step handles hang_at_step: the
-// hang parks in supervisor::wait_for_cancellation and throws Error{timeout}
-// when a watchdog fires or the safety cap expires.
+// generate, generative eval and every serving slot count: hang_decode.
 void on_decode_token();
 
-// Called once per decode token on the freshly computed logits. Returns true
-// on the armed nan_decode call (its own counter); the caller poisons its
-// logits with NaN so the serving NaN guard can be exercised end to end.
+// Called once per served decode token on its fresh logits: true on the
+// nan_decode row; the caller poisons the logits so the serving NaN guard
+// runs end to end.
 bool should_poison_logits();
 
-// Called by the serving scheduler before each batched decode pass (its own
-// counter). Throws Error{resource_exhausted} on the armed decode_pass_fail
-// call, so the pass's failure semantics can be exercised end to end.
+// Called by the serving scheduler before each batched decode pass:
+// decode_pass_fail.
 void on_decode_pass();
 
-// Called by a fleet worker immediately after it wins a claim, with the fleet
-// run directory (per-process claim counter). worker_kill9 raises SIGKILL —
-// the truly unhandleable death — and worker_stall parks silently (no lease
-// renewal) until the orchestrator kills the process or hang_cap_ms expires
-// (then _Exit(137)). Both fire at most once per fleet run: the first worker
-// to reach its Nth claim wins an O_EXCL marker file under `fleet_dir`, so
-// respawned workers with the same SDD_FAULT environment still make progress.
-// Under mode:throw, worker_kill9 throws FaultCrash instead (in-process tests).
+// Called by a fleet worker right after it wins a claim, with the fleet run
+// directory: worker_kill9, worker_stall. Each fires at most once per fleet
+// run: the first worker to reach its Nth claim wins an O_EXCL marker file
+// under `fleet_dir`, so respawned workers with the same spec make progress.
 void on_fleet_claim(const std::filesystem::path& fleet_dir);
 
-// True when claim_race is armed: the work queue scans tasks in identical
-// order across workers and widens the scan-to-claim window so concurrent
-// workers contend for the same claim file.
+// True when claim_race is armed: the work queue scans tasks in one order
+// across workers and widens the scan-to-claim window.
 bool claim_race_armed();
 
-// Called by the fleet orchestrator each time it observes a newly completed
-// task (per-process counter). Handles orch_crash_at.
+// Called by the fleet orchestrator for each newly completed task it
+// observes: orch_crash.
 void on_fleet_completion();
 
-// Called by the variant router just before submitting to replica `index`.
-// Returns true when the dispatch must be treated as a replica failure
-// (replica_fail window or breaker_flap burst on the target replica); the
-// router records a breaker failure and fails the request over. The dispatch
-// ordinal counter only advances for the target replica while one of the two
-// directives is armed.
+// Called by the variant router just before submitting to replica `index`:
+// true when the dispatch must count as a replica failure (replica_fail,
+// breaker_flap); the router records a breaker failure and fails over.
 bool should_fail_replica(std::int64_t index);
 
-// Transit delay for a router dispatch to replica `index`: replica_slow_ms
-// for the target replica, 0 otherwise. Stateless; the router applies it as
-// a non-blocking not_before gate (one delay per request).
+// Transit delay for a router dispatch to replica `index`: replica_slow for
+// replica replica_idx, 0 otherwise. The router applies it as a non-blocking
+// not_before gate (one delay per request).
 std::int64_t replica_dispatch_delay_ms(std::int64_t index);
 
-// Called by a cross-process replica worker once per REQUEST frame it receives
-// (per-process counter). replica_kill9 raises SIGKILL on the armed frame —
-// the parent supervisor observes a reaped pid and torn stream. replica_wedge
-// sets the wedged flag (the worker's heartbeat thread checks replica_wedged()
-// and stops beating) and parks the request loop until the supervisor's lease
-// expires and it is SIGKILLed, with a hang_cap_ms safety exit 137. Under
-// mode:throw both throw FaultCrash instead (in-process tests).
+// Called by a cross-process replica worker once per REQUEST frame it
+// receives: replica_kill9, replica_wedge.
 void on_replica_request();
 
 // True once replica_wedge has fired: the worker's heartbeat thread must go
-// silent so the supervisor's liveness lease — not the request path — detects
-// the wedge.
+// silent so the supervisor's liveness lease detects the wedge.
 bool replica_wedged();
 
-// True exactly once per process when ipc_torn_frame is armed: the replica
-// worker writes a deliberately torn RESPONSE frame and dies, so the parent
-// exercises the torn-frame → worker_lost classification end to end.
+// True on the first RESPONSE frame when ipc_torn_frame is armed: the worker
+// writes a torn frame and dies, so the parent classifies it as worker_lost.
 bool should_tear_frame();
 
-// Called by the speculative decoder on every draft proposal. With
-// spec_reject_storm armed, returns a corrupted token (shifted by one, mod
-// `vocab`) with probability spec_reject_p so the target rejects the draft;
-// returns `token` unchanged otherwise. Corruption must never change output
-// bytes — only the acceptance telemetry.
+// Called on every speculative draft proposal: with spec_reject_storm,
+// returns the token shifted by one (mod `vocab`) so the target rejects it;
+// `token` otherwise. Must never change output bytes.
 std::int32_t corrupt_draft_token(std::int32_t token, std::int32_t vocab);
 
-// Called by the speculative decoder on every freshly computed draft-model
-// logits row (own counter). Returns true on the armed draft_nan call; the
-// caller poisons the draft logits and the round degrades to a target-only
-// step instead of failing the request.
+// Called on every freshly computed draft-model logits row: true on the
+// draft_nan row; the round degrades to a target-only step.
 bool should_poison_draft_logits();
 
 }  // namespace sdd::fault

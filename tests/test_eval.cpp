@@ -137,10 +137,7 @@ TEST(Harness, GenerativeEvalIsCoveredByTheHangWatchdog) {
   const auto q = vocab.encode("q : what does the dog say ?");
   prompt.insert(prompt.end(), q.begin(), q.end());
 
-  fault::FaultConfig faults;
-  faults.hang_decode = 0;
-  faults.hang_cap_ms = 10'000;
-  fault::configure(faults);
+  fault::configure("hang_decode:0,hang_cap:10000");
   supervisor::SupervisorConfig config;
   config.retry_max = 0;
   config.hang_ms = 100;

@@ -154,9 +154,7 @@ TEST(FleetQueue, ClaimRaceFaultStillElectsOneWinner) {
   WorkQueue queue{tmp.path()};
   ASSERT_TRUE(queue.enqueue(make_task("contested")));
 
-  fault::FaultConfig config;
-  config.claim_race = true;
-  fault::configure(config);
+  fault::configure("claim_race");
   ASSERT_TRUE(fault::claim_race_armed());
 
   constexpr int kRacers = 6;
@@ -371,16 +369,14 @@ TEST(FleetWorker, GracefulShutdownReleasesClaimWithoutFailure) {
 // workers reach the armed claim count (mode:throw keeps it in-process).
 TEST(FleetFaults, WorkerKill9FiresOncePerRun) {
   TempDir tmp;
-  fault::FaultConfig config;
-  config.worker_kill9_at = 0;
-  config.mode = fault::CrashMode::kThrow;
-  fault::configure(config);
+  const std::string spec = "worker_kill9:at=0,mode:throw";
+  fault::configure(spec);
 
   int fired = 0;
   for (int attempt = 0; attempt < 3; ++attempt) {
     // Each loop simulates a freshly respawned worker process: reset re-arms
     // the per-process claim counter, but the on-disk marker persists.
-    fault::configure(config);
+    fault::configure(spec);
     try {
       fault::on_fleet_claim(tmp.path());
     } catch (const fault::FaultCrash&) {
@@ -393,23 +389,21 @@ TEST(FleetFaults, WorkerKill9FiresOncePerRun) {
 }
 
 TEST(FleetFaults, FaultSpecParsesFleetDirectives) {
-  const fault::FaultConfig config = fault::parse_fault_spec(
+  const fault::Spec config = fault::parse_fault_spec(
       "worker_kill9:at=2,worker_stall:1,claim_race,orch_crash:4,mode:throw");
-  EXPECT_EQ(config.worker_kill9_at, 2);
-  EXPECT_EQ(config.worker_stall_at, 1);
-  EXPECT_TRUE(config.claim_race);
-  EXPECT_EQ(config.orch_crash_at, 4);
-  EXPECT_TRUE(config.any());
-  EXPECT_EQ(fault::parse_fault_spec("worker_kill9:1").worker_kill9_at, 1);
+  EXPECT_EQ(config.value(fault::Directive::worker_kill9), 2);
+  EXPECT_EQ(config.value(fault::Directive::worker_stall), 1);
+  EXPECT_TRUE(config.armed(fault::Directive::claim_race));
+  EXPECT_EQ(config.value(fault::Directive::orch_crash), 4);
+  EXPECT_TRUE(config.armed());
+  EXPECT_EQ(fault::parse_fault_spec("worker_kill9:1")
+                .value(fault::Directive::worker_kill9), 1);
   EXPECT_THROW(fault::parse_fault_spec("worker_kill9:at=x"),
                std::invalid_argument);
 }
 
 TEST(FleetFaults, OrchCrashFiresAtNthCompletion) {
-  fault::FaultConfig config;
-  config.orch_crash_at = 2;
-  config.mode = fault::CrashMode::kThrow;
-  fault::configure(config);
+  fault::configure("orch_crash:2,mode:throw");
   fault::on_fleet_completion();  // #0
   fault::on_fleet_completion();  // #1
   EXPECT_THROW(fault::on_fleet_completion(), fault::FaultCrash);  // #2

@@ -205,8 +205,9 @@ TEST(Lora, DecodeIncludesAdapterContribution) {
 
 // ----------------------------- batched decode -----------------------------
 
+// memcmp needs valid pointers even for zero bytes; empty rows have none.
 bool bitwise_equal(const float* a, const float* b, std::size_t count) {
-  return std::memcmp(a, b, count * sizeof(float)) == 0;
+  return count == 0 || std::memcmp(a, b, count * sizeof(float)) == 0;
 }
 
 // Six sessions at different positions advance together by 0-32 rows each in

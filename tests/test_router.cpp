@@ -268,11 +268,7 @@ TEST(Router, FailoverReroutesAndStaysBitIdentical) {
 
   // The first dispatch to replica 0 ("full") dies before reaching its queue;
   // the request must fail over to "p1" and produce p1's exact unloaded output.
-  fault::FaultConfig faults;
-  faults.replica_fail_at = 0;
-  faults.replica_fail_count = 1;
-  faults.replica_fault_index = 0;
-  fault::configure(faults);
+  fault::configure("replica_fail:at=0,replica_fail_n:1,replica_idx:0");
 
   VariantRouter router{two_variants(63), test_router_config()};
   const RouteRequest route = route_request_for(4);
@@ -295,11 +291,7 @@ TEST(Router, DeadVariantQuarantinedThenProbedBackHealthy) {
   // after two failures, then half-open probes burn through the rest of the
   // window and the variant recovers. Requests pin "full" so traffic keeps
   // reaching the sick replica instead of settling on "p1".
-  fault::FaultConfig faults;
-  faults.replica_fail_at = 0;
-  faults.replica_fail_count = 4;
-  faults.replica_fault_index = 0;
-  fault::configure(faults);
+  fault::configure("replica_fail:at=0,replica_fail_n:4,replica_idx:0");
 
   RouterConfig config = test_router_config();
   config.breaker.open_after = 2;
@@ -338,11 +330,7 @@ TEST(Router, DeadVariantQuarantinedThenProbedBackHealthy) {
 TEST(Router, SingleDeadVariantExhaustsFailoverTyped) {
   // Only one variant, and every dispatch to it fails: the request must still
   // terminate, carrying the last typed failure plus an exhausted marker.
-  fault::FaultConfig faults;
-  faults.replica_fail_at = 0;
-  faults.replica_fail_count = 1000;
-  faults.replica_fault_index = 0;
-  fault::configure(faults);
+  fault::configure("replica_fail:at=0,replica_fail_n:1000,replica_idx:0");
 
   const nn::TransformerLM full{tiny_config(), 65};
   std::vector<VariantSpec> variants;
@@ -461,17 +449,20 @@ TEST(Router, TaskScoreDrivesVariantChoice) {
 // ---- router fault directives -----------------------------------------------
 
 TEST(Router, FaultSpecParsesRouterDirectives) {
-  const fault::FaultConfig config = fault::parse_fault_spec(
+  const fault::Spec config = fault::parse_fault_spec(
       "replica_fail:at=2,replica_fail_n:3,replica_idx:1,replica_slow:30");
-  EXPECT_EQ(config.replica_fail_at, 2);
-  EXPECT_EQ(config.replica_fail_count, 3);
-  EXPECT_EQ(config.replica_fault_index, 1);
-  EXPECT_EQ(config.replica_slow_ms, 30);
-  EXPECT_TRUE(config.any());
-  EXPECT_TRUE(fault::parse_fault_spec("breaker_flap").breaker_flap);
+  EXPECT_EQ(config.value(fault::Directive::replica_fail), 2);
+  EXPECT_EQ(config.value(fault::Directive::replica_fail_n), 3);
+  EXPECT_EQ(config.value(fault::Directive::replica_idx), 1);
+  EXPECT_EQ(config.value(fault::Directive::replica_slow), 30);
+  EXPECT_TRUE(config.armed());
+  EXPECT_TRUE(fault::parse_fault_spec("breaker_flap")
+                .armed(fault::Directive::breaker_flap));
   // Short forms without the "at=" / "ms=" key.
-  EXPECT_EQ(fault::parse_fault_spec("replica_fail:4").replica_fail_at, 4);
-  EXPECT_EQ(fault::parse_fault_spec("replica_slow:ms=9").replica_slow_ms, 9);
+  EXPECT_EQ(fault::parse_fault_spec("replica_fail:4")
+                .value(fault::Directive::replica_fail), 4);
+  EXPECT_EQ(fault::parse_fault_spec("replica_slow:ms=9")
+                .value(fault::Directive::replica_slow), 9);
   EXPECT_THROW(fault::parse_fault_spec("replica_fail:at=x"),
                std::invalid_argument);
   EXPECT_THROW(fault::parse_fault_spec("replica_idx:-1"),
@@ -481,11 +472,7 @@ TEST(Router, FaultSpecParsesRouterDirectives) {
 }
 
 TEST(Router, ShouldFailReplicaWindowAndTargeting) {
-  fault::FaultConfig faults;
-  faults.replica_fail_at = 1;
-  faults.replica_fail_count = 2;
-  faults.replica_fault_index = 0;
-  fault::configure(faults);
+  fault::configure("replica_fail:at=1,replica_fail_n:2,replica_idx:0");
   // Non-target replicas never fail and never advance the ordinal.
   EXPECT_FALSE(fault::should_fail_replica(1));
   EXPECT_FALSE(fault::should_fail_replica(2));
@@ -499,9 +486,7 @@ TEST(Router, ShouldFailReplicaWindowAndTargeting) {
 }
 
 TEST(Router, BreakerFlapFailsInBursts) {
-  fault::FaultConfig faults;
-  faults.breaker_flap = true;
-  fault::configure(faults);
+  fault::configure("breaker_flap");
   std::vector<bool> pattern;
   for (int i = 0; i < 12; ++i) pattern.push_back(fault::should_fail_replica(0));
   fault::reset();
@@ -511,10 +496,7 @@ TEST(Router, BreakerFlapFailsInBursts) {
 }
 
 TEST(Router, ReplicaSlowDelayTargetsOneReplica) {
-  fault::FaultConfig faults;
-  faults.replica_slow_ms = 30;
-  faults.replica_fault_index = 1;
-  fault::configure(faults);
+  fault::configure("replica_slow:30,replica_idx:1");
   EXPECT_EQ(fault::replica_dispatch_delay_ms(1), 30);
   EXPECT_EQ(fault::replica_dispatch_delay_ms(0), 0);
   fault::reset();

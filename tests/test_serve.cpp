@@ -320,9 +320,7 @@ TEST(Serve, AllocFailureDegradesInsteadOfCrashing) {
 
   // After configure() the allocation counter is zero, so the very next
   // guarded allocation — the first decode slot — fails.
-  fault::FaultConfig faults;
-  faults.alloc_fail_at = 0;
-  fault::configure(faults);
+  fault::configure("alloc_fail:at=0");
 
   auto first = server.submit(request_for(1));
   auto second = server.submit(request_for(2));
@@ -346,9 +344,7 @@ TEST(Serve, NanLogitsFailTypedAndServingContinues) {
   config.start_worker = false;
   InferenceServer server{model, config};
 
-  fault::FaultConfig faults;
-  faults.nan_decode = 2;  // poison the third decode token
-  fault::configure(faults);
+  fault::configure("nan_decode:2");  // poison the third decode token
 
   auto poisoned = server.submit(request_for(1, /*max_new=*/10));
   auto clean = server.submit(request_for(2, /*max_new=*/10));
@@ -372,10 +368,8 @@ TEST(Serve, HungDecodeIsRecycledByWatchdog) {
   config.worker.hang_ms = 200;  // heartbeat-silence watchdog
   InferenceServer server{model, config};
 
-  fault::FaultConfig faults;
-  faults.hang_decode = 0;  // the first request's first decode round hangs
-  faults.hang_cap_ms = 10'000;
-  fault::configure(faults);
+  // the first request's first decode round hangs
+  fault::configure("hang_decode:0,hang_cap:10000");
 
   auto hung = server.submit(request_for(1, /*max_new=*/10));
   auto survivor = server.submit(request_for(2, /*max_new=*/10));
@@ -405,10 +399,8 @@ TEST(Serve, HangMidRoundStillRunsTheQueuedSlotsPass) {
   config.worker.hang_ms = 200;
   InferenceServer server{model, config};
 
-  fault::FaultConfig faults;
-  faults.hang_decode = 1;  // the second slot of the first round
-  faults.hang_cap_ms = 10'000;
-  fault::configure(faults);
+  // the second slot of the first round
+  fault::configure("hang_decode:1,hang_cap:10000");
 
   auto survivor = server.submit(request_for(1, /*max_new=*/10));
   auto hung = server.submit(request_for(2, /*max_new=*/10));
@@ -588,14 +580,15 @@ TEST(Serve, ErrorExitCodesAreDistinctAndStable) {
 }
 
 TEST(Serve, FaultSpecParsesNewDirectives) {
-  const fault::FaultConfig config = fault::parse_fault_spec(
+  const fault::Spec config = fault::parse_fault_spec(
       "alloc_fail:at=4,hang_decode:7,nan_decode:9");
-  EXPECT_EQ(config.alloc_fail_at, 4);
-  EXPECT_EQ(config.hang_decode, 7);
-  EXPECT_EQ(config.nan_decode, 9);
-  EXPECT_TRUE(config.any());
+  EXPECT_EQ(config.value(fault::Directive::alloc_fail), 4);
+  EXPECT_EQ(config.value(fault::Directive::hang_decode), 7);
+  EXPECT_EQ(config.value(fault::Directive::nan_decode), 9);
+  EXPECT_TRUE(config.armed());
   // Short form without "at=".
-  EXPECT_EQ(fault::parse_fault_spec("alloc_fail:2").alloc_fail_at, 2);
+  EXPECT_EQ(fault::parse_fault_spec("alloc_fail:2")
+                .value(fault::Directive::alloc_fail), 2);
   EXPECT_THROW(fault::parse_fault_spec("alloc_fail:at=x"),
                std::invalid_argument);
 }
@@ -633,9 +626,7 @@ int nan_decode_victim(const nn::TransformerLM& model, const nn::TransformerLM* d
   config.max_batch = 4;
   config.spec_k = draft != nullptr ? 3 : 0;
   InferenceServer server{model, config, draft};
-  fault::FaultConfig faults;
-  faults.nan_decode = nan_at;
-  fault::configure(faults);
+  fault::configure("nan_decode:" + std::to_string(nan_at));
   const std::vector<Request> requests = mixed_round_requests();
   std::vector<serve::TicketPtr> tickets;
   for (const Request& request : requests) tickets.push_back(server.submit(request));
@@ -677,7 +668,8 @@ TEST(Serve, NanDecodePoisonsTheSameRequestAsPerSlotDecoding) {
 }
 
 TEST(Serve, FailedDecodePassFailsExactlyItsOwnSlots) {
-  EXPECT_EQ(fault::parse_fault_spec("decode_pass_fail:3").decode_pass_fail, 3);
+  EXPECT_EQ(fault::parse_fault_spec("decode_pass_fail:3")
+                .value(fault::Directive::decode_pass_fail), 3);
   const nn::TransformerLM model{tiny_config(), 59};
   const nn::TransformerLM draft = model.pruned(1, 1);
   ServerConfig config;
@@ -688,9 +680,7 @@ TEST(Serve, FailedDecodePassFailsExactlyItsOwnSlots) {
   // Pass 0 prefills the three sampled requests (the greedy one prefills
   // speculatively, outside the pass); in round 2 request 1 retires on its
   // one-token budget before pass 1, which fails for requests 2 and 3 only.
-  fault::FaultConfig faults;
-  faults.decode_pass_fail = 1;
-  fault::configure(faults);
+  fault::configure("decode_pass_fail:1");
   std::vector<Request> requests;
   for (std::uint64_t i = 0; i < 4; ++i) {
     requests.push_back(request_for(i, i == 1 ? 1 : 8));

@@ -241,9 +241,8 @@ TEST(Spec, CountersBalanceExactly) {
 
 TEST(Spec, RejectionStormAtPositionZeroPreservesBytes) {
   const TransformerLM target{tiny_config(3), 84};
-  fault::FaultConfig faults;
-  faults.spec_reject_p = 1.0;  // every proposal corrupted: reject at pos 0
-  fault::configure(faults);
+  // every proposal corrupted: reject at pos 0
+  fault::configure("spec_reject_storm:p=1.0");
   nn::SpecCounters counters;
   const auto output = nn::speculative_generate(
       target, target, test_prompt(), greedy_options(10), 4, &counters);
@@ -260,9 +259,7 @@ TEST(Spec, PartialRejectionStormPreservesBytes) {
   const TransformerLM target{tiny_config(4), 85};
   const TransformerLM draft = target.pruned(2, 1);
   const auto reference = nn::generate(target, test_prompt(), greedy_options(14));
-  fault::FaultConfig faults;
-  faults.spec_reject_p = 0.5;
-  fault::configure(faults);
+  fault::configure("spec_reject_storm:p=0.5");
   for (const std::int64_t k : {1, 3, 4}) {
     EXPECT_EQ(nn::speculative_generate(target, draft, test_prompt(),
                                        greedy_options(14), k),
@@ -274,9 +271,8 @@ TEST(Spec, PartialRejectionStormPreservesBytes) {
 
 TEST(Spec, DraftNanDegradesRoundWithoutFailing) {
   const TransformerLM target{tiny_config(3), 86};
-  fault::FaultConfig faults;
-  faults.draft_nan = 5;  // past the prompt prefill rows, inside a proposal
-  fault::configure(faults);
+  // past the prompt prefill rows, inside a proposal
+  fault::configure("draft_nan:5");
   nn::SpecCounters counters;
   const auto output = nn::speculative_generate(
       target, target, test_prompt(), greedy_options(12), 4, &counters);
@@ -323,15 +319,15 @@ TEST(Spec, RejectsInvalidSessions) {
 }
 
 TEST(Spec, FaultSpecParsesSpeculativeDirectives) {
-  const fault::FaultConfig storm = fault::parse_fault_spec("spec_reject_storm");
-  EXPECT_DOUBLE_EQ(storm.spec_reject_p, 1.0);
-  const fault::FaultConfig half =
+  const fault::Spec storm = fault::parse_fault_spec("spec_reject_storm");
+  EXPECT_DOUBLE_EQ(storm.probability(fault::Directive::spec_reject_storm), 1.0);
+  const fault::Spec half =
       fault::parse_fault_spec("spec_reject_storm:p=0.5");
-  EXPECT_DOUBLE_EQ(half.spec_reject_p, 0.5);
-  const fault::FaultConfig nan = fault::parse_fault_spec("draft_nan:7");
-  EXPECT_EQ(nan.draft_nan, 7);
-  EXPECT_TRUE(storm.any());
-  EXPECT_TRUE(nan.any());
+  EXPECT_DOUBLE_EQ(half.probability(fault::Directive::spec_reject_storm), 0.5);
+  const fault::Spec nan = fault::parse_fault_spec("draft_nan:7");
+  EXPECT_EQ(nan.value(fault::Directive::draft_nan), 7);
+  EXPECT_TRUE(storm.armed());
+  EXPECT_TRUE(nan.armed());
   EXPECT_THROW(fault::parse_fault_spec("spec_reject_storm:p=nope"),
                std::invalid_argument);
 }
@@ -512,9 +508,7 @@ TEST(SpecServe, SampledRequestsBypassTheDraft) {
 
 TEST(SpecServe, SpeculativeSlotSurvivesRejectionStorm) {
   const TransformerLM model{tiny_config(3), 94};
-  fault::FaultConfig faults;
-  faults.spec_reject_p = 1.0;
-  fault::configure(faults);
+  fault::configure("spec_reject_storm:p=1.0");
   serve::ServerConfig config;
   config.spec_k = 4;
   serve::InferenceServer server{model, config, &model};
