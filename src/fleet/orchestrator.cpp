@@ -229,9 +229,10 @@ int worker_main(const fs::path& dir, const std::string& worker_id,
         }
       }
     }};
+    // Idempotent: complete() can throw after the renewer was stopped.
     const auto stop_renewer = [&] {
       running.store(false, std::memory_order_release);
-      renewer.join();
+      if (renewer.joinable()) renewer.join();
     };
 
     try {

@@ -257,8 +257,12 @@ std::vector<std::int32_t> PayloadReader::vec_i32() {
   }
   need(count * sizeof(std::int32_t));
   std::vector<std::int32_t> values(count);
-  std::memcpy(values.data(), payload_.data() + pos_,
-              count * sizeof(std::int32_t));
+  // An empty vector's data() may be null, and memcpy's pointers must not be
+  // even for zero bytes.
+  if (count > 0) {
+    std::memcpy(values.data(), payload_.data() + pos_,
+                count * sizeof(std::int32_t));
+  }
   pos_ += count * sizeof(std::int32_t);
   return values;
 }

@@ -305,6 +305,29 @@ TEST(FleetWorker, DrainsQueueAndQuarantinesPoison) {
   EXPECT_TRUE(fs::exists(queue.dead_path("bad")));
 }
 
+// A completion that cannot be published (the done marker's tmp path is a
+// directory) is a failed attempt: the worker survives, retries, and
+// quarantines the task once its retry budget is spent.
+TEST(FleetWorker, UnpublishableCompletionIsAFailedAttempt) {
+  TempDir tmp;
+  WorkQueue queue{tmp.path()};
+  ASSERT_TRUE(queue.enqueue(make_task("t")));
+  fs::create_directories(tmp.path() / "done" / "t.done.tmp" / "blocker");
+  FleetConfig config;
+  config.workers = 1;
+  config.lease_ms = 200;
+  config.task_retry = 2;
+  config.poll_ms = 5;
+
+  int executed = 0;
+  EXPECT_EQ(worker_main(tmp.path(), "w0", config,
+                        [&](const TaskSpec&) { ++executed; }),
+            0);
+  EXPECT_EQ(executed, 2);
+  EXPECT_FALSE(queue.is_done("t"));
+  EXPECT_TRUE(fs::exists(queue.dead_path("t")));
+}
+
 // Two in-process workers share one queue; every task is executed exactly
 // once (claims are exclusive) and both exit once the queue is terminal.
 TEST(FleetWorker, TwoWorkersPartitionTheQueue) {

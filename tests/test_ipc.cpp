@@ -180,6 +180,7 @@ TEST(Ipc, PayloadCodecRoundTrip) {
   w.f32(3.5F);
   w.str("variant-name");
   w.vec_i32({1, -2, 3, -4});
+  w.vec_i32({});
 
   ipc::PayloadReader r{w.bytes()};
   EXPECT_EQ(r.u8(), 0xAB);
@@ -189,6 +190,7 @@ TEST(Ipc, PayloadCodecRoundTrip) {
   EXPECT_EQ(r.f32(), 3.5F);
   EXPECT_EQ(r.str(), "variant-name");
   EXPECT_EQ(r.vec_i32(), (std::vector<std::int32_t>{1, -2, 3, -4}));
+  EXPECT_TRUE(r.vec_i32().empty());
   EXPECT_TRUE(r.exhausted());
 }
 
