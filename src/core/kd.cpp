@@ -1,15 +1,9 @@
 #include "core/kd.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
-#include "train/optim.hpp"
-#include "util/fault.hpp"
-#include "util/log.hpp"
-#include "util/supervisor.hpp"
 
 namespace sdd::core {
 namespace {
@@ -43,65 +37,34 @@ train::TrainStats kd_train(nn::TransformerLM& student,
     throw std::invalid_argument("kd_train: alpha must be in [0, 1]");
   }
 
-  train::AdamW optimizer{student.trainable_parameters(), config.optimizer};
-  Rng rng{config.seed};
-  train::TrainStats stats;
-
-  const auto n = static_cast<std::int64_t>(dataset.examples.size());
-  const std::int64_t steps_per_epoch = std::max<std::int64_t>(1, n / config.batch_size);
-  const std::int64_t steps = std::min(config.max_steps, config.epochs * steps_per_epoch);
   const std::int64_t max_len = student.config().max_seq_len;
+  std::uint64_t h = fnv1a("kd");
+  h = hash_combine(h, dataset.hash());
+  h = hash_combine(h, config.hash());
+  h = fnv1a_value(max_len, h);
+  h = hash_combine(h, kd.hash());
+  h = hash_combine(h, teacher.weight_hash());
+  const auto steps =
+      config.steps_for(static_cast<std::int64_t>(dataset.examples.size()));
   const float tau = kd.temperature;
-
-  for (std::int64_t step = 0; step < steps; ++step) {
-    std::vector<const data::SftExample*> picked;
-    picked.reserve(static_cast<std::size_t>(config.batch_size));
-    for (std::int64_t b = 0; b < config.batch_size; ++b) {
-      picked.push_back(&dataset.examples[rng.index(dataset.examples.size())]);
-    }
-    const train::SftBatch batch =
-        train::pack_sft_batch(picked, data::Vocab::instance().pad(), max_len);
-    const std::vector<float> soft_targets =
-        teacher_soft_targets(teacher, batch, tau);
-
-    const Tensor logits = student.forward(batch.inputs, batch.batch, batch.seq);
-    // Soft term at temperature tau (the tau^2 factor keeps gradient scale
-    // comparable to the hard term, as in Hinton et al. 2015).
-    const Tensor scaled_logits = ops::scale(logits, 1.0F / tau);
-    const Tensor soft_loss =
-        ops::soft_cross_entropy(scaled_logits, soft_targets, batch.weights);
-    const Tensor hard_loss =
-        ops::cross_entropy(logits, batch.targets, batch.weights);
-    Tensor loss = ops::add_scaled(ops::scale(soft_loss, kd.alpha * tau * tau),
-                                  hard_loss, 1.0F - kd.alpha);
-
-    const float loss_value = loss.item();
-    optimizer.zero_grad();
-    loss.backward();
-    optimizer.clip_gradients(config.clip_norm);
-    const float lr = train::cosine_lr(step, steps, config.warmup_steps,
-                                      config.optimizer.lr,
-                                      config.optimizer.lr * config.min_lr_fraction);
-    optimizer.step(lr);
-
-    stats.losses.push_back(loss_value);
-    if (step == 0) stats.initial_loss = loss_value;
-    if (config.log_every > 0 && step % config.log_every == 0) {
-      log_info("kd[", dataset.name, "] step ", step, "/", steps, " loss=", loss_value);
-    }
-    fault::on_train_step();
-    supervisor::heartbeat();
-  }
-  stats.final_loss = stats.losses.empty()
-                         ? 0.0F
-                         : std::accumulate(stats.losses.end() -
-                                               static_cast<std::ptrdiff_t>(std::max<
-                                                   std::size_t>(1, stats.losses.size() /
-                                                                       10)),
-                                           stats.losses.end(), 0.0F) /
-                               static_cast<float>(
-                                   std::max<std::size_t>(1, stats.losses.size() / 10));
-  return stats;
+  return train::train_loop(
+      "kd[" + dataset.name + "]", student.trainable_parameters(), steps, h, config,
+      [&](Rng& rng) {
+        const train::SftBatch batch =
+            train::draw_sft_batch(dataset, config.batch_size, max_len, rng);
+        const std::vector<float> soft_targets =
+            teacher_soft_targets(teacher, batch, tau);
+        const Tensor logits = student.forward(batch.inputs, batch.batch, batch.seq);
+        // Soft term at temperature tau (the tau^2 factor keeps gradient scale
+        // comparable to the hard term, as in Hinton et al. 2015).
+        const Tensor scaled_logits = ops::scale(logits, 1.0F / tau);
+        const Tensor soft_loss =
+            ops::soft_cross_entropy(scaled_logits, soft_targets, batch.weights);
+        const Tensor hard_loss =
+            ops::cross_entropy(logits, batch.targets, batch.weights);
+        return ops::add_scaled(ops::scale(soft_loss, kd.alpha * tau * tau),
+                               hard_loss, 1.0F - kd.alpha);
+      });
 }
 
 }  // namespace sdd::core

@@ -29,9 +29,11 @@ struct KdConfig {
   }
 };
 
-// Fine-tune `student` on the dataset with teacher-logit distillation. The
-// optimizer setup (LoRA vs full, steps, schedule, clipping) reuses the SFT
-// configuration; the loss mixes soft and hard terms per `kd`.
+// Fine-tune `student` on the dataset with teacher-logit distillation. It runs
+// train::train_loop with the SFT configuration (LoRA vs full, steps,
+// schedule, clipping, checkpoint/resume, numeric guard), so it resumes and is
+// guarded exactly as sft_train is; the loss mixes soft and hard terms per
+// `kd`. The checkpoint fingerprint covers `kd` and the teacher's weights.
 train::TrainStats kd_train(nn::TransformerLM& student,
                            const nn::TransformerLM& teacher,
                            const data::SftDataset& dataset,

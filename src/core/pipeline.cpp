@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "data/kb_gen.hpp"
@@ -62,19 +63,16 @@ PipelineConfig PipelineConfig::standard() {
   config.pretrain.checkpoint_every = env_int("SDD_CKPT_EVERY", 500);
   config.sft.checkpoint_every = env_int("SDD_SFT_CKPT_EVERY", 25);
 
-  // Numeric-divergence guard policy shared by the pretrain and SFT loops
-  // (rollback to last snapshot on non-finite loss/exploding grad norm; see
-  // docs/robustness.md). SDD_NUMERIC_GUARD=0 disables.
-  const bool guard = env_int("SDD_NUMERIC_GUARD", 1) != 0;
-  const auto grad_limit =
-      static_cast<float>(env_double("SDD_GRAD_NORM_LIMIT", 1e8));
-  const std::int64_t max_rollbacks = env_int("SDD_MAX_ROLLBACKS", 2);
-  config.pretrain.numeric_guard = guard;
-  config.pretrain.grad_norm_limit = grad_limit;
-  config.pretrain.max_rollbacks = max_rollbacks;
-  config.sft.numeric_guard = guard;
-  config.sft.grad_norm_limit = grad_limit;
-  config.sft.max_rollbacks = max_rollbacks;
+  // Numeric-divergence guard policy shared by every training run (pretrain,
+  // and SFT or KD recovery, which both read config.sft): rollback to the last
+  // snapshot on non-finite loss/exploding grad norm; see docs/robustness.md.
+  // SDD_NUMERIC_GUARD=0 disables.
+  for (train::TrainLoopConfig* loop :
+       std::array<train::TrainLoopConfig*, 2>{&config.pretrain, &config.sft}) {
+    loop->numeric_guard = env_int("SDD_NUMERIC_GUARD", 1) != 0;
+    loop->grad_norm_limit = static_cast<float>(env_double("SDD_GRAD_NORM_LIMIT", 1e8));
+    loop->max_rollbacks = env_int("SDD_MAX_ROLLBACKS", 2);
+  }
 
   // Stage supervision (retry/backoff, deadline, hang watchdog) from
   // SDD_RETRY_MAX / SDD_BACKOFF_MS / SDD_STAGE_DEADLINE_SEC /

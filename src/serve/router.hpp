@@ -22,7 +22,7 @@
 //     Response of the last attempt is always returned — no request is ever
 //     lost, even when every variant is down.
 //
-// Determinism invariant (proved by scripts/router_soak.sh): a request's
+// Determinism invariant (proved by scripts/soak.sh router): a request's
 // tokens depend only on (variant, prompt, seed, options). Failover re-submits
 // the request fresh on the next variant, so whichever variant completes it,
 // the output is bit-identical to an unloaded single-request decode on that

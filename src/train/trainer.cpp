@@ -124,11 +124,6 @@ std::optional<std::int64_t> try_resume(const std::filesystem::path& path,
   }
 }
 
-bool checkpointing_enabled(const std::filesystem::path& path,
-                           std::int64_t every) {
-  return !path.empty() && every > 0;
-}
-
 void finish_checkpointing(const std::filesystem::path& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
@@ -152,7 +147,7 @@ constexpr std::int64_t kGuardSnapshotEvery = 16;
 
 class NumericGuard {
  public:
-  NumericGuard(const char* loop, bool enabled, float grad_norm_limit,
+  NumericGuard(std::string_view loop, bool enabled, float grad_norm_limit,
                std::int64_t max_rollbacks, std::int64_t snapshot_every)
       : loop_{loop},
         enabled_{enabled},
@@ -228,7 +223,7 @@ class NumericGuard {
   }
 
  private:
-  const char* loop_;
+  std::string_view loop_;
   bool enabled_;
   float grad_norm_limit_;
   std::int64_t max_rollbacks_;
@@ -282,175 +277,53 @@ SftBatch pack_sft_batch(const std::vector<const data::SftExample*>& examples,
   return batch;
 }
 
+SftBatch draw_sft_batch(const data::SftDataset& dataset, std::int64_t batch_size,
+                        std::int64_t max_len, Rng& rng) {
+  std::vector<const data::SftExample*> picked;
+  picked.reserve(static_cast<std::size_t>(batch_size));
+  for (std::int64_t b = 0; b < batch_size; ++b) {
+    picked.push_back(&dataset.examples[rng.index(dataset.examples.size())]);
+  }
+  return pack_sft_batch(picked, data::Vocab::instance().pad(), max_len);
+}
+
 namespace {
 
-float sft_batch_loss(const nn::TransformerLM& model, const SftBatch& batch,
-                     Tensor* out_loss) {
+Tensor sft_batch_loss(const nn::TransformerLM& model, const SftBatch& batch) {
   const Tensor logits = model.forward(batch.inputs, batch.batch, batch.seq);
-  Tensor loss = ops::cross_entropy(logits, batch.targets, batch.weights);
-  const float value = loss.item();
-  if (out_loss != nullptr) *out_loss = loss;
-  return value;
+  return ops::cross_entropy(logits, batch.targets, batch.weights);
 }
 
 }  // namespace
 
-TrainStats pretrain(nn::TransformerLM& model, std::span<const data::TokenId> stream,
-                    const PretrainConfig& config) {
-  if (static_cast<std::int64_t>(stream.size()) < config.seq_len + 2) {
-    throw std::invalid_argument("pretrain: stream shorter than one window");
-  }
-  nn::ParamList params = model.trainable_parameters();
+TrainStats train_loop(std::string_view label, nn::ParamList params,
+                      std::int64_t steps, std::uint64_t run_hash,
+                      const TrainLoopConfig& config, const BatchLoss& batch_loss) {
   AdamW optimizer{params, config.optimizer};
   Rng rng{config.seed};
   TrainStats stats;
-  stats.losses.reserve(static_cast<std::size_t>(config.steps));
+  stats.losses.reserve(static_cast<std::size_t>(std::max<std::int64_t>(0, steps)));
 
   const bool checkpointing =
-      checkpointing_enabled(config.checkpoint_path, config.checkpoint_every);
-  std::uint64_t fingerprint = 0;
+      !config.checkpoint_path.empty() && config.checkpoint_every > 0;
+  const std::uint64_t fingerprint = params_fingerprint(params, run_hash);
   std::int64_t start_step = 0;
   if (checkpointing) {
-    std::uint64_t h = fnv1a("pretrain");
-    h = fnv1a_bytes(std::as_bytes(stream), h);
-    h = fnv1a_value(config.steps, h);
-    h = fnv1a_value(config.batch_size, h);
-    h = fnv1a_value(config.seq_len, h);
-    h = fnv1a_value(config.warmup_steps, h);
-    h = fnv1a_value(config.clip_norm, h);
-    h = fnv1a_value(config.min_lr_fraction, h);
-    h = fnv1a_value(config.seed, h);
-    h = hash_combine(h, config.optimizer.hash());
-    fingerprint = params_fingerprint(params, h);
     if (const auto resumed = try_resume(config.checkpoint_path, fingerprint,
                                         params, optimizer, rng)) {
       start_step = *resumed;
-      log_info("pretrain: resumed from checkpoint at step ", start_step, "/",
-               config.steps);
+      log_info(label, ": resumed from checkpoint at step ", start_step, "/", steps);
     }
   }
 
-  const std::int64_t max_start =
-      static_cast<std::int64_t>(stream.size()) - config.seq_len - 1;
-  std::vector<data::TokenId> inputs(
-      static_cast<std::size_t>(config.batch_size * config.seq_len));
-  std::vector<std::int32_t> targets(inputs.size());
-  const std::vector<float> weights(inputs.size(), 1.0F);
-
-  NumericGuard guard{"pretrain", config.numeric_guard, config.grad_norm_limit,
-                     config.max_rollbacks, config.checkpoint_every};
-  guard.capture(start_step, params, optimizer, rng);
-
-  std::int64_t step = start_step;
-  while (step < config.steps) {
-    for (std::int64_t b = 0; b < config.batch_size; ++b) {
-      const std::int64_t start = rng.uniform_int(0, max_start);
-      for (std::int64_t t = 0; t < config.seq_len; ++t) {
-        const auto flat = static_cast<std::size_t>(b * config.seq_len + t);
-        inputs[flat] = stream[static_cast<std::size_t>(start + t)];
-        targets[flat] = stream[static_cast<std::size_t>(start + t + 1)];
-      }
-    }
-    const Tensor logits = model.forward(inputs, config.batch_size, config.seq_len);
-    Tensor loss = ops::cross_entropy(logits, targets, weights);
-    const float loss_value = fault::poison_loss(loss.item());
-    float grad_norm = 0.0F;
-    bool diverged = guard.bad_loss(loss_value);
-    if (!diverged) {
-      optimizer.zero_grad();
-      loss.backward();
-      grad_norm = optimizer.clip_gradients(config.clip_norm);
-      diverged = guard.bad_grad_norm(grad_norm);
-    }
-    if (diverged) {
-      if (guard.handle_divergence(step, loss_value, grad_norm, params,
-                                  optimizer, rng, stats)) {
-        stats.losses.resize(
-            static_cast<std::size_t>(guard.snapshot_step() - start_step));
-        step = guard.snapshot_step();
-      } else {
-        ++step;  // batch skipped, no update recorded
-      }
-      supervisor::heartbeat();
-      continue;
-    }
-    const float lr =
-        cosine_lr(step, config.steps, config.warmup_steps, config.optimizer.lr,
-                  config.optimizer.lr * config.min_lr_fraction) *
-        guard.lr_scale();
-    optimizer.step(lr);
-
-    stats.losses.push_back(loss_value);
-    if (step == start_step) stats.initial_loss = loss_value;
-    if (config.log_every > 0 && (step % config.log_every == 0)) {
-      log_info("pretrain step ", step, "/", config.steps, " loss=", loss_value);
-    }
-    if (checkpointing && (step + 1) % config.checkpoint_every == 0 &&
-        step + 1 < config.steps) {
-      save_checkpoint(config.checkpoint_path, fingerprint, step + 1, params,
-                      optimizer, rng);
-    }
-    guard.maybe_capture(step + 1, params, optimizer, rng);
-    fault::on_train_step();
-    supervisor::heartbeat();
-    ++step;
-  }
-  if (checkpointing) finish_checkpointing(config.checkpoint_path);
-  stats.final_loss = tail_mean(stats.losses);
-  return stats;
-}
-
-TrainStats sft_train(nn::TransformerLM& model, const data::SftDataset& dataset,
-                     const SftTrainConfig& config) {
-  if (dataset.examples.empty()) {
-    throw std::invalid_argument("sft_train: empty dataset");
-  }
-  nn::ParamList params = model.trainable_parameters();
-  AdamW optimizer{params, config.optimizer};
-  Rng rng{config.seed};
-  TrainStats stats;
-
-  const auto n = static_cast<std::int64_t>(dataset.examples.size());
-  const std::int64_t steps_per_epoch =
-      std::max<std::int64_t>(1, n / config.batch_size);
-  const std::int64_t steps =
-      std::min(config.max_steps, config.epochs * steps_per_epoch);
-  const std::int64_t max_len = model.config().max_seq_len;
-
-  const bool checkpointing =
-      checkpointing_enabled(config.checkpoint_path, config.checkpoint_every);
-  std::uint64_t fingerprint = 0;
-  std::int64_t start_step = 0;
-  if (checkpointing) {
-    std::uint64_t h = fnv1a("sft");
-    h = hash_combine(h, dataset.hash());
-    h = hash_combine(h, config.hash());
-    h = fnv1a_value(max_len, h);
-    fingerprint = params_fingerprint(params, h);
-    if (const auto resumed = try_resume(config.checkpoint_path, fingerprint,
-                                        params, optimizer, rng)) {
-      start_step = *resumed;
-      log_info("sft[", dataset.name, "]: resumed from checkpoint at step ",
-               start_step, "/", steps);
-    }
-  }
-
-  NumericGuard guard{"sft", config.numeric_guard, config.grad_norm_limit,
+  NumericGuard guard{label, config.numeric_guard, config.grad_norm_limit,
                      config.max_rollbacks, config.checkpoint_every};
   guard.capture(start_step, params, optimizer, rng);
 
   std::int64_t step = start_step;
   while (step < steps) {
-    std::vector<const data::SftExample*> picked;
-    picked.reserve(static_cast<std::size_t>(config.batch_size));
-    for (std::int64_t b = 0; b < config.batch_size; ++b) {
-      picked.push_back(&dataset.examples[rng.index(dataset.examples.size())]);
-    }
-    const SftBatch batch =
-        pack_sft_batch(picked, data::Vocab::instance().pad(), max_len);
-
-    Tensor loss;
-    const float loss_value = fault::poison_loss(sft_batch_loss(model, batch, &loss));
+    Tensor loss = batch_loss(rng);
+    const float loss_value = fault::poison_loss(loss.item());
     float grad_norm = 0.0F;
     bool diverged = guard.bad_loss(loss_value);
     if (!diverged) {
@@ -479,8 +352,7 @@ TrainStats sft_train(nn::TransformerLM& model, const data::SftDataset& dataset,
     stats.losses.push_back(loss_value);
     if (step == start_step) stats.initial_loss = loss_value;
     if (config.log_every > 0 && (step % config.log_every == 0)) {
-      log_info("sft[", dataset.name, "] step ", step, "/", steps,
-               " loss=", loss_value);
+      log_info(label, " step ", step, "/", steps, " loss=", loss_value);
     }
     if (checkpointing && (step + 1) % config.checkpoint_every == 0 &&
         step + 1 < steps) {
@@ -495,6 +367,64 @@ TrainStats sft_train(nn::TransformerLM& model, const data::SftDataset& dataset,
   if (checkpointing) finish_checkpointing(config.checkpoint_path);
   stats.final_loss = tail_mean(stats.losses);
   return stats;
+}
+
+TrainStats pretrain(nn::TransformerLM& model, std::span<const data::TokenId> stream,
+                    const PretrainConfig& config) {
+  if (static_cast<std::int64_t>(stream.size()) < config.seq_len + 2) {
+    throw std::invalid_argument("pretrain: stream shorter than one window");
+  }
+  std::uint64_t h = fnv1a("pretrain");
+  h = fnv1a_bytes(std::as_bytes(stream), h);
+  h = fnv1a_value(config.steps, h);
+  h = fnv1a_value(config.batch_size, h);
+  h = fnv1a_value(config.seq_len, h);
+  h = fnv1a_value(config.warmup_steps, h);
+  h = fnv1a_value(config.clip_norm, h);
+  h = fnv1a_value(config.min_lr_fraction, h);
+  h = fnv1a_value(config.seed, h);
+  h = hash_combine(h, config.optimizer.hash());
+
+  const std::int64_t max_start =
+      static_cast<std::int64_t>(stream.size()) - config.seq_len - 1;
+  std::vector<data::TokenId> inputs(
+      static_cast<std::size_t>(config.batch_size * config.seq_len));
+  std::vector<std::int32_t> targets(inputs.size());
+  const std::vector<float> weights(inputs.size(), 1.0F);
+  return train_loop(
+      "pretrain", model.trainable_parameters(), config.steps, h, config,
+      [&](Rng& rng) {
+        for (std::int64_t b = 0; b < config.batch_size; ++b) {
+          const std::int64_t start = rng.uniform_int(0, max_start);
+          for (std::int64_t t = 0; t < config.seq_len; ++t) {
+            const auto flat = static_cast<std::size_t>(b * config.seq_len + t);
+            inputs[flat] = stream[static_cast<std::size_t>(start + t)];
+            targets[flat] = stream[static_cast<std::size_t>(start + t + 1)];
+          }
+        }
+        const Tensor logits = model.forward(inputs, config.batch_size, config.seq_len);
+        return ops::cross_entropy(logits, targets, weights);
+      });
+}
+
+TrainStats sft_train(nn::TransformerLM& model, const data::SftDataset& dataset,
+                     const SftTrainConfig& config) {
+  if (dataset.examples.empty()) {
+    throw std::invalid_argument("sft_train: empty dataset");
+  }
+  const std::int64_t max_len = model.config().max_seq_len;
+  std::uint64_t h = fnv1a("sft");
+  h = hash_combine(h, dataset.hash());
+  h = hash_combine(h, config.hash());
+  h = fnv1a_value(max_len, h);
+  const auto steps =
+      config.steps_for(static_cast<std::int64_t>(dataset.examples.size()));
+  return train_loop(
+      "sft[" + dataset.name + "]", model.trainable_parameters(), steps, h, config,
+      [&](Rng& rng) {
+        return sft_batch_loss(model,
+                              draw_sft_batch(dataset, config.batch_size, max_len, rng));
+      });
 }
 
 float sft_loss(const nn::TransformerLM& model, const data::SftDataset& dataset,
@@ -513,7 +443,7 @@ float sft_loss(const nn::TransformerLM& model, const data::SftDataset& dataset,
     }
     const SftBatch batch = pack_sft_batch(picked, data::Vocab::instance().pad(),
                                           model.config().max_seq_len);
-    total += sft_batch_loss(model, batch, nullptr);
+    total += sft_batch_loss(model, batch).item();
     ++batches;
   }
   return static_cast<float>(total / static_cast<double>(batches));

@@ -1,15 +1,20 @@
-// Training loops: next-token pre-training over a corpus stream and masked
-// supervised fine-tuning over (prompt, target) examples.
+// Training: next-token pre-training over a corpus stream and masked
+// supervised fine-tuning over (prompt, target) examples, both run by the one
+// optimizer-step loop, train_loop(), that core::kd_train also uses.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "data/sft.hpp"
 #include "data/vocab.hpp"
 #include "nn/transformer.hpp"
 #include "train/optim.hpp"
+#include "util/rng.hpp"
 
 namespace sdd::train {
 
@@ -38,16 +43,15 @@ struct SftBatch {
 SftBatch pack_sft_batch(const std::vector<const data::SftExample*>& examples,
                         data::TokenId pad_token, std::int64_t max_len);
 
-struct PretrainConfig {
-  std::int64_t steps = 1200;
-  std::int64_t batch_size = 8;
-  std::int64_t seq_len = 80;
-  std::int64_t warmup_steps = 50;
+// Settings every training run shares; train_loop() reads only these. The
+// defaults are the fine-tuning ones (PretrainConfig overrides four).
+struct TrainLoopConfig {
+  std::int64_t warmup_steps = 10;
   float clip_norm = 1.0F;
   float min_lr_fraction = 0.1F;
-  AdamWConfig optimizer{.lr = 3e-3F};
-  std::uint64_t seed = 1;
-  std::int64_t log_every = 100;  // 0 disables progress logging
+  AdamWConfig optimizer{.lr = 1e-3F};
+  std::uint64_t seed = 2;
+  std::int64_t log_every = 0;  // 0 disables progress logging
 
   // Mid-run crash safety: every `checkpoint_every` steps the trainable
   // parameters, optimizer moments, RNG state, and step counter are written
@@ -70,29 +74,46 @@ struct PretrainConfig {
   std::int64_t max_rollbacks = 2;
 };
 
+// Draws one batch from the loop's RNG and returns its scalar loss, still on
+// the autograd tape.
+using BatchLoss = std::function<Tensor(Rng&)>;
+
+// The one optimizer-step loop, behind pretrain, sft_train and core::kd_train:
+// AdamW over `params` for `steps` steps on the warmup + cosine schedule, with
+// checkpoint/resume, the numeric-divergence guard, the training fault hooks
+// and supervisor heartbeats. `run_hash` identifies the run's data and
+// settings, so a checkpoint another run left at the same path is never
+// resumed. `label` prefixes log lines.
+TrainStats train_loop(std::string_view label, nn::ParamList params,
+                      std::int64_t steps, std::uint64_t run_hash,
+                      const TrainLoopConfig& config, const BatchLoss& batch_loss);
+
+struct PretrainConfig : TrainLoopConfig {
+  PretrainConfig() {
+    warmup_steps = 50;
+    optimizer.lr = 3e-3F;
+    seed = 1;
+    log_every = 100;
+  }
+
+  std::int64_t steps = 1200;
+  std::int64_t batch_size = 8;
+  std::int64_t seq_len = 80;
+};
+
 TrainStats pretrain(nn::TransformerLM& model, std::span<const data::TokenId> stream,
                     const PretrainConfig& config);
 
-struct SftTrainConfig {
+struct SftTrainConfig : TrainLoopConfig {
   std::int64_t epochs = 3;
   std::int64_t max_steps = 400;   // hard cap; actual steps = min(cap, epochs*n/batch)
   std::int64_t batch_size = 8;
-  std::int64_t warmup_steps = 10;
-  float clip_norm = 1.0F;
-  float min_lr_fraction = 0.1F;
-  AdamWConfig optimizer{.lr = 1e-3F};
-  std::uint64_t seed = 2;
-  std::int64_t log_every = 0;
 
-  // See PretrainConfig: both must be set to enable checkpoint/resume; not
-  // part of hash() because they do not affect the trained weights.
-  std::filesystem::path checkpoint_path;
-  std::int64_t checkpoint_every = 0;
-
-  // See PretrainConfig: numeric-divergence rollback policy (not hashed).
-  bool numeric_guard = true;
-  float grad_norm_limit = 1e8F;
-  std::int64_t max_rollbacks = 2;
+  // Optimizer steps over a dataset of `examples` examples.
+  std::int64_t steps_for(std::int64_t examples) const {
+    return std::min(max_steps,
+                    epochs * std::max<std::int64_t>(1, examples / batch_size));
+  }
 
   std::uint64_t hash() const {
     std::uint64_t h = optimizer.hash();
@@ -106,6 +127,10 @@ struct SftTrainConfig {
     return h;
   }
 };
+
+// `batch_size` examples drawn uniformly (with replacement) and packed.
+SftBatch draw_sft_batch(const data::SftDataset& dataset, std::int64_t batch_size,
+                        std::int64_t max_len, Rng& rng);
 
 // Fine-tune on the dataset with the loss masked to target tokens only
 // (negative log-likelihood of the response given the prompt, paper §2.2).

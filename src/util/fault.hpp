@@ -50,8 +50,8 @@ enum class ArgKind : std::uint8_t {
 // The per-process event counter a directive's ordinal refers to.
 enum class Site : std::uint8_t {
   kNone,
-  kTrainStep,        // completed optimizer steps, every training loop
-  kLossCheck,        // computed training losses
+  kTrainStep,        // completed optimizer steps of train::train_loop
+  kLossCheck,        // training losses train::train_loop computed
   kIoCommit,         // artifact commits, mid-commit
   kAlloc,            // guarded tensor / KV-cache allocations
   kDecodeStep,       // DecodeSession steps (a prompt chunk or a token)
@@ -76,15 +76,15 @@ enum class Site : std::uint8_t {
   X(truncate_write, kNone, kNone, 0,                                            \
     "artifact commits tear: half the bytes land at the final path, no rename")  \
   X(crash_at_step, kOrdinal, kTrainStep, 0,                                     \
-    "die at the Nth training step, counted across every training loop")         \
+    "die at the Nth training step, counted across pretrain, SFT and KD")        \
   X(crash_at_io, kOrdinal, kIoCommit, 0,                                        \
     "die in the Nth artifact commit, after the temp file is durable and "       \
     "before the rename")                                                        \
   X(hang_at_step, kOrdinal, kTrainStep, 0,                                      \
-    "stall the Nth training step until a watchdog cancels it (then "            \
-    "Error{timeout}) or hang_cap expires")                                      \
+    "stall the Nth training step (pretrain, SFT or KD) until a watchdog "       \
+    "cancels it (then Error{timeout}) or hang_cap expires")                     \
   X(nan_at_step, kOrdinal, kLossCheck, 0,                                       \
-    "poison the Nth computed training loss with NaN")                           \
+    "poison the Nth computed training loss (pretrain, SFT or KD) with NaN")     \
   X(slow_io, kMs, kNone, 0, "delay every artifact commit by MS ms")             \
   X(alloc_fail, kOrdinal, kAlloc, 0,                                            \
     "the Nth guarded tensor or KV-cache allocation throws "                     \
@@ -237,12 +237,13 @@ bool enabled();
 
 // ---- hook points ----------------------------------------------------------
 
-// Called by training loops once per completed optimizer step, after any
-// checkpoint write for that step: crash_at_step, hang_at_step.
+// Called by train::train_loop (pretrain, SFT and KD) once per completed
+// optimizer step, after any checkpoint write for that step: crash_at_step,
+// hang_at_step.
 void on_train_step();
 
-// Called on every computed training loss before it is used: returns NaN on
-// the nan_at_step check, `loss` otherwise.
+// Called by train::train_loop on every computed training loss before it is
+// used: returns NaN on the nan_at_step check, `loss` otherwise.
 float poison_loss(float loss);
 
 // Called at the start of an artifact commit: true when the commit must fail

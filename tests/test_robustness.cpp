@@ -1,6 +1,6 @@
 // Durability-layer tests: checksummed artifacts, atomic commits, corrupt-
 // artifact quarantine, fault injection, checkpoint/resume equivalence, and
-// numeric-divergence rollback.
+// numeric-divergence rollback (for pretrain, SFT and KD alike).
 #include <unistd.h>
 
 #include <chrono>
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cache.hpp"
+#include "core/kd.hpp"
 #include "core/pipeline.hpp"
 #include "data/sft.hpp"
 #include "data/world.hpp"
@@ -666,6 +667,88 @@ TEST_F(RobustnessTest, SftInjectedNanRollsBackToBitIdenticalWeights) {
 
   EXPECT_GE(stats.rollbacks, 1);
   EXPECT_EQ(poisoned, reference);
+}
+
+// ---- KD recovery: same loop, same resume and guard contracts ---------------
+
+train::SftTrainConfig tiny_kd_config(const fs::path& ckpt) {
+  train::SftTrainConfig config;
+  config.epochs = 4;
+  config.max_steps = 18;
+  config.batch_size = 4;
+  config.warmup_steps = 2;
+  config.checkpoint_path = ckpt;
+  config.checkpoint_every = ckpt.empty() ? 0 : 5;
+  return config;
+}
+
+// LoRA KD of a fixed 2-layer student from a 3-layer teacher; returns the
+// merged student's weight hash.
+std::uint64_t kd_run(const train::SftTrainConfig& config, const core::KdConfig& kd,
+                     train::TrainStats* stats_out = nullptr) {
+  const data::World world{321};
+  const data::SftDataset dataset = data::make_gsm8k_dataset(world, 24, 5);
+  const nn::TransformerLM teacher{sdd::testing::tiny_real_vocab_config(3), 10};
+  nn::TransformerLM student{sdd::testing::tiny_real_vocab_config(2), 13};
+  nn::LoraConfig lora;
+  lora.rank = 2;
+  student.attach_lora(lora, /*seed=*/77);
+  const train::TrainStats stats =
+      core::kd_train(student, teacher, dataset, config, kd);
+  if (stats_out != nullptr) *stats_out = stats;
+  student.merge_lora();
+  return student.weight_hash();
+}
+
+TEST_F(RobustnessTest, KdResumeAfterCrashIsBitIdentical) {
+  const ScopedLogLevel quiet{LogLevel::kError};
+  const fs::path dir = temp_dir("sdd_robust_kd_resume");
+  const std::uint64_t reference = kd_run(tiny_kd_config(dir / "ref.ckpt"), {});
+
+  // after the step-10 checkpoint
+  const train::SftTrainConfig config = tiny_kd_config(dir / "crash.ckpt");
+  fault::configure("crash_at_step:12,mode:throw");
+  EXPECT_THROW(kd_run(config, {}), fault::FaultCrash);
+  fault::reset();
+  EXPECT_TRUE(fs::exists(config.checkpoint_path));
+
+  EXPECT_EQ(kd_run(config, {}), reference);
+  EXPECT_FALSE(fs::exists(config.checkpoint_path));
+  fs::remove_all(dir);
+}
+
+TEST_F(RobustnessTest, KdInjectedNanRollsBackToBitIdenticalWeights) {
+  const ScopedLogLevel quiet{LogLevel::kError};
+  const train::SftTrainConfig config = tiny_kd_config({});
+  const std::uint64_t reference = kd_run(config, {});
+
+  fault::configure("nan_at_step:6");
+  train::TrainStats stats;
+  const std::uint64_t poisoned = kd_run(config, {}, &stats);
+  fault::reset();
+
+  EXPECT_GE(stats.rollbacks, 1);
+  EXPECT_EQ(poisoned, reference);
+}
+
+TEST_F(RobustnessTest, KdStaleCheckpointFromOtherKdConfigIsIgnored) {
+  const ScopedLogLevel quiet{LogLevel::kError};
+  const fs::path dir = temp_dir("sdd_robust_kd_stale");
+
+  // Leave a mid-run checkpoint behind from a run with another soft weight.
+  core::KdConfig other;
+  other.alpha = 0.5F;
+  fault::configure("crash_at_step:12,mode:throw");
+  EXPECT_THROW(kd_run(tiny_kd_config(dir / "shared.ckpt"), other), fault::FaultCrash);
+  fault::reset();
+  ASSERT_TRUE(fs::exists(dir / "shared.ckpt"));
+
+  // Same path, same SFT settings, alpha 0.7: the fingerprint must reject it.
+  core::KdConfig kd;
+  kd.alpha = 0.7F;
+  const std::uint64_t reference = kd_run(tiny_kd_config(dir / "ref.ckpt"), kd);
+  EXPECT_EQ(kd_run(tiny_kd_config(dir / "shared.ckpt"), kd), reference);
+  fs::remove_all(dir);
 }
 
 // ---- pipeline-level degradation -------------------------------------------
