@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/prefix_cache.hpp"
 #include "nn/speculative.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -47,7 +48,8 @@ DecodeSession::DecodeSession(const TransformerLM& model,
                              const GenerateOptions& options,
                              std::vector<std::int32_t> stop,
                              std::size_t prefill_chunk, const TransformerLM* draft,
-                             std::int64_t k, bool nan_guard)
+                             std::int64_t k, bool nan_guard,
+                             PrefixCache* prefix_cache)
     : model_{&model},
       prompt_{prompt.begin(), prompt.end()},
       stop_{std::move(stop)},
@@ -61,6 +63,16 @@ DecodeSession::DecodeSession(const TransformerLM& model,
   if (prompt.empty()) throw std::invalid_argument("DecodeSession: empty prompt");
   if (draft == nullptr) {
     state_ = model.make_decode_state();
+    if (prefix_cache != nullptr) {
+      if (&prefix_cache->model() != &model) {
+        throw std::invalid_argument("DecodeSession: prefix cache of another model");
+      }
+      prefix_cache_ = prefix_cache;
+      // The last prompt token is always computed.
+      published_ = prefix_cache->restore(std::span{prompt_}.first(prompt_.size() - 1),
+                                         state_);
+      reused_ = fed_ = published_ * prefix_cache->chunk();
+    }
   } else if (temperature_ > 0.0F) {
     throw std::invalid_argument("DecodeSession: drafting is greedy only");
   } else {
@@ -112,6 +124,14 @@ std::optional<TransformerLM::DecodeSegment> DecodeSession::advance() {
   done_ = static_cast<std::int64_t>(generated_.size()) >= budget_;
   if (done_ || spec_) return std::nullopt;
   return TransformerLM::DecodeSegment{&state_, {&generated_.back(), 1}};
+}
+
+void DecodeSession::set_logits(std::vector<float> logits) {
+  logits_ = std::move(logits);
+  if (prefix_cache_ == nullptr) return;
+  for (; (published_ + 1) * prefix_cache_->chunk() <= fed_; ++published_) {
+    prefix_cache_->publish(prompt_, published_, state_);
+  }
 }
 
 std::vector<std::int32_t> DecodeSession::run() {

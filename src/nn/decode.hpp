@@ -27,6 +27,7 @@ struct GenerateOptions {
   CancelToken cancel{};
 };
 
+class PrefixCache;
 class SpeculativeSession;
 struct SpecCounters;
 
@@ -46,12 +47,21 @@ std::int32_t sample_token(std::span<const float> logits, float temperature,
 // with set_logits(). With a `draft` (greedy only, `k` proposals per round)
 // the session steps itself: a prefill chunk or a draft/verify round. Throws
 // std::invalid_argument on an empty prompt or a sampled draft.
+//
+// A plain session given a `prefix_cache` of the same model starts from the
+// longest cached chain of its prompt, at most (prompt - 1) / chunk chunks,
+// so the last prompt token is always computed and its logits come from a
+// real pass. Restored chunks are not steps: they take no advance() and fire
+// no hooks. After each prompt pass, set_logits() publishes every prompt
+// chunk the state now holds whole; a failed pass never reaches it. A
+// drafting session ignores the cache.
 class DecodeSession {
  public:
   DecodeSession(const TransformerLM& model, std::span<const std::int32_t> prompt,
                 const GenerateOptions& options, std::vector<std::int32_t> stop,
                 std::size_t prefill_chunk = 0, const TransformerLM* draft = nullptr,
-                std::int64_t k = 1, bool nan_guard = true);
+                std::int64_t k = 1, bool nan_guard = true,
+                PrefixCache* prefix_cache = nullptr);
   DecodeSession(DecodeSession&&) noexcept;
   DecodeSession& operator=(DecodeSession&&) noexcept;
   ~DecodeSession();
@@ -59,7 +69,7 @@ class DecodeSession {
   // The segment to run (valid until the session moves or advances), or
   // nothing when the session stepped itself or is done().
   std::optional<TransformerLM::DecodeSegment> advance();
-  void set_logits(std::vector<float> logits) { logits_ = std::move(logits); }
+  void set_logits(std::vector<float> logits);
   // Step to completion, one segment per pass; returns the generated tokens.
   std::vector<std::int32_t> run();
 
@@ -70,6 +80,8 @@ class DecodeSession {
   std::vector<float>& logits();
   std::vector<std::int32_t> take_generated() { return std::move(generated_); }
   const SpecCounters* spec_counters() const;  // null without a draft
+  // Prompt tokens restored from the prefix cache instead of computed.
+  std::size_t prefill_reused() const { return reused_; }
 
  private:
   const TransformerLM* model_;
@@ -79,6 +91,9 @@ class DecodeSession {
   CancelToken cancel_;
   std::size_t prefill_chunk_;
   std::size_t fed_ = 0;
+  PrefixCache* prefix_cache_ = nullptr;  // null when drafting or uncached
+  std::size_t reused_ = 0;
+  std::size_t published_ = 0;  // prompt chunks restored or published
   std::int64_t budget_;
   Rng rng_;
   TransformerLM::DecodeState state_;  // empty when drafting

@@ -23,11 +23,29 @@ constexpr auto frame_type(ReplicaFrame type) {
   return static_cast<std::uint8_t>(type);
 }
 
+Response worker_lost_response(const std::string& reason) {
+  Response response;
+  response.state = RequestState::kFailed;
+  response.error = ErrorKind::kWorkerLost;
+  response.retryable = true;
+  response.message = "replica worker lost: " + reason;
+  return response;
+}
+
+}  // namespace
+
 // ---- wire codecs -----------------------------------------------------------
-//
-// Both endpoints live in this translation unit, so the schema has exactly one
-// definition. A PayloadReader overrun (schema drift) throws worker_lost,
-// which the supervisor treats like any other torn channel.
+
+namespace {
+
+// Bytes past the schema mean the two endpoints disagree on it, as an overrun does.
+void expect_exhausted(const ipc::PayloadReader& r) {
+  if (!r.exhausted()) throw Error(ErrorKind::kWorkerLost, "ipc: trailing payload bytes");
+}
+
+}  // namespace
+
+namespace detail {
 
 std::string encode_request(std::uint64_t id, const Request& request) {
   ipc::PayloadWriter w;
@@ -54,6 +72,7 @@ std::uint64_t decode_request(const std::string& payload, Request* out) {
   out->priority = r.i32();
   out->deadline_ms = r.i64();
   out->task = r.str();
+  expect_exhausted(r);
   return id;
 }
 
@@ -77,34 +96,35 @@ std::string encode_response(std::uint64_t id, const Response& response) {
 std::uint64_t decode_response(const std::string& payload, Response* out) {
   ipc::PayloadReader r{payload};
   const std::uint64_t id = r.u64();
-  out->state = static_cast<RequestState>(r.u8());
   // Tickets are polled by state, so a resolved one must carry a terminal
-  // state; anything else is a broken worker.
-  if (!request_state_terminal(out->state)) {
-    throw Error(ErrorKind::kWorkerLost, "replica response carries a non-terminal state");
+  // state; anything else, or a byte past either enum, is a broken worker.
+  const std::uint8_t state = r.u8();
+  if (state > static_cast<std::uint8_t>(RequestState::kFailed) ||
+      !request_state_terminal(static_cast<RequestState>(state))) {
+    throw Error(ErrorKind::kWorkerLost,
+                "replica response carries a non-terminal or unknown state " +
+                    std::to_string(state));
   }
+  out->state = static_cast<RequestState>(state);
   out->tokens = r.vec_i32();
   const bool has_error = r.u8() != 0;
-  const auto kind = static_cast<ErrorKind>(r.u8());
-  out->error = has_error ? std::optional<ErrorKind>{kind} : std::nullopt;
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(ErrorKind::kFatal)) {
+    throw Error(ErrorKind::kWorkerLost,
+                "replica response carries unknown error kind " + std::to_string(kind));
+  }
+  out->error = has_error ? std::optional<ErrorKind>{static_cast<ErrorKind>(kind)}
+                         : std::nullopt;
   out->retryable = r.u8() != 0;
   out->degraded = r.u8() != 0;
   out->message = r.str();
   out->queue_ms = r.i64();
   out->decode_ms = r.i64();
+  expect_exhausted(r);
   return id;
 }
 
-Response worker_lost_response(const std::string& reason) {
-  Response response;
-  response.state = RequestState::kFailed;
-  response.error = ErrorKind::kWorkerLost;
-  response.retryable = true;
-  response.message = "replica worker lost: " + reason;
-  return response;
-}
-
-}  // namespace
+}  // namespace detail
 
 RemoteReplicaConfig RemoteReplicaConfig::from_env() {
   RemoteReplicaConfig config;
@@ -205,7 +225,7 @@ TicketPtr RemoteReplica::submit(Request request) {
     return ticket;
   }
   const std::string payload =
-      encode_request(id, detail::RemoteJob::request(*job));
+      detail::encode_request(id, detail::RemoteJob::request(*job));
   try {
     const std::lock_guard<std::mutex> wlock{write_mutex_};
     ipc::write_frame(fd, frame_type(ReplicaFrame::kRequest), payload);
@@ -294,7 +314,7 @@ void RemoteReplica::handle_frame(std::uint8_t type,
   }
   if (type == frame_type(ReplicaFrame::kResponse)) {
     Response response;
-    const std::uint64_t id = decode_response(payload, &response);
+    const std::uint64_t id = detail::decode_response(payload, &response);
     std::shared_ptr<detail::Job> job;
     {
       const std::lock_guard<std::mutex> lock{mutex_};
@@ -589,7 +609,7 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
           continue;
         }
         const std::string payload =
-            encode_response(it->first, it->second->wait());
+            detail::encode_response(it->first, it->second->wait());
         const std::lock_guard<std::mutex> wlock{write_mutex};
         if (fault::should_tear_frame()) {
           // Chaos: die mid-frame. The parent must classify the torn frame
@@ -612,7 +632,7 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
         log_info("replica-worker '", name,
                  "': draining after SIGTERM/SIGINT");
         for (auto& [id, ticket] : pending) {
-          const std::string payload = encode_response(id, ticket->wait());
+          const std::string payload = detail::encode_response(id, ticket->wait());
           const std::lock_guard<std::mutex> wlock{write_mutex};
           ipc::write_frame(fd, frame_type(ReplicaFrame::kResponse), payload);
         }
@@ -632,7 +652,7 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
         if (frame.type == frame_type(ReplicaFrame::kRequest)) {
           fault::on_replica_request();  // replica_kill9 / replica_wedge
           Request request;
-          const std::uint64_t id = decode_request(frame.payload, &request);
+          const std::uint64_t id = detail::decode_request(frame.payload, &request);
           pending[id] = server.submit(std::move(request));
         } else if (frame.type == frame_type(ReplicaFrame::kCancel)) {
           ipc::PayloadReader r{frame.payload};

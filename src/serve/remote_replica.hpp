@@ -41,8 +41,8 @@
 
 namespace sdd::serve {
 
-// Frame types on the replica wire; the payload codecs live in
-// remote_replica.cpp next to the two endpoints that must agree on them.
+// Frame types on the replica wire; the payload codecs are in serve::detail
+// below.
 enum class ReplicaFrame : std::uint8_t {
   kHello = 1,      // child -> parent: i64 param_count, i64 n_layers
   kHeartbeat = 2,  // child -> parent: empty
@@ -166,6 +166,20 @@ class RemoteReplica {
   std::mutex write_mutex_;       // serializes frame writes to fd_
   std::thread pump_;
 };
+
+namespace detail {
+
+// REQUEST and RESPONSE payload codecs, one schema for both endpoints. A
+// decoder throws Error{worker_lost} on a payload that overruns or outlasts
+// the schema, and on a response whose state is not terminal or whose state
+// or error byte lies outside its enum: the supervisor treats a peer that
+// sends one like any other torn channel.
+std::string encode_request(std::uint64_t id, const Request& request);
+std::uint64_t decode_request(const std::string& payload, Request* out);
+std::string encode_response(std::uint64_t id, const Response& response);
+std::uint64_t decode_response(const std::string& payload, Response* out);
+
+}  // namespace detail
 
 // Worker entry point: serve `model_path` over `fd` until the channel closes
 // (exit 0) or a graceful SIGTERM drain completes (exit 72). Invoked by

@@ -77,6 +77,14 @@ std::int64_t ms_between(Clock::time_point from, Clock::time_point to) {
 // delays the other slots' tokens by about one span pass.
 constexpr std::size_t kPrefillChunk = 32;
 
+// KV bytes one plain decode slot pins: keys and values, every layer, full
+// context.
+std::int64_t plain_slot_bytes(const nn::TransformerLM& model) {
+  const nn::ModelConfig& mc = model.config();
+  return model.n_layers() * 2 * mc.max_seq_len * mc.d_model *
+         static_cast<std::int64_t>(sizeof(float));
+}
+
 }  // namespace
 
 // ---- config ----------------------------------------------------------------
@@ -173,16 +181,15 @@ struct InferenceServer::ActiveSlot {
 InferenceServer::InferenceServer(const nn::TransformerLM& model,
                                  ServerConfig config,
                                  const nn::TransformerLM* draft)
-    : model_{model}, draft_{draft}, config_{std::move(config)} {
-  const nn::ModelConfig& mc = model_.config();
-  kv_slot_bytes_ = model_.n_layers() * 2 * mc.max_seq_len * mc.d_model *
-                   static_cast<std::int64_t>(sizeof(float));
+    : model_{model},
+      draft_{draft},
+      config_{std::move(config)},
+      prefix_cache_{model_, kPrefillChunk, plain_slot_bytes(model_)} {
+  kv_slot_bytes_ = plain_slot_bytes(model_);
   if (speculative()) {
     // A speculative slot pins both caches; budget accounting is conservative
     // for the occasional sampled (non-speculative) request sharing the batch.
-    const nn::ModelConfig& dc = draft_->config();
-    kv_slot_bytes_ += draft_->n_layers() * 2 * dc.max_seq_len * dc.d_model *
-                      static_cast<std::int64_t>(sizeof(float));
+    kv_slot_bytes_ += plain_slot_bytes(*draft_);
   }
   kv_slot_limit_ = config_.kv_budget_bytes > 0
                        ? std::max<std::int64_t>(
@@ -504,12 +511,13 @@ void InferenceServer::admit_jobs() {
       // here too): failure shrinks the admissible batch instead of crashing.
       // A greedy request on a draft-equipped server decodes speculatively,
       // bit-identically to a plain decode, with both KV caches allocated
-      // through the same guarded path.
+      // through the same guarded path. A plain slot starts from the longest
+      // cached prefix of its prompt.
       const bool greedy_spec = speculative() && request.temperature == 0.0F;
       session.emplace(model_, request.prompt, options,
                       std::vector<std::int32_t>{request.stop_token}, kPrefillChunk,
                       greedy_spec ? draft_ : nullptr, config_.spec_k,
-                      config_.nan_guard);
+                      config_.nan_guard, greedy_spec ? nullptr : &prefix_cache_);
     } catch (const Error& e) {
       if (e.kind() == ErrorKind::kResourceExhausted) {
         const auto floor_limit =
@@ -550,6 +558,8 @@ void InferenceServer::admit_jobs() {
       const std::lock_guard<std::mutex> lock{stats_mutex_};
       stats_.peak_active = std::max(
           stats_.peak_active, static_cast<std::int64_t>(active_.size()));
+      stats_.prefill_tokens_reused +=
+          static_cast<std::int64_t>(active_.back().session.prefill_reused());
     }
   }
 }

@@ -6,9 +6,11 @@
 // budget) and every round steps each slot once — a decode token, or a prompt
 // chunk of up to 32 tokens — with the plain slots' rows run as ONE batched
 // forward pass, so each weight block streams once per round while one slow
-// request never blocks the rest for more than a step. Per-request determinism is preserved — a
-// request's output depends only on its prompt, seed, and options, never on
-// what else is in the batch.
+// request never blocks the rest for more than a step. Plain slots restore
+// prompt chunks that an earlier request already computed from one shared
+// prefix cache instead of prefilling them again. Per-request determinism is
+// preserved — a request's output depends only on its prompt, seed, and
+// options, never on what else is in the batch.
 //
 // Robustness model (see docs/serving.md for the full degradation ladder):
 //  * Admission control: the queue has a hard capacity. When it is full a new
@@ -50,6 +52,7 @@
 #include <vector>
 
 #include "nn/decode.hpp"
+#include "nn/prefix_cache.hpp"
 #include "nn/speculative.hpp"
 #include "nn/transformer.hpp"
 #include "util/cancel.hpp"
@@ -188,6 +191,8 @@ struct ServerStats {
   std::int64_t degraded = 0;         // admissions with a clamped budget
   std::int64_t worker_recycles = 0;  // supervisor stage restarts
   std::int64_t peak_active = 0;      // max concurrent decode slots observed
+  std::int64_t prefill_tokens_reused = 0;  // prompt tokens restored from the
+                                           // prefix cache, not computed
 
   // Speculative-decode telemetry (zero when the server has no draft or
   // spec_k is 0): aggregate acceptance counters plus a per-task breakdown
@@ -271,6 +276,9 @@ class InferenceServer {
   // Owned by the scheduler thread; member (not stack) state so decode slots
   // survive a supervisor stage recycle after a hung step.
   std::vector<ActiveSlot> active_;
+  // Prompt chunks shared across plain slots, capped at one plain slot's KV
+  // bytes (docs/serving.md). Scheduler thread only, so it takes no lock.
+  nn::PrefixCache prefix_cache_;
   std::atomic<std::int64_t> soft_limit_{0};  // lowered on allocation failure
 
   mutable std::mutex stats_mutex_;

@@ -1,5 +1,6 @@
 #include "util/ipc.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -24,6 +25,9 @@ constexpr std::size_t kChecksumBytes = 8;
 // writer that died or wedged mid-frame is indistinguishable from a torn write
 // and both are classified worker_lost.
 constexpr std::int64_t kContinuationBudgetMs = 2000;
+
+// A payload is read (and its buffer grown) at most this many bytes at a time.
+constexpr std::size_t kReadStepBytes = 64 << 10;
 
 [[noreturn]] void throw_lost(const std::string& what) {
   throw Error(ErrorKind::kWorkerLost, "ipc: " + what);
@@ -156,9 +160,14 @@ ReadStatus read_frame(int fd, Frame* out, std::int64_t timeout_ms) {
   }
 
   out->type = header[4];
-  out->payload.resize(payload_len);
-  if (payload_len > 0) {
-    read_rest(fd, out->payload.data(), payload_len, deadline, "payload");
+  // Grown as the bytes arrive, so a corrupt length under the cap costs what
+  // the peer actually sent, not the length it claims.
+  out->payload.clear();
+  while (out->payload.size() < payload_len) {
+    const std::size_t have = out->payload.size();
+    const std::size_t step = std::min<std::uint64_t>(payload_len - have, kReadStepBytes);
+    out->payload.resize(have + step);
+    read_rest(fd, out->payload.data() + have, step, deadline, "payload");
   }
   std::uint64_t claimed = 0;
   read_rest(fd, &claimed, kChecksumBytes, deadline, "checksum");

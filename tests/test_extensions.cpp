@@ -1,5 +1,10 @@
 // Tests for the extension modules: width pruning, teacher-logit KD, the
 // soft cross-entropy op, and the replay baseline.
+#include <algorithm>
+#include <cmath>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/kd.hpp"
@@ -134,11 +139,52 @@ TEST(WidthPrune, RejectsBadFraction) {
   EXPECT_THROW(width_prune_ffn(model, -0.1), std::invalid_argument);
 }
 
+// Mean KL(teacher || student) over every position of the held-out
+// examples' prompt + response sequences.
+double mean_teacher_kl(const nn::TransformerLM& teacher,
+                       const nn::TransformerLM& student,
+                       const data::SftDataset& held_out) {
+  NoGradGuard no_grad;
+  const std::int64_t vocab = teacher.config().vocab_size;
+  double total = 0.0;
+  std::int64_t rows = 0;
+  for (const data::SftExample& example : held_out.examples) {
+    std::vector<std::int32_t> ids = example.prompt;
+    ids.insert(ids.end(), example.target.begin(), example.target.end());
+    const auto seq = static_cast<std::int64_t>(ids.size());
+    const Tensor t = teacher.forward(ids, 1, seq);
+    const Tensor s = student.forward(ids, 1, seq);
+    for (std::int64_t row = 0; row < seq; ++row) {
+      const std::span<const float> tl = t.data().subspan(
+          static_cast<std::size_t>(row * vocab), static_cast<std::size_t>(vocab));
+      const std::span<const float> sl = s.data().subspan(
+          static_cast<std::size_t>(row * vocab), static_cast<std::size_t>(vocab));
+      const auto log_softmax = [](std::span<const float> logits) {
+        const double max = *std::max_element(logits.begin(), logits.end());
+        double sum = 0.0;
+        for (const float v : logits) sum += std::exp(v - max);
+        std::vector<double> out;
+        for (const float v : logits) out.push_back(v - max - std::log(sum));
+        return out;
+      };
+      const std::vector<double> lt = log_softmax(tl);
+      const std::vector<double> ls = log_softmax(sl);
+      for (std::size_t v = 0; v < lt.size(); ++v) {
+        total += std::exp(lt[v]) * (lt[v] - ls[v]);
+      }
+      ++rows;
+    }
+  }
+  return total / static_cast<double>(rows);
+}
+
 TEST(Kd, TrainingReducesLossAndMovesTowardTeacher) {
   const data::World world{42};
   const data::SftDataset dataset = data::make_gsm8k_dataset(world, 16, 8);
+  const data::SftDataset held_out = data::make_gsm8k_dataset(world, 6, 9);
   const nn::TransformerLM teacher{tiny_real_vocab_config(3), 10};
   nn::TransformerLM student{tiny_real_vocab_config(2), 11};
+  const double kl_before = mean_teacher_kl(teacher, student, held_out);
 
   train::SftTrainConfig config;
   config.epochs = 10;
@@ -148,6 +194,18 @@ TEST(Kd, TrainingReducesLossAndMovesTowardTeacher) {
       kd_train(student, teacher, dataset, config, KdConfig{});
   EXPECT_EQ(stats.losses.size(), 25U);
   EXPECT_LT(stats.final_loss, stats.initial_loss);
+  // On prompts it never trained on, the student's distribution moves toward
+  // the teacher's, and the soft term takes it at least a quarter further
+  // than the same run on hard labels alone (KL 0.99 -> 0.90 against 0.93
+  // here; with the soft term zeroed the two runs end level).
+  const double kl_after = mean_teacher_kl(teacher, student, held_out);
+  nn::TransformerLM hard_only{tiny_real_vocab_config(2), 11};
+  KdConfig no_soft;
+  no_soft.alpha = 0.0F;
+  kd_train(hard_only, teacher, dataset, config, no_soft);
+  const double kl_hard = mean_teacher_kl(teacher, hard_only, held_out);
+  EXPECT_LT(kl_after, kl_before);
+  EXPECT_LT(kl_after, kl_hard - 0.25 * (kl_before - kl_hard));
 }
 
 TEST(Kd, ValidatesInputs) {

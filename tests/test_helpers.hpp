@@ -2,14 +2,20 @@
 // factories.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/transformer.hpp"
 #include "tensor/tensor.hpp"
+#include "util/rng.hpp"
 
 namespace sdd::testing {
 
@@ -39,6 +45,48 @@ inline void expect_gradients_close(Tensor x, const std::function<Tensor()>& loss
         << "gradient mismatch at flat index " << i << ": analytic=" << analytic[i]
         << " numeric=" << numeric;
   }
+}
+
+// One to three seeded byte-level mutations of a corpus entry, for the in-tree
+// mutation fuzz tests of binary decoders: bit flips, random bytes,
+// truncation, duplicated and deleted ranges, boundary integers written over
+// length and count fields, and splices with another entry.
+inline std::string mutate_bytes(const std::vector<std::string>& corpus, Rng& rng) {
+  std::string bytes = corpus[rng.index(corpus.size())];
+  const std::int64_t mutations = rng.uniform_int(1, 3);
+  for (std::int64_t m = 0; m < mutations && !bytes.empty(); ++m) {
+    const std::size_t at = rng.index(bytes.size());
+    switch (rng.uniform_int(0, 6)) {
+      case 0:
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_int(0, 7)));
+        break;
+      case 1:
+        bytes[at] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 2:
+        bytes.resize(at);
+        break;
+      case 3:
+        bytes.insert(at, bytes.substr(at, rng.index(bytes.size() - at) + 1));
+        break;
+      case 4:
+        bytes.erase(at, rng.index(bytes.size() - at) + 1);
+        break;
+      case 5: {
+        const std::uint64_t boundaries[] = {0, 1, 7, 0xFF, 1ULL << 31, 1ULL << 32,
+                                            ~0ULL >> 1, ~0ULL};
+        const std::uint64_t value = boundaries[rng.index(std::size(boundaries))];
+        std::memcpy(bytes.data() + at, &value,
+                    std::min(sizeof(value), bytes.size() - at));
+        break;
+      }
+      default: {
+        const std::string& other = corpus[rng.index(corpus.size())];
+        bytes = bytes.substr(0, at) + other.substr(rng.index(other.size() + 1));
+      }
+    }
+  }
+  return bytes;
 }
 
 // Tiny config with a synthetic 50-token vocab: for pure-tensor tests that

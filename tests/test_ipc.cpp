@@ -18,6 +18,7 @@
 #include "util/error.hpp"
 #include "util/ipc.hpp"
 #include "util/proc.hpp"
+#include "test_helpers.hpp"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -200,6 +201,43 @@ TEST(Ipc, PayloadReaderOverrunIsWorkerLost) {
   ipc::PayloadReader r{w.bytes()};
   EXPECT_EQ(r.i32(), 42);
   EXPECT_EQ(thrown_kind([&] { r.u64(); }), ErrorKind::kWorkerLost);
+}
+
+// Seeded mutation fuzz of the frame reader: every mutant of a stream of
+// valid frames, written whole and then closed, reads as frames and then a
+// clean close, or stops at an Error{worker_lost}. Nothing else may escape,
+// and no mutant may hang the reader or make it allocate past what arrived.
+TEST(Ipc, MutatedFramesGiveAFrameClosedOrWorkerLost) {
+  const std::vector<std::string> corpus = {
+      raw_frame_bytes(1, ""),
+      raw_frame_bytes(3, std::string(40, 'q')),
+      raw_frame_bytes(4, "a response payload with some length to it"),
+      raw_frame_bytes(2, "") + raw_frame_bytes(5, std::string(8, '\x01')),
+  };
+  Rng rng{0x1FC0};
+  std::int64_t frames = 0;
+  std::int64_t lost = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string mutant = testing::mutate_bytes(corpus, rng);
+    Pair p;
+    if (!mutant.empty()) write_raw(p.a, mutant);
+    p.close_a();
+    ipc::Frame frame;
+    try {
+      ipc::ReadStatus status = ipc::ReadStatus::kFrame;
+      for (int n = 0; n < 8 && status == ipc::ReadStatus::kFrame; ++n) {
+        status = ipc::read_frame(p.b, &frame, 1000);
+        if (status == ipc::ReadStatus::kFrame) ++frames;
+      }
+      ASSERT_EQ(status, ipc::ReadStatus::kClosed) << "mutant " << i;
+    } catch (const Error& e) {
+      ASSERT_EQ(e.kind(), ErrorKind::kWorkerLost) << "mutant " << i << ": " << e.what();
+      ++lost;
+    }
+  }
+  // The mutants reach both outcomes, not only the rejection path.
+  EXPECT_GT(frames, 500);
+  EXPECT_GT(lost, 5'000);
 }
 
 // ---- pid guard rails (no fork needed) --------------------------------------

@@ -315,6 +315,119 @@ TEST(RemoteReplicaFork, NonTerminalResponseStateCountsAsWorkerLost) {
   replica.shutdown();
 }
 
+// A response whose state byte or error byte lies outside its enum would
+// resolve a ticket with a state no switch handles, so the router's stats
+// would stop balancing. Either byte fails the ticket as retryable
+// worker_lost, like a non-terminal state.
+TEST(RemoteReplicaFork, OutOfRangeStateOrErrorByteCountsAsWorkerLost) {
+  struct Case {
+    std::uint8_t state, has_error, kind;
+  };
+  const auto completed = static_cast<std::uint8_t>(RequestState::kCompleted);
+  for (const Case bad : {Case{8, 0, 0}, Case{255, 1, 3}, Case{completed, 1, 8},
+                         Case{completed, 0, 200}}) {
+    RemoteReplicaConfig config = fork_config();
+    config.lease_ms = 10'000;  // the fake worker never heartbeats
+    config.spawn_fn = [bad](int child_fd, const std::string&,
+                            const std::string&) -> std::int64_t {
+      const pid_t pid = ::fork();
+      if (pid == 0) {
+        const auto type = [](serve::ReplicaFrame frame) {
+          return static_cast<std::uint8_t>(frame);
+        };
+        ipc::PayloadWriter hello;
+        hello.i64(1);
+        hello.i64(1);
+        ipc::write_frame(child_fd, type(serve::ReplicaFrame::kHello), hello.bytes());
+        ipc::Frame frame;
+        while (ipc::read_frame(child_fd, &frame, 10'000) == ipc::ReadStatus::kFrame) {
+          if (frame.type != type(serve::ReplicaFrame::kRequest)) continue;
+          ipc::PayloadWriter response;  // well-formed but for one byte
+          response.u64(ipc::PayloadReader{frame.payload}.u64());
+          response.u8(bad.state);
+          response.vec_i32({});
+          response.u8(bad.has_error);
+          response.u8(bad.kind);
+          response.u8(0);
+          response.u8(0);
+          response.str("");
+          response.i64(0);
+          response.i64(0);
+          ipc::write_frame(child_fd, type(serve::ReplicaFrame::kResponse),
+                           response.bytes());
+        }
+        ::_exit(0);
+      }
+      return static_cast<std::int64_t>(pid);
+    };
+
+    RemoteReplica replica{"fake", "unused.bin", config, [](const std::string&) {}};
+    ASSERT_TRUE(wait_until([&] { return replica.ready(); }, 30s));
+    auto ticket = replica.submit(request_for(0));
+    ASSERT_TRUE(ticket->wait_for(kWait));
+    const serve::Response& response = ticket->wait();
+    EXPECT_EQ(response.state, RequestState::kFailed)
+        << "state " << int{bad.state} << ", error " << int{bad.kind};
+    ASSERT_TRUE(response.error.has_value());
+    EXPECT_EQ(*response.error, ErrorKind::kWorkerLost);
+    replica.shutdown();
+  }
+}
+
+// Seeded mutation fuzz of the replica wire codecs: every mutant of an
+// encoded request or response decodes, or throws Error{worker_lost}. A
+// decoded response always carries a terminal state and a known error kind.
+TEST(ReplicaWire, MutatedPayloadsDecodeOrThrowWorkerLost) {
+  std::vector<std::string> requests;
+  for (std::uint64_t salt = 0; salt < 4; ++salt) {
+    Request request = request_for(salt);
+    request.task = salt % 2 == 0 ? "" : "gsm8k";
+    request.deadline_ms = static_cast<std::int64_t>(salt * 100);
+    requests.push_back(serve::detail::encode_request(salt + 1, request));
+  }
+  std::vector<std::string> responses;
+  for (int state = static_cast<int>(RequestState::kCompleted);
+       state <= static_cast<int>(RequestState::kFailed); ++state) {
+    serve::Response response;
+    response.state = static_cast<RequestState>(state);
+    response.tokens.assign(static_cast<std::size_t>(state), state);
+    if (state != static_cast<int>(RequestState::kCompleted)) {
+      response.error = static_cast<ErrorKind>(state);
+      response.message = "failed for a reason";
+    }
+    responses.push_back(serve::detail::encode_response(
+        static_cast<std::uint64_t>(state), response));
+  }
+
+  Rng rng{0x3E91};
+  std::int64_t decoded = 0;
+  std::int64_t lost = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const bool is_request = i % 2 == 0;
+    const std::string mutant = testing::mutate_bytes(is_request ? requests : responses, rng);
+    try {
+      if (is_request) {
+        Request request;
+        serve::detail::decode_request(mutant, &request);
+      } else {
+        serve::Response response;
+        serve::detail::decode_response(mutant, &response);
+        ASSERT_TRUE(serve::request_state_terminal(response.state)) << "mutant " << i;
+        ASSERT_LE(static_cast<int>(response.state), static_cast<int>(RequestState::kFailed));
+        if (response.error) {
+          ASSERT_LE(static_cast<int>(*response.error), static_cast<int>(ErrorKind::kFatal));
+        }
+      }
+      ++decoded;
+    } catch (const Error& e) {
+      ASSERT_EQ(e.kind(), ErrorKind::kWorkerLost) << "mutant " << i << ": " << e.what();
+      ++lost;
+    }
+  }
+  EXPECT_GT(decoded, 1'000);
+  EXPECT_GT(lost, 1'000);
+}
+
 TEST(RemoteRouterFork, KilledWorkerFailsOverAndProbesBack) {
   TempDir tmp;
   const nn::TransformerLM full{tiny_config(), 906};
