@@ -15,7 +15,8 @@
 //                    [--temperature 0] [--process 1] [--swap p1=new.bin]
 //   sdd_cli speculate --target full.bin --drafts p2.bin,p4.bin [--names a,b]
 //                    --prompt "..." [--k 4] [--max-tokens 48]
-//   sdd_cli info     --model model.bin
+//   sdd_cli info     [--model model.bin]   (no model: the effective
+//                    PipelineConfig::standard(), one field per line)
 //   sdd_cli fleet-worker --dir <queue dir> --worker <id>   (internal: spawned
 //                    by the fleet orchestrator, not meant to be run by hand)
 //   sdd_cli replica-worker --model m.bin --name full --fd 3 [--heartbeat 25]
@@ -43,6 +44,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,6 +103,16 @@ std::vector<std::string> split_csv(const std::string& list) {
   return out;
 }
 
+// <bos> text <sep>: a chat-style prompt for generate, route and speculate.
+std::vector<data::TokenId> encode_prompt(const std::string& text) {
+  const data::Vocab& vocab = data::Vocab::instance();
+  std::vector<data::TokenId> prompt{vocab.bos()};
+  const auto body = vocab.encode(text);
+  prompt.insert(prompt.end(), body.begin(), body.end());
+  prompt.push_back(vocab.sep());
+  return prompt;
+}
+
 core::ImportanceMetric parse_metric(const std::string& name) {
   if (name == "angular") return core::ImportanceMetric::kAngularCosine;
   if (name == "bi") return core::ImportanceMetric::kBlockInfluence;
@@ -153,15 +165,8 @@ int cmd_distill(const Args& args) {
   if (grid_it != args.end()) {
     std::vector<std::pair<std::string, std::int64_t>> cells;
     const std::int64_t size = arg_int(args, "size", 800);
-    std::string list = grid_it->second;
-    std::size_t begin = 0;
-    while (begin <= list.size()) {
-      const std::size_t end = list.find(',', begin);
-      const std::string name =
-          list.substr(begin, end == std::string::npos ? end : end - begin);
-      if (!name.empty()) cells.emplace_back(name, size);
-      if (end == std::string::npos) break;
-      begin = end + 1;
+    for (const std::string& name : split_csv(grid_it->second)) {
+      cells.emplace_back(name, size);
     }
     fleet::FleetStats stats;
     const auto datasets = fleet::run_distill_grid(
@@ -269,11 +274,7 @@ int cmd_fleet_worker(const Args& args) {
 int cmd_generate(const Args& args) {
   const nn::TransformerLM model = nn::TransformerLM::load(args.at("model"));
   const data::Vocab& vocab = data::Vocab::instance();
-  std::vector<data::TokenId> prompt;
-  prompt.push_back(vocab.bos());
-  const auto body = vocab.encode(args.at("prompt"));
-  prompt.insert(prompt.end(), body.begin(), body.end());
-  prompt.push_back(vocab.sep());
+  const std::vector<data::TokenId> prompt = encode_prompt(args.at("prompt"));
 
   nn::GenerateOptions options;
   options.max_new_tokens = arg_int(args, "max-tokens", 48);
@@ -329,11 +330,7 @@ int cmd_route(const Args& args) {
                               std::move(table)};
 
   const data::Vocab& vocab = data::Vocab::instance();
-  std::vector<data::TokenId> prompt;
-  prompt.push_back(vocab.bos());
-  const auto body = vocab.encode(args.at("prompt"));
-  prompt.insert(prompt.end(), body.begin(), body.end());
-  prompt.push_back(vocab.sep());
+  const std::vector<data::TokenId> prompt = encode_prompt(args.at("prompt"));
 
   const std::int64_t count = arg_int(args, "count", 1);
   const auto serve_batch = [&](const char* tag) {
@@ -436,11 +433,7 @@ int cmd_speculate(const Args& args) {
   }
 
   const data::Vocab& vocab = data::Vocab::instance();
-  std::vector<data::TokenId> prompt;
-  prompt.push_back(vocab.bos());
-  const auto body = vocab.encode(args.at("prompt"));
-  prompt.insert(prompt.end(), body.begin(), body.end());
-  prompt.push_back(vocab.sep());
+  const std::vector<data::TokenId> prompt = encode_prompt(args.at("prompt"));
 
   nn::GenerateOptions options;
   options.max_new_tokens = arg_int(args, "max-tokens", 48);
@@ -503,7 +496,30 @@ int cmd_replica_worker(const Args& args) {
       arg_int(args, "heartbeat", 25));
 }
 
+// One "path = value  SDD_NAME  key|run" line per field of the effective
+// PipelineConfig::standard() ("-" where no variable binds the field): the
+// way to check which SDD_* overrides took effect.
+int print_standard_config() {
+  std::map<std::string, std::string> names;  // path -> binding variables
+  for (const config::EnvBinding& binding : core::kPipelineEnv) {
+    std::string& list = names[binding.path];
+    list += (list.empty() ? "" : ",") + std::string{binding.env};
+  }
+  const core::PipelineConfig standard = core::PipelineConfig::standard();
+  config::walk(standard,
+               [&](const std::string& path, const config::Field&,
+                   const auto& member, config::Role role) {
+                 const auto it = names.find(path);
+                 std::printf("%s = %s  %s  %s\n", path.c_str(),
+                             config::format(member).c_str(),
+                             it == names.end() ? "-" : it->second.c_str(),
+                             role == config::Role::kKey ? "key" : "run");
+               });
+  return 0;
+}
+
 int cmd_info(const Args& args) {
+  if (args.find("model") == args.end()) return print_standard_config();
   const nn::TransformerLM model = nn::TransformerLM::load(args.at("model"));
   const nn::ModelConfig& config = model.config();
   std::printf("%s\n", config.to_string().c_str());
@@ -550,13 +566,16 @@ int main(int argc, char** argv) {
     if (command == "replica-worker") return cmd_replica_worker(args);
     usage();
     return 2;
+  } catch (const config::EnvError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 64;
   } catch (const sdd::Error& e) {
     // Typed taxonomy failures map to stable per-kind exit codes (see
     // util/error.hpp) so scripts can assert on the failure class: transient
     // I/O 75, timeout 74, resource exhausted 69, corrupt artifact 65,
     // numeric divergence 76, worker lost 71, interrupted 72, fatal 70. 64
-    // stays reserved for malformed SDD_FAULT specs, 1 for exceptions
-    // outside the taxonomy.
+    // stays reserved for malformed SDD_FAULT specs and SDD_* values, 1 for
+    // exceptions outside the taxonomy.
     // what() already leads with the kind name ("corrupt_artifact: ...").
     std::fprintf(stderr, "error: %s%s\n", e.what(),
                  e.retryable() ? " (retryable)" : "");

@@ -34,7 +34,7 @@
 //
 // Exit codes: 0 = every invariant held (pipeline: digest written),
 // 3 = an invariant was violated, 2 = usage or setup error, 64 = malformed
-// fault spec, 137 = injected crash.
+// fault spec or SDD_* value, 137 = injected crash.
 #include <algorithm>
 #include <array>
 #include <cerrno>
@@ -264,7 +264,7 @@ int run_serve() {
   const fault::Spec faults = fault::env_spec();
   fault::reset();
   const nn::TransformerLM model{model_config(3), 2025};
-  const serve::ServerConfig config = serve::ServerConfig::from_env();
+  const serve::ServerConfig config = serve::RouterConfig::from_env().server;
   const std::int64_t per_client = config.queue_capacity;  // 4x capacity
   std::vector<Tokens> ref(static_cast<std::size_t>(kClients * per_client));
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -675,6 +675,9 @@ int main(int argc, char** argv) {
     if (suite == "serve") return run_serve();
     if (suite == "router" || suite == "replica") return run_router(suite == "replica");
     if (suite == "spec") return run_spec();
+  } catch (const config::EnvError& e) {
+    std::fprintf(stderr, "soak %s: %s\n", suite.c_str(), e.what());
+    return 64;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "soak %s: %s\n", suite.c_str(), e.what());
     return 2;

@@ -15,24 +15,20 @@
 
 namespace sdd::core {
 
-struct DistillConfig {
-  std::int64_t max_new_tokens = 48;
-  float temperature = 0.0F;  // greedy by default (deterministic, cacheable)
-  std::uint64_t seed = 99;
-  // When true, the teacher prompt additionally conditions on the reference
-  // response y (the paper's ỹ ~ f(y | c, x, y)); when false the teacher sees
-  // only (c, x). Both satisfy the selection rule; the flag feeds the prompt-
-  // conditioning ablation bench.
-  bool condition_on_reference = false;
+// condition_on_reference: the teacher prompt also conditions on the
+// reference response y (the paper's ỹ ~ f(y | c, x, y)) instead of only
+// (c, x). Both satisfy the selection rule; the flag feeds the prompt-
+// conditioning ablation bench.
+#define SDD_DISTILL_FIELDS(X)                                                 \
+  X(std::int64_t, max_new_tokens, 48, kKey, "teacher rewrite token budget") \
+  X(float, temperature, 0.0F, kKey, "0 = greedy (deterministic, cacheable)") \
+  X(std::uint64_t, seed, 99, kKey, "teacher sampling seed")                 \
+  X(bool, condition_on_reference, false, kKey, "teacher sees the reference")
 
-  std::uint64_t hash() const {
-    std::uint64_t h = kFnvOffset;
-    h = fnv1a_value(max_new_tokens, h);
-    h = fnv1a_value(temperature, h);
-    h = fnv1a_value(seed, h);
-    h = fnv1a_value(condition_on_reference, h);
-    return h;
-  }
+struct DistillConfig {
+  SDD_CONFIG_FIELDS(SDD_DISTILL_FIELDS)
+
+  std::uint64_t hash() const { return config::hash(*this); }
 };
 
 struct DistillStats {

@@ -17,23 +17,16 @@
 
 namespace sdd::core {
 
-struct KdConfig {
-  float temperature = 2.0F;
-  float alpha = 0.7F;  // weight of the soft (teacher) term
+#define SDD_KD_FIELDS(X)                                                      \
+  X(float, temperature, 2.0F, kKey, "softmax temperature of both models")   \
+  X(float, alpha, 0.7F, kKey, "weight of the soft (teacher) term")
 
-  std::uint64_t hash() const {
-    std::uint64_t h = kFnvOffset;
-    h = fnv1a_value(temperature, h);
-    h = fnv1a_value(alpha, h);
-    return h;
-  }
+struct KdConfig {
+  SDD_CONFIG_FIELDS(SDD_KD_FIELDS)
+
+  std::uint64_t hash() const { return config::hash(*this); }
 };
 
-// Fine-tune `student` on the dataset with teacher-logit distillation. It runs
-// train::train_loop with the SFT configuration (LoRA vs full, steps,
-// schedule, clipping, checkpoint/resume, numeric guard), so it resumes and is
-// guarded exactly as sft_train is; the loss mixes soft and hard terms per
-// `kd`. The checkpoint fingerprint covers `kd` and the teacher's weights.
 train::TrainStats kd_train(nn::TransformerLM& student,
                            const nn::TransformerLM& teacher,
                            const data::SftDataset& dataset,

@@ -1,11 +1,9 @@
 #include "core/pipeline.hpp"
 
-#include <array>
 #include <stdexcept>
 
 #include "data/kb_gen.hpp"
 
-#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/serialize.hpp"
@@ -33,68 +31,60 @@ std::string method_name(FtMethod method) {
 PipelineConfig PipelineConfig::standard() {
   PipelineConfig config;
   config.model.vocab_size = data::Vocab::instance().size();
-  config.model.d_model = env_int("SDD_DMODEL", 64);
-  config.model.n_heads = env_int("SDD_HEADS", 4);
-  config.model.n_layers = env_int("SDD_LAYERS", 16);
-  config.model.d_ff = env_int("SDD_DFF", 128);
-  config.model.max_seq_len = env_int("SDD_MAX_SEQ", 160);
-
-  config.corpus.n_documents = env_int("SDD_CORPUS_DOCS", 24000);
-
-  config.pretrain.steps = env_int("SDD_PRETRAIN_STEPS", 4000);
-  config.pretrain.batch_size = env_int("SDD_PRETRAIN_BATCH", 8);
-  config.pretrain.seq_len = env_int("SDD_PRETRAIN_SEQ", 96);
-  config.pretrain.optimizer.lr =
-      static_cast<float>(env_double("SDD_PRETRAIN_LR", 3e-3));
-
-  config.sft.epochs = env_int("SDD_SFT_EPOCHS", 1);
-  config.sft.max_steps = env_int("SDD_SFT_MAX_STEPS", 120);
-  config.sft.batch_size = env_int("SDD_SFT_BATCH", 8);
-  config.sft.optimizer.lr = static_cast<float>(env_double("SDD_SFT_LR", 1e-3));
-
-  config.lora.rank = env_int("SDD_LORA_RANK", 8);
-  config.lora.alpha = static_cast<float>(env_double("SDD_LORA_ALPHA", 16.0));
-
-  config.distill.max_new_tokens = env_int("SDD_DISTILL_MAX_TOKENS", 48);
-
-  // Crash safety: how often (in steps) the training loops checkpoint; 0
-  // disables. The checkpoint files live under <cache_dir>/checkpoints and are
-  // removed when a run completes.
-  config.pretrain.checkpoint_every = env_int("SDD_CKPT_EVERY", 500);
-  config.sft.checkpoint_every = env_int("SDD_SFT_CKPT_EVERY", 25);
-
-  // Numeric-divergence guard policy shared by every training run (pretrain,
-  // and SFT or KD recovery, which both read config.sft): rollback to the last
-  // snapshot on non-finite loss/exploding grad norm; see docs/robustness.md.
-  // SDD_NUMERIC_GUARD=0 disables.
-  for (train::TrainLoopConfig* loop :
-       std::array<train::TrainLoopConfig*, 2>{&config.pretrain, &config.sft}) {
-    loop->numeric_guard = env_int("SDD_NUMERIC_GUARD", 1) != 0;
-    loop->grad_norm_limit = static_cast<float>(env_double("SDD_GRAD_NORM_LIMIT", 1e8));
-    loop->max_rollbacks = env_int("SDD_MAX_ROLLBACKS", 2);
-  }
-
-  // Stage supervision (retry/backoff, deadline, hang watchdog) from
-  // SDD_RETRY_MAX / SDD_BACKOFF_MS / SDD_STAGE_DEADLINE_SEC /
-  // SDD_STAGE_HANG_SEC.
-  config.supervise = supervisor::SupervisorConfig::from_env();
-
-  config.cache_dir = env_string("SDD_CACHE_DIR", "sdd_cache");
-  return config;
+  // The standard scale, where it differs from the struct defaults.
+  config.model.max_seq_len = 160;
+  config.corpus.n_documents = 24000;
+  config.pretrain.steps = 4000;
+  config.pretrain.seq_len = 96;
+  config.pretrain.checkpoint_every = 500;
+  config.sft.epochs = 1;
+  config.sft.max_steps = 120;
+  config.sft.checkpoint_every = 25;
+  return config::from_env(kPipelineEnv, config);
 }
 
 std::uint64_t PipelineConfig::base_key() const {
   std::uint64_t h = model.hash();
   h = hash_combine(h, corpus.hash());
-  h = hash_combine(h, fnv1a_value(pretrain.steps));
-  h = hash_combine(h, fnv1a_value(pretrain.batch_size));
-  h = hash_combine(h, fnv1a_value(pretrain.seq_len));
-  h = hash_combine(h, fnv1a_value(pretrain.optimizer.lr));
-  h = hash_combine(h, fnv1a_value(pretrain.seed));
+  h = hash_combine(h, config::hash(pretrain));
   h = hash_combine(h, fnv1a_value(world_seed));
   h = hash_combine(h, fnv1a_value(base_seed));
   h = hash_combine(h, fnv1a_value(version));
   return h;
+}
+
+std::uint64_t lora_seed(const PipelineConfig& config, std::int64_t block_size,
+                        FtMethod method, const std::string& dataset_name,
+                        std::int64_t size) {
+  const train::PretrainConfig& pre = config.pretrain;
+  const train::SftTrainConfig& sft = config.sft;
+  const auto fold = [](std::uint64_t h, const auto&... fields) {
+    ((h = fnv1a_value(fields, h)), ...);
+    return h;
+  };
+  std::uint64_t key = config.model.hash();
+  for (const std::uint64_t field :
+       {config.corpus.hash(), fnv1a_value(pre.steps), fnv1a_value(pre.batch_size),
+        fnv1a_value(pre.seq_len), fnv1a_value(pre.optimizer.lr), fnv1a_value(pre.seed),
+        fnv1a_value(config.world_seed), fnv1a_value(config.base_seed),
+        fnv1a_value(config.version), fnv1a_value(block_size),
+        fnv1a_value(static_cast<int>(config.metric)), fnv1a(method_name(method)),
+        fnv1a(dataset_name), fnv1a_value(size), fnv1a_value(config.dataset_seed),
+        fold(sft.optimizer.hash(), sft.epochs, sft.max_steps, sft.batch_size,
+             sft.warmup_steps, sft.clip_norm, sft.min_lr_fraction, sft.seed),
+        config.lora.hash()}) {
+    key = hash_combine(key, field);
+  }
+  if (method == FtMethod::kSelfDataDistill || method == FtMethod::kSelfDataDistillKd) {
+    key = hash_combine(key, config.distill.hash());
+  }
+  if (method == FtMethod::kKd || method == FtMethod::kSelfDataDistillKd) {
+    key = hash_combine(key, config.kd.hash());
+  }
+  if (method == FtMethod::kSftReplay) {
+    key = hash_combine(key, fnv1a_value(config.replay_ratio));
+  }
+  return key;
 }
 
 Pipeline::Pipeline(PipelineConfig config)
@@ -234,9 +224,12 @@ std::uint64_t Pipeline::recovered_key(std::int64_t block_size, FtMethod method,
                                       const std::string& dataset_name,
                                       std::int64_t size) const {
   std::uint64_t key = config_.base_key();
-  key = hash_combine(key, fnv1a_value(block_size));
-  key = hash_combine(key, fnv1a_value(static_cast<int>(config_.metric)));
-  key = hash_combine(key, fnv1a(method_name(method)));
+  for (const std::uint64_t field :
+       {fnv1a_value(block_size), fnv1a_value(config_.metric),
+        fnv1a_value(config_.calib_samples), fnv1a_value(config_.calib_seq),
+        fnv1a_value(config_.calib_seed), fnv1a(method_name(method))}) {
+    key = hash_combine(key, field);
+  }
   if (method != FtMethod::kNone) {
     key = hash_combine(key, fnv1a(dataset_name));
     key = hash_combine(key, fnv1a_value(size));
@@ -287,7 +280,8 @@ nn::TransformerLM Pipeline::recovered(std::int64_t block_size, FtMethod method,
         if (auto cached = cache_.load_model(key)) return std::move(*cached);
 
         nn::TransformerLM model = prune(block_size).model.clone();
-        model.attach_lora(config_.lora, /*seed=*/key);
+        model.attach_lora(config_.lora,
+                          lora_seed(config_, block_size, method, dataset_name, size));
         const bool use_kd =
             method == FtMethod::kKd || method == FtMethod::kSelfDataDistillKd;
         train::SftTrainConfig sft_config = config_.sft;

@@ -44,40 +44,88 @@ enum class FtMethod {
 };
 std::string method_name(FtMethod method);
 
+// Every cache key folds the key fields that feed its artifact:
+//   base       model, corpus, pretrain, world_seed, base_seed, version
+//   distilled  base + dataset_seed, distill
+//   recovered  base + metric, calib_*, and for a fine-tuned method
+//              dataset_seed, sft, lora, plus distill (SDD), kd (KD) or
+//              replay_ratio (replay)
+// cache_dir and supervise are kRun: supervision cannot change what a stage
+// computes, only whether it survives faults.
+#define SDD_PIPELINE_FIELDS(X)                                                \
+  X(nn::ModelConfig, model, {}, kKey, "vocab_size is filled from the Vocab") \
+  X(data::CorpusConfig, corpus, {}, kKey, "pre-training corpus")            \
+  X(train::PretrainConfig, pretrain, {}, kKey, "base model training")       \
+  X(nn::LoraConfig, lora, {}, kKey, "recovery adapters")                    \
+  X(train::SftTrainConfig, sft, {}, kKey, "recovery training (SFT and KD)") \
+  X(DistillConfig, distill, {}, kKey, "self-data distillation")             \
+  X(KdConfig, kd, {}, kKey, "teacher-logit distillation")                   \
+  X(double, replay_ratio, 0.5, kKey, "replayed per raw example (replay)")   \
+  X(ImportanceMetric, metric, ImportanceMetric::kAngularCosine, kKey,       \
+    "block importance metric")                                              \
+  X(std::uint64_t, world_seed, 42, kKey, "synthetic world seed")            \
+  X(std::uint64_t, dataset_seed, 1001, kKey, "fine-tuning dataset seed")    \
+  X(std::int64_t, calib_samples, 8, kKey, "calibration sequences")          \
+  X(std::int64_t, calib_seq, 64, kKey, "calibration sequence length")       \
+  X(std::uint64_t, calib_seed, 4242, kKey, "calibration set seed")          \
+  X(std::uint64_t, base_seed, 7, kKey, "base model init seed")              \
+  X(std::filesystem::path, cache_dir, "sdd_cache", kRun, "artifact cache")  \
+  X(std::uint64_t, version, 1, kKey, "bump to invalidate every artifact")   \
+  X(supervisor::SupervisorConfig, supervise, {}, kRun, "stage retry/watchdog")
+
 struct PipelineConfig {
-  nn::ModelConfig model;           // vocab_size is filled from the Vocab
-  data::CorpusConfig corpus;
-  train::PretrainConfig pretrain;
-  nn::LoraConfig lora;
-  train::SftTrainConfig sft;
-  DistillConfig distill;
-  KdConfig kd;
-  double replay_ratio = 0.5;  // replayed examples per raw example (kSftReplay)
-  ImportanceMetric metric = ImportanceMetric::kAngularCosine;
-  std::uint64_t world_seed = 42;
-  std::uint64_t dataset_seed = 1001;
-  std::int64_t calib_samples = 8;
-  std::int64_t calib_seq = 64;
-  std::uint64_t calib_seed = 4242;
-  std::uint64_t base_seed = 7;     // weight init seed for pre-training
-  std::filesystem::path cache_dir = "sdd_cache";
-  std::uint64_t version = 1;       // bump to invalidate all cached artifacts
+  SDD_CONFIG_FIELDS(SDD_PIPELINE_FIELDS)
 
-  // Stage supervision policy (retry/backoff + watchdog; util/supervisor).
-  // standard() fills it from SDD_RETRY_MAX / SDD_BACKOFF_MS /
-  // SDD_STAGE_DEADLINE_SEC / SDD_STAGE_HANG_SEC. Never part of cache keys:
-  // supervision cannot change what a stage computes, only whether it
-  // survives faults.
-  supervisor::SupervisorConfig supervise;
-
-  // Default scaled configuration used by all benches (see DESIGN.md §5).
-  // Reads SDD_* environment overrides (SDD_LAYERS, SDD_DMODEL,
-  // SDD_PRETRAIN_STEPS, SDD_CACHE_DIR, ...) so the suite can be scaled up or
-  // down without recompiling.
+  // Default scaled configuration used by all benches (see DESIGN.md §5),
+  // with kPipelineEnv applied, so the suite can be scaled up or down without
+  // recompiling.
   static PipelineConfig standard();
 
   std::uint64_t base_key() const;  // identifies the pre-trained base model
 };
+
+// The guard trio binds both training loops: SFT and KD recovery read sft.
+inline constexpr config::EnvBinding kPipelineEnv[] = {
+    {"SDD_DMODEL", "model.d_model"},
+    {"SDD_HEADS", "model.n_heads"},
+    {"SDD_LAYERS", "model.n_layers"},
+    {"SDD_DFF", "model.d_ff"},
+    {"SDD_MAX_SEQ", "model.max_seq_len"},
+    {"SDD_CORPUS_DOCS", "corpus.n_documents"},
+    {"SDD_PRETRAIN_STEPS", "pretrain.steps"},
+    {"SDD_PRETRAIN_BATCH", "pretrain.batch_size"},
+    {"SDD_PRETRAIN_SEQ", "pretrain.seq_len"},
+    {"SDD_PRETRAIN_LR", "pretrain.optimizer.lr"},
+    {"SDD_SFT_EPOCHS", "sft.epochs"},
+    {"SDD_SFT_MAX_STEPS", "sft.max_steps"},
+    {"SDD_SFT_BATCH", "sft.batch_size"},
+    {"SDD_SFT_LR", "sft.optimizer.lr"},
+    {"SDD_LORA_RANK", "lora.rank"},
+    {"SDD_LORA_ALPHA", "lora.alpha"},
+    {"SDD_DISTILL_MAX_TOKENS", "distill.max_new_tokens"},
+    {"SDD_CKPT_EVERY", "pretrain.checkpoint_every"},
+    {"SDD_SFT_CKPT_EVERY", "sft.checkpoint_every"},
+    {"SDD_NUMERIC_GUARD", "pretrain.numeric_guard"},
+    {"SDD_NUMERIC_GUARD", "sft.numeric_guard"},
+    {"SDD_GRAD_NORM_LIMIT", "pretrain.grad_norm_limit"},
+    {"SDD_GRAD_NORM_LIMIT", "sft.grad_norm_limit"},
+    {"SDD_MAX_ROLLBACKS", "pretrain.max_rollbacks"},
+    {"SDD_MAX_ROLLBACKS", "sft.max_rollbacks"},
+    {"SDD_CACHE_DIR", "cache_dir"},
+    {"SDD_RETRY_MAX", "supervise.retry_max"},
+    {"SDD_BACKOFF_MS", "supervise.backoff_ms"},
+    {"SDD_STAGE_DEADLINE_SEC", "supervise.deadline_ms", 1000},
+    {"SDD_STAGE_HANG_SEC", "supervise.hang_ms", 1000},
+};
+
+// The LoRA init seed of a recovered model: recovered_key() as it was before
+// that key covered the calibration set and the whole pretrain config.
+// Frozen, so recovered weights do not move when a key gains a field; it
+// reads only the fields it always read. Defined for the fine-tuned methods
+// (kNone attaches no adapters).
+std::uint64_t lora_seed(const PipelineConfig& config, std::int64_t block_size,
+                        FtMethod method, const std::string& dataset_name,
+                        std::int64_t size);
 
 class Pipeline {
  public:

@@ -68,15 +68,9 @@ double boundary_distance(const std::vector<float>& lower,
 }  // namespace
 
 std::string metric_name(ImportanceMetric metric) {
-  switch (metric) {
-    case ImportanceMetric::kAngularCosine:
-      return "angular_cosine";
-    case ImportanceMetric::kBlockInfluence:
-      return "block_influence";
-    case ImportanceMetric::kRelativeMagnitude:
-      return "relative_magnitude";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(metric);
+  return index < enum_names(metric).size() ? std::string{enum_names(metric)[index]}
+                                           : "unknown";
 }
 
 BlockDistanceCurve compute_block_distances(

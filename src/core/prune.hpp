@@ -12,8 +12,10 @@
 // RedPajama stand-in; see data::build_calibration_set).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/vocab.hpp"
@@ -22,6 +24,11 @@
 namespace sdd::core {
 
 enum class ImportanceMetric { kAngularCosine, kBlockInfluence, kRelativeMagnitude };
+
+// Names in enumerator order (the config text form writes these).
+constexpr std::array<std::string_view, 3> enum_names(ImportanceMetric) {
+  return {"angular_cosine", "block_influence", "relative_magnitude"};
+}
 
 std::string metric_name(ImportanceMetric metric);
 

@@ -19,14 +19,6 @@ struct QuantConfig {
   int bits = 8;             // 2..8 supported
   bool per_row = true;      // per-output-channel scales (vs per-tensor)
   bool quantize_embedding = true;
-
-  std::uint64_t hash() const {
-    std::uint64_t h = kFnvOffset;
-    h = fnv1a_value(bits, h);
-    h = fnv1a_value(per_row, h);
-    h = fnv1a_value(quantize_embedding, h);
-    return h;
-  }
 };
 
 struct QuantStats {

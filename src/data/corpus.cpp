@@ -3,7 +3,6 @@
 #include <array>
 #include <stdexcept>
 
-#include "util/hash.hpp"
 
 #include "data/kb_gen.hpp"
 #include "data/math_gen.hpp"
@@ -57,21 +56,6 @@ std::string render_document(const World& world, Rng& rng, const CorpusConfig& co
 }
 
 }  // namespace
-
-std::uint64_t CorpusConfig::hash() const {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_value(n_documents, h);
-  h = fnv1a_value(seed, h);
-  h = fnv1a_value(w_math_qa, h);
-  h = fnv1a_value(w_equation_drill, h);
-  h = fnv1a_value(w_kb_facts, h);
-  h = fnv1a_value(w_kb_qa, h);
-  h = fnv1a_value(w_routines, h);
-  h = fnv1a_value(w_colors, h);
-  h = fnv1a_value(w_instructions, h);
-  h = fnv1a_value(myth_rate, h);
-  return h;
-}
 
 std::vector<TokenId> build_pretraining_stream(const World& world,
                                               const CorpusConfig& config) {

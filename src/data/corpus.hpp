@@ -9,23 +9,27 @@
 
 #include "data/vocab.hpp"
 #include "data/world.hpp"
+#include "util/config.hpp"
 
 namespace sdd::data {
 
-struct CorpusConfig {
-  std::int64_t n_documents = 20000;
-  std::uint64_t seed = 7;
-  // Mixture weights (normalized internally).
-  double w_math_qa = 0.34;       // solved word problems (house style)
-  double w_equation_drill = 0.16;  // bare arithmetic tables
-  double w_kb_facts = 0.20;      // declarative world facts
-  double w_kb_qa = 0.14;         // KB question/answer pairs
-  double w_routines = 0.06;      // routine stories
-  double w_colors = 0.05;        // color facts + popular misconceptions
-  double w_instructions = 0.05;  // dolly/alpaca-style instruction documents
-  double myth_rate = 0.3;        // share of color docs that state the misconception
+// Mixture weights are normalized internally.
+#define SDD_CORPUS_FIELDS(X)                                                  \
+  X(std::int64_t, n_documents, 20000, kKey, "documents in the stream")      \
+  X(std::uint64_t, seed, 7, kKey, "document sampling seed")                 \
+  X(double, w_math_qa, 0.34, kKey, "solved word problems (house style)")    \
+  X(double, w_equation_drill, 0.16, kKey, "bare arithmetic tables")         \
+  X(double, w_kb_facts, 0.20, kKey, "declarative world facts")              \
+  X(double, w_kb_qa, 0.14, kKey, "KB question/answer pairs")                \
+  X(double, w_routines, 0.06, kKey, "routine stories")                      \
+  X(double, w_colors, 0.05, kKey, "color facts and popular misconceptions") \
+  X(double, w_instructions, 0.05, kKey, "dolly/alpaca-style instructions")  \
+  X(double, myth_rate, 0.3, kKey, "share of color docs stating the myth")
 
-  std::uint64_t hash() const;
+struct CorpusConfig {
+  SDD_CONFIG_FIELDS(SDD_CORPUS_FIELDS)
+
+  std::uint64_t hash() const { return config::hash(*this); }
 };
 
 // A flat token stream of <bos> doc <eos> documents.

@@ -13,10 +13,13 @@
 
 namespace sdd::eval {
 
+#define SDD_EVAL_OPTION_FIELDS(X)                                             \
+  X(int, shots, -1, kKey, "few-shot exemplars; -1 = task default")          \
+  X(std::int64_t, max_items, -1, kKey, "items scored; -1 = all")            \
+  X(std::uint64_t, seed, 3407, kKey, "few-shot exemplar sampling seed")
+
 struct EvalOptions {
-  int shots = -1;               // -1 => task default
-  std::int64_t max_items = -1;  // -1 => all items
-  std::uint64_t seed = 3407;    // few-shot exemplar sampling
+  SDD_CONFIG_FIELDS(SDD_EVAL_OPTION_FIELDS)
 };
 
 struct TaskResult {

@@ -3,21 +3,9 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "util/hash.hpp"
 #include "util/supervisor.hpp"
 
 namespace sdd::eval {
-
-std::uint64_t SuiteSpec::hash() const {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_value(mc_items, h);
-  h = fnv1a_value(gen_items, h);
-  h = fnv1a_value(task_seed, h);
-  h = fnv1a_value(options.shots, h);
-  h = fnv1a_value(options.max_items, h);
-  h = fnv1a_value(options.seed, h);
-  return h;
-}
 
 double SuiteScores::task(const std::string& name) const {
   for (const auto& [task_name, accuracy] : tasks) {

@@ -16,13 +16,16 @@
 
 namespace sdd::eval {
 
-struct SuiteSpec {
-  std::int64_t mc_items = 60;    // items per multiple-choice task
-  std::int64_t gen_items = 60;   // items for µGSM8k
-  std::uint64_t task_seed = 2025;
-  EvalOptions options;
+#define SDD_SUITE_FIELDS(X)                                                   \
+  X(std::int64_t, mc_items, 60, kKey, "items per multiple-choice task")     \
+  X(std::int64_t, gen_items, 60, kKey, "items for µGSM8k")                  \
+  X(std::uint64_t, task_seed, 2025, kKey, "task item sampling seed")        \
+  X(EvalOptions, options, {}, kKey, "harness options")
 
-  std::uint64_t hash() const;
+struct SuiteSpec {
+  SDD_CONFIG_FIELDS(SDD_SUITE_FIELDS)
+
+  std::uint64_t hash() const { return config::hash(*this); }
 };
 
 struct SuiteScores {

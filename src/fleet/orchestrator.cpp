@@ -8,7 +8,6 @@
 #include <set>
 #include <thread>
 
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -21,14 +20,7 @@ namespace sdd::fleet {
 namespace fs = std::filesystem;
 
 FleetConfig FleetConfig::from_env() {
-  FleetConfig config;
-  config.workers = env_int("SDD_FLEET_WORKERS", config.workers);
-  config.lease_ms = env_int("SDD_FLEET_LEASE_MS", config.lease_ms);
-  config.task_retry = env_int("SDD_FLEET_TASK_RETRY", config.task_retry);
-  config.respawn_max = env_int("SDD_FLEET_RESPAWN_MAX", config.respawn_max);
-  config.poll_ms = env_int("SDD_FLEET_POLL_MS", config.poll_ms);
-  config.dir_override = env_string("SDD_FLEET_DIR", "");
-  return config;
+  return config::from_env<FleetConfig>(kFleetEnv);
 }
 
 std::string FleetStats::to_string() const {

@@ -23,22 +23,34 @@
 #include <vector>
 
 #include "fleet/queue.hpp"
+#include "util/config.hpp"
 
 namespace sdd::fleet {
 
+#define SDD_FLEET_FIELDS(X)                                                   \
+  X(std::int64_t, workers, 0, kRun, "0 = fleet off, run single-process")    \
+  X(std::int64_t, lease_ms, 2000, kRun, "heartbeat lease window")           \
+  X(std::int64_t, task_retry, 3, kRun, "failures before a task is quarantined") \
+  X(std::int64_t, respawn_max, 16, kRun, "worker respawns before giving up") \
+  X(std::int64_t, poll_ms, 50, kRun, "queue poll / reap interval")          \
+  X(std::filesystem::path, dir_override, {}, kRun, "queue dir; \"\" = derived per run")
+
 struct FleetConfig {
-  std::int64_t workers = 0;       // 0 = fleet off, run single-process
-  std::int64_t lease_ms = 2000;   // heartbeat lease window
-  std::int64_t task_retry = 3;    // failures before a task is quarantined
-  std::int64_t respawn_max = 16;  // worker respawns before giving up
-  std::int64_t poll_ms = 50;      // queue poll / reap interval
-  std::filesystem::path dir_override;  // SDD_FLEET_DIR (else derived per run)
+  SDD_CONFIG_FIELDS(SDD_FLEET_FIELDS)
 
   bool enabled() const { return workers > 0; }
 
-  // SDD_FLEET_WORKERS / SDD_FLEET_LEASE_MS / SDD_FLEET_TASK_RETRY /
-  // SDD_FLEET_RESPAWN_MAX / SDD_FLEET_POLL_MS / SDD_FLEET_DIR.
+  // Defaults with kFleetEnv applied.
   static FleetConfig from_env();
+};
+
+inline constexpr config::EnvBinding kFleetEnv[] = {
+    {"SDD_FLEET_WORKERS", "workers"},
+    {"SDD_FLEET_LEASE_MS", "lease_ms"},
+    {"SDD_FLEET_TASK_RETRY", "task_retry"},
+    {"SDD_FLEET_RESPAWN_MAX", "respawn_max"},
+    {"SDD_FLEET_POLL_MS", "poll_ms"},
+    {"SDD_FLEET_DIR", "dir_override"},
 };
 
 struct FleetStats {

@@ -14,27 +14,42 @@ namespace {
 constexpr std::string_view kMetricMagic = "SDDMTRC1";
 constexpr std::uint32_t kMetricVersion = 1;
 
+// A config crosses to a worker as task fields, one "<prefix><path>" field
+// per row in its text form.
+template <typename T>
+void put_config(TaskSpec& task, const std::string& prefix, const T& config) {
+  config::walk(config, [&](const std::string& path, const config::Field&,
+                           const auto& member, config::Role) {
+    task.fields[prefix + path] = config::format(member);
+  });
+}
+
+// Throws std::invalid_argument on a field the config does not have or a
+// malformed value.
+template <typename T>
+T take_config(const TaskSpec& task, const std::string& prefix) {
+  T config;
+  for (const auto& [key, value] : task.fields) {
+    if (key.starts_with(prefix)) config::set(config, key.substr(prefix.size()), value);
+  }
+  return config;
+}
+
 void execute_eval_cell(const TaskSpec& task) {
   const nn::TransformerLM model = nn::TransformerLM::load(task.field("model"));
-  const data::World world{
-      static_cast<std::uint64_t>(task.field_int("world_seed"))};
-  eval::SuiteSpec spec;
-  spec.mc_items = task.field_int("mc_items");
-  spec.gen_items = task.field_int("gen_items");
-  spec.task_seed = static_cast<std::uint64_t>(task.field_int("task_seed"));
-  spec.options.shots = static_cast<int>(task.field_int("shots"));
-  spec.options.max_items = task.field_int("max_items");
-  spec.options.seed = static_cast<std::uint64_t>(task.field_int("eval_seed"));
-  const eval::TaskResult result =
-      eval::evaluate_named_task(model, world, task.field("task"), spec);
+  std::uint64_t world_seed = 0;
+  config::parse(task.field("world_seed"), world_seed);
+  const eval::TaskResult result = eval::evaluate_named_task(
+      model, data::World{world_seed}, task.field("task"),
+      take_config<eval::SuiteSpec>(task, "spec."));
   write_metric(task.field("out"), result);
 }
 
+// The worker runs the orchestrator's own PipelineConfig, carried in the
+// task, so the cell computes exactly the artifact the orchestrator's
+// pipeline would, into the shared cache.
 void execute_distill_cell(const TaskSpec& task) {
-  // PipelineConfig::standard() reads the SDD_* environment, which workers
-  // inherit from the orchestrator — so this cell computes exactly the
-  // artifact the orchestrator's own pipeline would, into the shared cache.
-  core::Pipeline pipeline{core::PipelineConfig::standard()};
+  core::Pipeline pipeline{take_config<core::PipelineConfig>(task, "config.")};
   pipeline.distilled_dataset(task.field("dataset"), task.field_int("size"));
 }
 
@@ -60,6 +75,20 @@ void execute_task(const TaskSpec& task) {
     throw Error(ErrorKind::kFatal,
                 "fleet: unknown task kind '" + kind + "' in '" + task.id + "'");
   }
+}
+
+TaskSpec eval_cell(const std::string& task, const fs::path& model_path,
+                   const fs::path& out, const eval::SuiteSpec& spec,
+                   std::uint64_t world_seed) {
+  TaskSpec cell;
+  cell.id = "eval_" + task;
+  cell.fields["kind"] = "eval_cell";
+  cell.fields["task"] = task;
+  cell.fields["model"] = model_path.string();
+  cell.fields["out"] = out.string();
+  put_config(cell, "spec.", spec);
+  cell.fields["world_seed"] = config::format(world_seed);
+  return cell;
 }
 
 void write_metric(const fs::path& path, const eval::TaskResult& result) {
@@ -111,20 +140,8 @@ eval::SuiteScores run_eval_suite(const nn::TransformerLM& model,
 
   std::vector<TaskSpec> specs;
   for (const std::string& task : tasks) {
-    TaskSpec cell;
-    cell.id = "eval_" + task;
-    cell.fields["kind"] = "eval_cell";
-    cell.fields["task"] = task;
-    cell.fields["model"] = model_path.string();
-    cell.fields["out"] = (results / (task + ".metric")).string();
-    cell.fields["mc_items"] = std::to_string(spec.mc_items);
-    cell.fields["gen_items"] = std::to_string(spec.gen_items);
-    cell.fields["task_seed"] = std::to_string(spec.task_seed);
-    cell.fields["shots"] = std::to_string(spec.options.shots);
-    cell.fields["max_items"] = std::to_string(spec.options.max_items);
-    cell.fields["eval_seed"] = std::to_string(spec.options.seed);
-    cell.fields["world_seed"] = std::to_string(world.seed());
-    specs.push_back(std::move(cell));
+    specs.push_back(eval_cell(task, model_path, results / (task + ".metric"), spec,
+                              world.seed()));
   }
 
   // A published result only counts once it re-reads through its checksum
@@ -185,7 +202,10 @@ std::vector<data::SftDataset> run_distill_grid(
   // the cached base model instead of racing to pretrain it.
   pipeline.base_model();
 
-  std::uint64_t run_key = fnv1a("distill-grid");
+  // The cells carry the whole config, run fields too, so a resumed grid
+  // never executes another run's settings.
+  std::uint64_t run_key =
+      fnv1a(config::to_text(pipeline.config()), fnv1a("distill-grid"));
   for (const auto& [name, size] : cells) {
     run_key = hash_combine(run_key, pipeline.distilled_key(name, size));
   }
@@ -201,6 +221,7 @@ std::vector<data::SftDataset> run_distill_grid(
     cell.fields["kind"] = "distill_cell";
     cell.fields["dataset"] = name;
     cell.fields["size"] = std::to_string(size);
+    put_config(cell, "config.", pipeline.config());
     specs.push_back(std::move(cell));
   }
 

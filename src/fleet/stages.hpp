@@ -12,10 +12,12 @@
 //                 orchestrator's validator (checksum re-read) and requeued.
 //
 //   distill_cell  one self-distilled dataset cell. The worker constructs a
-//                 Pipeline from PipelineConfig::standard() — so it MUST run
-//                 with the same SDD_* environment as the orchestrator — and
-//                 the artifact lands in the shared experiment cache, where
-//                 the orchestrator validates it via a checksummed load.
+//                 Pipeline from the orchestrator's PipelineConfig, which the
+//                 task carries as "config.<path>" fields, and the artifact
+//                 lands in the shared experiment cache, where the
+//                 orchestrator validates it via a checksummed load.
+//
+// eval_cell carries its SuiteSpec the same way, as "spec.<path>" fields.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +35,12 @@ namespace sdd::fleet {
 // Production executor for worker processes; dispatches on fields["kind"].
 // Throws (failing the task against its retry budget) on any error.
 void execute_task(const TaskSpec& task);
+
+// The eval_cell task that evaluates `task` on the checkpoint at `model_path`
+// and publishes its metric at `out`.
+TaskSpec eval_cell(const std::string& task, const std::filesystem::path& model_path,
+                   const std::filesystem::path& out, const eval::SuiteSpec& spec,
+                   std::uint64_t world_seed);
 
 // Checksummed metric artifact (magic "SDDMTRC1") written by eval_cell
 // workers. read_metric throws SerializeError on a missing, torn, or corrupt

@@ -20,20 +20,16 @@
 
 namespace sdd::nn {
 
-struct LoraConfig {
-  std::int64_t rank = 8;
-  float alpha = 16.0F;
-  bool on_attention = true;
-  bool on_mlp = true;
+#define SDD_LORA_FIELDS(X)                                                    \
+  X(std::int64_t, rank, 8, kKey, "adapter rank")                            \
+  X(float, alpha, 16.0F, kKey, "adapter scale is alpha / rank")             \
+  X(bool, on_attention, true, kKey, "adapt the attention projections")      \
+  X(bool, on_mlp, true, kKey, "adapt the MLP projections")
 
-  std::uint64_t hash() const {
-    std::uint64_t h = kFnvOffset;
-    h = fnv1a_value(rank, h);
-    h = fnv1a_value(alpha, h);
-    h = fnv1a_value(on_attention, h);
-    h = fnv1a_value(on_mlp, h);
-    return h;
-  }
+struct LoraConfig {
+  SDD_CONFIG_FIELDS(SDD_LORA_FIELDS)
+
+  std::uint64_t hash() const { return config::hash(*this); }
 };
 
 class TransformerLM {

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "nn/transformer.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/ipc.hpp"
 #include "util/log.hpp"
@@ -126,25 +125,15 @@ std::uint64_t decode_response(const std::string& payload, Response* out) {
 
 }  // namespace detail
 
-RemoteReplicaConfig RemoteReplicaConfig::from_env() {
-  RemoteReplicaConfig config;
-  config.heartbeat_ms = env_int("SDD_REPLICA_HEARTBEAT_MS", config.heartbeat_ms);
-  config.lease_ms = env_int("SDD_REPLICA_LEASE_MS", config.lease_ms);
-  config.respawn_max = env_int("SDD_REPLICA_RESPAWN_MAX", config.respawn_max);
-  config.backoff_ms = env_int("SDD_REPLICA_BACKOFF_MS", config.backoff_ms);
-  config.backoff_cap_ms =
-      env_int("SDD_REPLICA_BACKOFF_CAP_MS", config.backoff_cap_ms);
-  config.drain_grace_ms = env_int("SDD_REPLICA_GRACE_MS", config.drain_grace_ms);
-  return config;
-}
-
 // ---- parent: RemoteReplica -------------------------------------------------
 
 RemoteReplica::RemoteReplica(
     std::string name, std::string model_path, RemoteReplicaConfig config,
+    const ServerConfig& server,
     std::function<void(const std::string&)> on_process_failure)
     : name_{std::move(name)},
       config_{std::move(config)},
+      server_text_{config::to_text(server)},
       on_process_failure_{std::move(on_process_failure)},
       model_path_{std::move(model_path)} {
   signals::ignore_sigpipe();
@@ -161,6 +150,8 @@ void RemoteReplica::spawn_locked() {
   const ipc::SocketPair pair = ipc::socket_pair();
   std::int64_t pid = -1;
   try {
+    // Queued before the worker exists, so it is the first frame it reads.
+    ipc::write_frame(pair.parent_fd, frame_type(ReplicaFrame::kConfig), server_text_);
     if (config_.spawn_fn) {
       pid = config_.spawn_fn(pair.child_fd, model_path_, name_);
     } else {
@@ -588,8 +579,15 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
 
   int rc = 0;
   try {
+    ipc::Frame config_frame;
+    if (ipc::read_frame(fd, &config_frame, 10'000) != ipc::ReadStatus::kFrame ||
+        config_frame.type != frame_type(ReplicaFrame::kConfig)) {
+      throw Error(ErrorKind::kWorkerLost, "no server config from the parent");
+    }
+    ServerConfig server_config;
+    config::apply_text(server_config, config_frame.payload);
     const nn::TransformerLM model = nn::TransformerLM::load(model_path);
-    InferenceServer server{model, ServerConfig::from_env()};
+    InferenceServer server{model, server_config};
     {
       ipc::PayloadWriter hello;
       hello.i64(model.param_count());

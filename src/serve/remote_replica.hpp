@@ -21,10 +21,11 @@
 //     weights. Requests arriving mid-drain fail fast with worker_lost so the
 //     router serves them from sibling variants.
 //
-// Worker side (replica_worker_main): loads the variant, serves it with an
-// ordinary InferenceServer, sends HELLO (parameter count = routing cost),
-// heartbeats from a dedicated thread, and streams back one RESPONSE frame
-// per resolved ticket. Outputs are produced by the same decode path as
+// Worker side (replica_worker_main): reads the parent's ServerConfig from
+// the first frame, loads the variant, serves it with an ordinary
+// InferenceServer built from that config, sends HELLO (parameter count =
+// routing cost), heartbeats from a dedicated thread, and streams back one
+// RESPONSE frame per resolved ticket. Outputs are produced by the same decode path as
 // in-process serving, so per-variant bytes are identical across the process
 // boundary — the soak asserts this end to end.
 #pragma once
@@ -49,23 +50,28 @@ enum class ReplicaFrame : std::uint8_t {
   kRequest = 3,    // parent -> child: u64 id + serialized Request
   kResponse = 4,   // child -> parent: u64 id + serialized Response
   kCancel = 5,     // parent -> child: u64 id
+  kConfig = 6,     // parent -> child, first frame: ServerConfig text form
 };
 
+// child_fault_spec is the SDD_FAULT spec for the FIRST spawned worker
+// generation only; respawned workers always get an explicitly empty
+// SDD_FAULT so an injected crash cannot re-fire forever and starve the
+// recovery path under test.
+#define SDD_REMOTE_FIELDS(X)                                                  \
+  X(std::int64_t, heartbeat_ms, 25, kRun, "worker beat period")             \
+  X(std::int64_t, lease_ms, 400, kRun, "silence beyond this = wedged worker") \
+  X(std::int64_t, respawn_max, 8, kRun, "consecutive unexpected deaths tolerated") \
+  X(std::int64_t, backoff_ms, 50, kRun, "respawn backoff, doubles per death") \
+  X(std::int64_t, backoff_cap_ms, 2000, kRun, "respawn backoff ceiling")    \
+  X(std::int64_t, drain_grace_ms, 3000, kRun, "SIGTERM -> SIGKILL drain budget") \
+  X(std::string, child_fault_spec, {}, kRun, "first worker generation's SDD_FAULT")
+
 struct RemoteReplicaConfig {
-  std::int64_t heartbeat_ms = 25;    // worker beat period
-  std::int64_t lease_ms = 400;       // silence beyond this = wedged worker
-  std::int64_t respawn_max = 8;      // consecutive unexpected deaths tolerated
-  std::int64_t backoff_ms = 50;      // respawn backoff, doubles per death
-  std::int64_t backoff_cap_ms = 2000;
-  std::int64_t drain_grace_ms = 3000;  // SIGTERM -> SIGKILL drain budget
+  SDD_CONFIG_FIELDS(SDD_REMOTE_FIELDS)
 
-  // SDD_FAULT spec for the FIRST spawned worker generation only; respawned
-  // workers always get an explicitly empty SDD_FAULT so an injected crash
-  // cannot re-fire forever and starve the recovery path under test.
-  std::string child_fault_spec;
-
-  // Extra KEY=VALUE environment for every spawned worker (e.g. SDD_SERVE_*
-  // knobs so the child's ServerConfig::from_env matches the parent's).
+  // Extra KEY=VALUE environment for every spawned worker (e.g.
+  // SDD_LOG_LEVEL). The worker's ServerConfig comes from the parent over
+  // the channel, not from this environment.
   std::vector<std::string> env_overrides;
 
   // Test seam: spawn the worker without exec'ing a binary (fork; child calls
@@ -75,10 +81,6 @@ struct RemoteReplicaConfig {
   std::function<std::int64_t(int child_fd, const std::string& model_path,
                              const std::string& name)>
       spawn_fn;
-
-  // SDD_REPLICA_HEARTBEAT_MS, SDD_REPLICA_LEASE_MS, SDD_REPLICA_RESPAWN_MAX,
-  // SDD_REPLICA_BACKOFF_MS, SDD_REPLICA_BACKOFF_CAP_MS, SDD_REPLICA_GRACE_MS.
-  static RemoteReplicaConfig from_env();
 };
 
 struct RemoteStats {
@@ -95,8 +97,9 @@ class RemoteReplica {
   // `on_process_failure` fires once per unexpected worker death (reaped pid,
   // lease expiry, torn frame), from the thread that detected it. It must not
   // call back into this RemoteReplica.
+  // Every worker generation serves with `server`.
   RemoteReplica(std::string name, std::string model_path,
-                RemoteReplicaConfig config,
+                RemoteReplicaConfig config, const ServerConfig& server,
                 std::function<void(const std::string&)> on_process_failure);
   ~RemoteReplica();
 
@@ -143,6 +146,7 @@ class RemoteReplica {
 
   const std::string name_;
   const RemoteReplicaConfig config_;
+  const std::string server_text_;  // config::to_text of the worker's config
   const std::function<void(const std::string&)> on_process_failure_;
 
   mutable std::mutex mutex_;     // state below
@@ -181,7 +185,8 @@ std::uint64_t decode_response(const std::string& payload, Response* out);
 
 }  // namespace detail
 
-// Worker entry point: serve `model_path` over `fd` until the channel closes
+// Worker entry point: serve `model_path`, with the ServerConfig the parent
+// sends as the first frame, over `fd` until the channel closes
 // (exit 0) or a graceful SIGTERM drain completes (exit 72). Invoked by
 // `sdd_cli replica-worker` and by fork-based test/soak harnesses; the caller
 // is expected to have installed util/signals graceful shutdown.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace sdd::serve {
@@ -21,17 +20,6 @@ std::string_view health_state_name(HealthState state) {
       return "half-open";
   }
   return "unknown";
-}
-
-BreakerConfig BreakerConfig::from_env() {
-  BreakerConfig config;
-  config.degraded_after =
-      env_int("SDD_ROUTE_DEGRADED_FAILS", config.degraded_after);
-  config.open_after = env_int("SDD_ROUTE_BREAKER_FAILS", config.open_after);
-  config.cooldown_ms =
-      env_int("SDD_ROUTE_BREAKER_COOLDOWN_MS", config.cooldown_ms);
-  config.probe_max = env_int("SDD_ROUTE_PROBE_MAX", config.probe_max);
-  return config;
 }
 
 // ---- breaker ---------------------------------------------------------------
@@ -173,7 +161,7 @@ Replica::Replica(std::string name, nn::TransformerLM model, double quality,
 Replica::Replica(std::string name, std::string model_path, double quality,
                  std::int64_t cost_hint,
                  const RemoteReplicaConfig& remote_config,
-                 const BreakerConfig& breaker)
+                 const ServerConfig& server_config, const BreakerConfig& breaker)
     : name_{std::move(name)},
       quality_{quality},
       cost_hint_{cost_hint},
@@ -181,7 +169,7 @@ Replica::Replica(std::string name, std::string model_path, double quality,
   // Constructed in the body, after every member: the supervisor's failure
   // callback may fire from its pump thread as soon as it exists.
   remote_ = std::make_unique<RemoteReplica>(
-      name_, std::move(model_path), remote_config,
+      name_, std::move(model_path), remote_config, server_config,
       [this](const std::string& reason) { on_process_death(reason); });
 }
 

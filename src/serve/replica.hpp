@@ -45,19 +45,18 @@ enum class HealthState {
 
 std::string_view health_state_name(HealthState state);
 
+#define SDD_BREAKER_FIELDS(X)                                                 \
+  X(std::int64_t, degraded_after, 1, kRun, "consecutive failures -> degraded") \
+  X(std::int64_t, open_after, 3, kRun, "consecutive failures -> open")      \
+  X(std::int64_t, cooldown_ms, 250, kRun, "quarantine before half-open probing") \
+  X(std::int64_t, probe_max, 1, kRun, "concurrent half-open trial requests")
+
 struct BreakerConfig {
-  std::int64_t degraded_after = 1;  // consecutive failures -> degraded
-  std::int64_t open_after = 3;      // consecutive failures -> open
-  std::int64_t cooldown_ms = 250;   // quarantine before half-open probing
-  std::int64_t probe_max = 1;       // concurrent half-open trial requests
+  SDD_CONFIG_FIELDS(SDD_BREAKER_FIELDS)
 
   // Test seam: breaker time source (fake clocks make cooldown transitions
   // deterministic). Defaults to steady_clock::now.
   std::function<std::chrono::steady_clock::time_point()> now_fn;
-
-  // SDD_ROUTE_DEGRADED_FAILS, SDD_ROUTE_BREAKER_FAILS,
-  // SDD_ROUTE_BREAKER_COOLDOWN_MS, SDD_ROUTE_PROBE_MAX.
-  static BreakerConfig from_env();
 };
 
 // Thread-safe circuit breaker; every router dispatch brackets the request
@@ -152,11 +151,12 @@ class Replica {
           const nn::TransformerLM* draft = nullptr);
 
   // Remote replica: the weights live in the worker process; the parent only
-  // keeps the checkpoint path. `cost_hint` seeds the routing cost until the
-  // worker's HELLO reports its true parameter count.
+  // keeps the checkpoint path, and the worker serves with `server_config`.
+  // `cost_hint` seeds the routing cost until the worker's HELLO reports its
+  // true parameter count.
   Replica(std::string name, std::string model_path, double quality,
           std::int64_t cost_hint, const RemoteReplicaConfig& remote_config,
-          const BreakerConfig& breaker);
+          const ServerConfig& server_config, const BreakerConfig& breaker);
 
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;

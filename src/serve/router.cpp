@@ -50,16 +50,7 @@ struct RouteJob {
 // ---- config ----------------------------------------------------------------
 
 RouterConfig RouterConfig::from_env() {
-  RouterConfig config;
-  config.failover_max = env_int("SDD_ROUTE_FAILOVER_MAX", config.failover_max);
-  config.cheap_deadline_ms =
-      env_int("SDD_ROUTE_CHEAP_DEADLINE_MS", config.cheap_deadline_ms);
-  config.spec_draft = env_string("SDD_SPEC_DRAFT", config.spec_draft);
-  config.cross_process = env_flag("SDD_REPLICA_PROCESS", config.cross_process);
-  config.remote = RemoteReplicaConfig::from_env();
-  config.breaker = BreakerConfig::from_env();
-  config.server = ServerConfig::from_env();
-  return config;
+  return config::from_env<RouterConfig>(kRouterEnv);
 }
 
 // ---- quality table ---------------------------------------------------------
@@ -214,7 +205,7 @@ VariantRouter::VariantRouter(std::vector<VariantSpec> variants,
       }
       replicas_[i] = std::make_unique<Replica>(
           std::move(spec.name), std::move(spec.path), spec.quality,
-          spec.cost_hint, remote, config_.breaker);
+          spec.cost_hint, remote, config_.server, config_.breaker);
     }
     if (config_.start_dispatcher) start();
     return;

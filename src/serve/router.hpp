@@ -47,29 +47,58 @@
 
 namespace sdd::serve {
 
+// spec_draft takes effect when server.spec_k > 0.
+//
+// cross_process hosts each variant in its own `replica-worker` child
+// process (VariantSpec must carry checkpoint paths); each worker serves with
+// `server`, which the parent sends it. Incompatible with spec_draft — the
+// draft pointer cannot cross a process boundary.
+#define SDD_ROUTER_FIELDS(X)                                                  \
+  X(std::int64_t, failover_max, 2, kRun, "extra dispatch attempts per request") \
+  X(std::int64_t, cheap_deadline_ms, 60, kRun, "deadlines <= this go cheap") \
+  X(std::int64_t, poll_ms, 1, kRun, "dispatcher tick while jobs in flight") \
+  X(std::int64_t, reroute_wait_ms, 5, kRun, "backoff when no replica is eligible") \
+  X(bool, start_dispatcher, true, kRun, "test seam: false = call start() later") \
+  X(std::string, spec_draft, {}, kRun, "variant drafting for the others; \"\" = off") \
+  X(bool, cross_process, false, kRun, "one replica-worker process per variant") \
+  X(RemoteReplicaConfig, remote, {}, kRun, "cross-process supervision")     \
+  X(BreakerConfig, breaker, {}, kRun, "shared by every replica's breaker")  \
+  X(ServerConfig, server, {}, kRun, "shared by every replica's server")
+
 struct RouterConfig {
-  std::int64_t failover_max = 2;       // extra dispatch attempts per request
-  std::int64_t cheap_deadline_ms = 60; // deadlines <= this prefer cheap variants
-  std::int64_t poll_ms = 1;            // dispatcher tick while jobs in flight
-  std::int64_t reroute_wait_ms = 5;    // backoff when no replica is eligible
-  bool start_dispatcher = true;        // test seam: false = call start() later
-  std::string spec_draft;              // variant that drafts for the others'
-                                       // speculative decode ("" = off); takes
-                                       // effect when server.spec_k > 0
+  SDD_CONFIG_FIELDS(SDD_ROUTER_FIELDS)
 
-  // Host each variant in its own `replica-worker` child process (VariantSpec
-  // must carry checkpoint paths). Incompatible with spec_draft — the draft
-  // pointer cannot cross a process boundary.
-  bool cross_process = false;
-  RemoteReplicaConfig remote;          // supervision knobs for cross-process
-
-  BreakerConfig breaker;               // shared by every replica's breaker
-  ServerConfig server;                 // shared by every replica's server
-
-  // SDD_ROUTE_FAILOVER_MAX, SDD_ROUTE_CHEAP_DEADLINE_MS, SDD_SPEC_DRAFT,
-  // SDD_REPLICA_PROCESS, plus BreakerConfig::from_env(),
-  // ServerConfig::from_env(), and RemoteReplicaConfig::from_env().
+  // Defaults with kRouterEnv applied.
   static RouterConfig from_env();
+};
+
+// SDD_SERVE_HANG_MS is bound after SDD_STAGE_HANG_SEC, so it wins when both
+// are set.
+inline constexpr config::EnvBinding kRouterEnv[] = {
+    {"SDD_ROUTE_FAILOVER_MAX", "failover_max"},
+    {"SDD_ROUTE_CHEAP_DEADLINE_MS", "cheap_deadline_ms"},
+    {"SDD_SPEC_DRAFT", "spec_draft"},
+    {"SDD_REPLICA_PROCESS", "cross_process"},
+    {"SDD_REPLICA_HEARTBEAT_MS", "remote.heartbeat_ms"},
+    {"SDD_REPLICA_LEASE_MS", "remote.lease_ms"},
+    {"SDD_REPLICA_RESPAWN_MAX", "remote.respawn_max"},
+    {"SDD_REPLICA_BACKOFF_MS", "remote.backoff_ms"},
+    {"SDD_REPLICA_BACKOFF_CAP_MS", "remote.backoff_cap_ms"},
+    {"SDD_REPLICA_GRACE_MS", "remote.drain_grace_ms"},
+    {"SDD_ROUTE_DEGRADED_FAILS", "breaker.degraded_after"},
+    {"SDD_ROUTE_BREAKER_FAILS", "breaker.open_after"},
+    {"SDD_ROUTE_BREAKER_COOLDOWN_MS", "breaker.cooldown_ms"},
+    {"SDD_ROUTE_PROBE_MAX", "breaker.probe_max"},
+    {"SDD_SERVE_QUEUE_CAP", "server.queue_capacity"},
+    {"SDD_SERVE_MAX_BATCH", "server.max_batch"},
+    {"SDD_SERVE_KV_BUDGET_MB", "server.kv_budget_bytes", 1 << 20},
+    {"SDD_SERVE_DEADLINE_MS", "server.default_deadline_ms"},
+    {"SDD_SERVE_DEGRADE_DEPTH", "server.degrade_queue_depth"},
+    {"SDD_SERVE_DEGRADE_MAX_TOKENS", "server.degrade_max_new_tokens"},
+    {"SDD_SERVE_NAN_GUARD", "server.nan_guard"},
+    {"SDD_STAGE_HANG_SEC", "server.worker.hang_ms", 1000},
+    {"SDD_SERVE_HANG_MS", "server.worker.hang_ms"},
+    {"SDD_SPEC_K", "server.spec_k"},
 };
 
 // Static per-variant quality scores, loadable from eval-grid suite digests.

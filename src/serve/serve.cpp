@@ -5,7 +5,6 @@
 #include <exception>
 #include <limits>
 
-#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/signals.hpp"
@@ -86,38 +85,6 @@ std::int64_t plain_slot_bytes(const nn::TransformerLM& model) {
 }
 
 }  // namespace
-
-// ---- config ----------------------------------------------------------------
-
-supervisor::SupervisorConfig ServerConfig::default_worker_config() {
-  supervisor::SupervisorConfig config;
-  // A serving worker recycles instead of dying: effectively unbounded
-  // retries with a short, capped backoff.
-  config.retry_max = 1'000'000'000;
-  config.backoff_ms = 1;
-  config.backoff_cap_ms = 50;
-  config.deadline_ms = 0;
-  config.hang_ms = 0;
-  return config;
-}
-
-ServerConfig ServerConfig::from_env() {
-  ServerConfig config;
-  config.queue_capacity = env_int("SDD_SERVE_QUEUE_CAP", config.queue_capacity);
-  config.max_batch = env_int("SDD_SERVE_MAX_BATCH", config.max_batch);
-  config.kv_budget_bytes = env_int("SDD_SERVE_KV_BUDGET_MB", 0) * (1 << 20);
-  config.default_deadline_ms =
-      env_int("SDD_SERVE_DEADLINE_MS", config.default_deadline_ms);
-  config.degrade_queue_depth =
-      env_int("SDD_SERVE_DEGRADE_DEPTH", config.degrade_queue_depth);
-  config.degrade_max_new_tokens =
-      env_int("SDD_SERVE_DEGRADE_MAX_TOKENS", config.degrade_max_new_tokens);
-  config.nan_guard = env_flag("SDD_SERVE_NAN_GUARD", config.nan_guard);
-  config.worker.hang_ms =
-      env_int("SDD_SERVE_HANG_MS", env_int("SDD_STAGE_HANG_SEC", 0) * 1000);
-  config.spec_k = env_int("SDD_SPEC_K", config.spec_k);
-  return config;
-}
 
 // ---- names -----------------------------------------------------------------
 

@@ -17,10 +17,11 @@
 //    request is rejected with a typed, retryable resource_exhausted error —
 //    unless a strictly lower-priority queued request can be shed in its
 //    favor (the shed request resolves with the same typed error).
-//  * KV budget: SDD_SERVE_KV_BUDGET_MB caps the memory of concurrent decode
-//    slots; the admissible batch size shrinks to fit instead of OOMing, and
-//    an injected/real allocation failure (Error{resource_exhausted}) during
-//    slot creation shrinks it further at runtime.
+//  * KV budget: kv_budget_bytes (SDD_SERVE_KV_BUDGET_MB) caps the memory of
+//    concurrent decode slots; the admissible batch size shrinks to fit
+//    instead of OOMing, and an injected/real allocation failure
+//    (Error{resource_exhausted}) during slot creation shrinks it further at
+//    runtime.
 //  * Deadlines and cancellation: every request carries a CancelToken;
 //    expiry or a client cancel() frees the slot at the next token boundary.
 //  * Overload degradation: past a queue-depth watermark, new admissions get
@@ -61,34 +62,31 @@
 
 namespace sdd::serve {
 
+// spec_k: draft tokens per speculative round; 0 = off. Takes effect only
+// when the server was built with a draft model, and only for greedy
+// (temperature 0) requests — outputs stay bit-identical to the
+// non-speculative decode.
+//
+// worker supervises the scheduler stage: effectively unbounded retries with
+// a short, capped backoff (a serving worker must recycle, not die), plus the
+// heartbeat hang watchdog (SDD_SERVE_HANG_MS, else SDD_STAGE_HANG_SEC).
+#define SDD_SERVER_FIELDS(X)                                                  \
+  X(std::int64_t, queue_capacity, 64, kRun, "hard cap on queued requests")  \
+  X(std::int64_t, max_batch, 8, kRun, "max concurrent decode slots")        \
+  X(std::int64_t, kv_budget_bytes, 0, kRun, "summed KV-slot bytes cap; 0 = off") \
+  X(std::int64_t, default_deadline_ms, 0, kRun, "deadline of requests with none") \
+  X(std::int64_t, degrade_queue_depth, 0, kRun, "watermark; 0 = 3/4 of capacity") \
+  X(std::int64_t, degrade_max_new_tokens, 16, kRun, "clamp past the watermark") \
+  X(bool, nan_guard, true, kRun, "fail requests on non-finite logits")      \
+  X(bool, start_worker, true, kRun, "test seam: false = call start() later") \
+  X(std::int64_t, spec_k, 0, kRun, "draft tokens per speculative round")    \
+  X(supervisor::SupervisorConfig, worker,                                   \
+    (supervisor::SupervisorConfig{                                          \
+        .retry_max = 1'000'000'000, .backoff_ms = 1, .backoff_cap_ms = 50}), \
+    kRun, "scheduler stage supervision")
+
 struct ServerConfig {
-  std::int64_t queue_capacity = 64;   // hard cap on queued (not yet running)
-  std::int64_t max_batch = 8;         // max concurrent decode slots
-  std::int64_t kv_budget_bytes = 0;   // cap on summed KV-slot bytes; 0 = off
-  std::int64_t default_deadline_ms = 0;  // applied when a request has none
-  std::int64_t degrade_queue_depth = 0;  // watermark; 0 = 3/4 of capacity
-  std::int64_t degrade_max_new_tokens = 16;  // clamp applied past watermark
-  bool nan_guard = true;              // fail requests on non-finite logits
-  bool start_worker = true;           // test seam: false = call start() later
-  std::int64_t spec_k = 0;            // draft tokens per speculative round;
-                                      // 0 = off. Takes effect only when the
-                                      // server was built with a draft model,
-                                      // and only for greedy (temperature 0)
-                                      // requests — outputs stay bit-identical
-                                      // to the non-speculative decode.
-
-  // Supervision for the scheduler stage: effectively unbounded retries with
-  // a short backoff (a serving worker must recycle, not die), plus the
-  // heartbeat hang watchdog. from_env() wires SDD_SERVE_HANG_MS (default:
-  // SDD_STAGE_HANG_SEC * 1000) into worker.hang_ms.
-  supervisor::SupervisorConfig worker = default_worker_config();
-
-  static supervisor::SupervisorConfig default_worker_config();
-  // SDD_SERVE_QUEUE_CAP, SDD_SERVE_MAX_BATCH, SDD_SERVE_KV_BUDGET_MB,
-  // SDD_SERVE_DEADLINE_MS, SDD_SERVE_DEGRADE_DEPTH,
-  // SDD_SERVE_DEGRADE_MAX_TOKENS, SDD_SERVE_NAN_GUARD, SDD_SERVE_HANG_MS,
-  // SDD_SPEC_K.
-  static ServerConfig from_env();
+  SDD_CONFIG_FIELDS(SDD_SERVER_FIELDS)
 };
 
 // Terminal states carry a response; kQueued/kRunning are transient.

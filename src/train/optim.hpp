@@ -6,27 +6,22 @@
 #include <vector>
 
 #include "nn/module.hpp"
-#include "util/hash.hpp"
+#include "util/config.hpp"
 #include "util/serialize.hpp"
 
 namespace sdd::train {
 
-struct AdamWConfig {
-  float lr = 1e-3F;
-  float beta1 = 0.9F;
-  float beta2 = 0.95F;
-  float eps = 1e-8F;
-  float weight_decay = 0.01F;
+#define SDD_ADAMW_FIELDS(X)                                                   \
+  X(float, lr, 1e-3F, kKey, "peak learning rate")                           \
+  X(float, beta1, 0.9F, kKey, "first-moment decay")                         \
+  X(float, beta2, 0.95F, kKey, "second-moment decay")                       \
+  X(float, eps, 1e-8F, kKey, "denominator epsilon")                         \
+  X(float, weight_decay, 0.01F, kKey, "decoupled weight decay")
 
-  std::uint64_t hash() const {
-    std::uint64_t h = kFnvOffset;
-    h = fnv1a_value(lr, h);
-    h = fnv1a_value(beta1, h);
-    h = fnv1a_value(beta2, h);
-    h = fnv1a_value(eps, h);
-    h = fnv1a_value(weight_decay, h);
-    return h;
-  }
+struct AdamWConfig {
+  SDD_CONFIG_FIELDS(SDD_ADAMW_FIELDS)
+
+  std::uint64_t hash() const { return config::hash(*this); }
 };
 
 class AdamW {

@@ -376,14 +376,7 @@ TrainStats pretrain(nn::TransformerLM& model, std::span<const data::TokenId> str
   }
   std::uint64_t h = fnv1a("pretrain");
   h = fnv1a_bytes(std::as_bytes(stream), h);
-  h = fnv1a_value(config.steps, h);
-  h = fnv1a_value(config.batch_size, h);
-  h = fnv1a_value(config.seq_len, h);
-  h = fnv1a_value(config.warmup_steps, h);
-  h = fnv1a_value(config.clip_norm, h);
-  h = fnv1a_value(config.min_lr_fraction, h);
-  h = fnv1a_value(config.seed, h);
-  h = hash_combine(h, config.optimizer.hash());
+  h = hash_combine(h, config::hash(config));
 
   const std::int64_t max_start =
       static_cast<std::int64_t>(stream.size()) - config.seq_len - 1;

@@ -45,33 +45,37 @@ SftBatch pack_sft_batch(const std::vector<const data::SftExample*>& examples,
 
 // Settings every training run shares; train_loop() reads only these. The
 // defaults are the fine-tuning ones (PretrainConfig overrides four).
+//
+// Mid-run crash safety: every `checkpoint_every` steps the trainable
+// parameters, optimizer moments, RNG state, and step counter are written
+// atomically to `checkpoint_path`; a restarted run resumes from the last
+// checkpoint and produces bit-identical final weights. Both fields must be
+// set to enable it.
+//
+// Numeric-divergence guard: a non-finite loss, or a pre-clip gradient norm
+// that is non-finite or exceeds grad_norm_limit, restores the loop's last
+// in-memory snapshot (taken on the checkpoint cadence) and replays. After
+// max_rollbacks repeats at the same step the offending batch is skipped
+// and the LR scale halved instead.
+//
+// Checkpointing and the guard are kRun: they never change what is computed
+// (a transient divergence replays to bit-identical weights), only whether a
+// run survives, so they stay out of result-identity hashes.
+#define SDD_TRAIN_LOOP_FIELDS(X)                                              \
+  X(std::int64_t, warmup_steps, 10, kKey, "linear LR warmup steps")         \
+  X(float, clip_norm, 1.0F, kKey, "global gradient-norm clip")              \
+  X(float, min_lr_fraction, 0.1F, kKey, "cosine floor, fraction of peak LR") \
+  X(AdamWConfig, optimizer, {.lr = 1e-3F}, kKey, "optimizer settings")      \
+  X(std::uint64_t, seed, 2, kKey, "batch sampling seed")                    \
+  X(std::int64_t, log_every, 0, kRun, "progress log period; 0 = off")       \
+  X(std::filesystem::path, checkpoint_path, {}, kRun, "checkpoint file")    \
+  X(std::int64_t, checkpoint_every, 0, kRun, "checkpoint period; 0 = off")  \
+  X(bool, numeric_guard, true, kRun, "roll back on divergence")             \
+  X(float, grad_norm_limit, 1e8F, kRun, "divergent grad norm; <= 0 = off")  \
+  X(std::int64_t, max_rollbacks, 2, kRun, "rollbacks before a batch is skipped")
+
 struct TrainLoopConfig {
-  std::int64_t warmup_steps = 10;
-  float clip_norm = 1.0F;
-  float min_lr_fraction = 0.1F;
-  AdamWConfig optimizer{.lr = 1e-3F};
-  std::uint64_t seed = 2;
-  std::int64_t log_every = 0;  // 0 disables progress logging
-
-  // Mid-run crash safety: every `checkpoint_every` steps the trainable
-  // parameters, optimizer moments, RNG state, and step counter are written
-  // atomically to `checkpoint_path`; a restarted run resumes from the last
-  // checkpoint and produces bit-identical final weights. Both fields must be
-  // set to enable it. Deliberately excluded from result-identity hashes —
-  // checkpointing never changes what is computed, only how it survives.
-  std::filesystem::path checkpoint_path;
-  std::int64_t checkpoint_every = 0;
-
-  // Numeric-divergence guard: a non-finite loss, or a pre-clip gradient norm
-  // that is non-finite or exceeds grad_norm_limit, restores the loop's last
-  // in-memory snapshot (taken on the checkpoint cadence) and replays. After
-  // max_rollbacks repeats at the same step the offending batch is skipped
-  // and the LR scale halved instead. Excluded from result-identity hashes:
-  // the guard changes nothing unless divergence actually fires, and a
-  // transient divergence replays to bit-identical weights.
-  bool numeric_guard = true;
-  float grad_norm_limit = 1e8F;   // <= 0 disables the norm check
-  std::int64_t max_rollbacks = 2;
+  SDD_CONFIG_FIELDS(SDD_TRAIN_LOOP_FIELDS)
 };
 
 // Draws one batch from the loop's RNG and returns its scalar loss, still on
@@ -88,6 +92,11 @@ TrainStats train_loop(std::string_view label, nn::ParamList params,
                       std::int64_t steps, std::uint64_t run_hash,
                       const TrainLoopConfig& config, const BatchLoss& batch_loss);
 
+#define SDD_PRETRAIN_FIELDS(X)                                                \
+  X(std::int64_t, steps, 1200, kKey, "optimizer steps")                     \
+  X(std::int64_t, batch_size, 8, kKey, "windows per step")                  \
+  X(std::int64_t, seq_len, 80, kKey, "tokens per window")
+
 struct PretrainConfig : TrainLoopConfig {
   PretrainConfig() {
     warmup_steps = 50;
@@ -96,18 +105,20 @@ struct PretrainConfig : TrainLoopConfig {
     log_every = 100;
   }
 
-  std::int64_t steps = 1200;
-  std::int64_t batch_size = 8;
-  std::int64_t seq_len = 80;
+  SDD_CONFIG_FIELDS_AFTER(TrainLoopConfig, SDD_PRETRAIN_FIELDS)
 };
 
 TrainStats pretrain(nn::TransformerLM& model, std::span<const data::TokenId> stream,
                     const PretrainConfig& config);
 
+// Actual steps = min(max_steps, epochs * examples / batch_size).
+#define SDD_SFT_FIELDS(X)                                                     \
+  X(std::int64_t, epochs, 3, kKey, "passes over the dataset")               \
+  X(std::int64_t, max_steps, 400, kKey, "hard cap on optimizer steps")      \
+  X(std::int64_t, batch_size, 8, kKey, "examples per step")
+
 struct SftTrainConfig : TrainLoopConfig {
-  std::int64_t epochs = 3;
-  std::int64_t max_steps = 400;   // hard cap; actual steps = min(cap, epochs*n/batch)
-  std::int64_t batch_size = 8;
+  SDD_CONFIG_FIELDS_AFTER(TrainLoopConfig, SDD_SFT_FIELDS)
 
   // Optimizer steps over a dataset of `examples` examples.
   std::int64_t steps_for(std::int64_t examples) const {
@@ -115,17 +126,7 @@ struct SftTrainConfig : TrainLoopConfig {
                     epochs * std::max<std::int64_t>(1, examples / batch_size));
   }
 
-  std::uint64_t hash() const {
-    std::uint64_t h = optimizer.hash();
-    h = fnv1a_value(epochs, h);
-    h = fnv1a_value(max_steps, h);
-    h = fnv1a_value(batch_size, h);
-    h = fnv1a_value(warmup_steps, h);
-    h = fnv1a_value(clip_norm, h);
-    h = fnv1a_value(min_lr_fraction, h);
-    h = fnv1a_value(seed, h);
-    return h;
-  }
+  std::uint64_t hash() const { return config::hash(*this); }
 };
 
 // `batch_size` examples drawn uniformly (with replacement) and packed.

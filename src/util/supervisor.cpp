@@ -5,7 +5,6 @@
 #include <mutex>
 #include <thread>
 
-#include "util/env.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -91,15 +90,6 @@ void backoff_sleep(const SupervisorConfig& config, std::chrono::milliseconds del
 }
 
 }  // namespace
-
-SupervisorConfig SupervisorConfig::from_env() {
-  SupervisorConfig config;
-  config.retry_max = env_int("SDD_RETRY_MAX", config.retry_max);
-  config.backoff_ms = env_int("SDD_BACKOFF_MS", config.backoff_ms);
-  config.deadline_ms = env_int("SDD_STAGE_DEADLINE_SEC", 0) * 1000;
-  config.hang_ms = env_int("SDD_STAGE_HANG_SEC", 0) * 1000;
-  return config;
-}
 
 std::int64_t backoff_delay_ms(const SupervisorConfig& config,
                               std::string_view stage, std::int64_t attempt) {

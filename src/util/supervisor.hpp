@@ -17,9 +17,8 @@
 // failure. With both thresholds at 0 no thread is spawned and heartbeat() is
 // a single thread-local load — supervision is free when disabled.
 //
-// Env knobs (read by SupervisorConfig::from_env, registered in util/env
-// docs): SDD_RETRY_MAX, SDD_BACKOFF_MS, SDD_STAGE_DEADLINE_SEC,
-// SDD_STAGE_HANG_SEC.
+// Env knobs: PipelineConfig::standard() binds SDD_RETRY_MAX, SDD_BACKOFF_MS,
+// SDD_STAGE_DEADLINE_SEC and SDD_STAGE_HANG_SEC (core::kPipelineEnv).
 #pragma once
 
 #include <chrono>
@@ -31,25 +30,25 @@
 #include <type_traits>
 #include <utility>
 
+#include "util/config.hpp"
 #include "util/error.hpp"
 
 namespace sdd::supervisor {
 
+#define SDD_SUPERVISOR_FIELDS(X)                                              \
+  X(std::int64_t, retry_max, 3, kRun, "retries after the first attempt")    \
+  X(std::int64_t, backoff_ms, 100, kRun, "base delay before the first retry") \
+  X(double, backoff_factor, 2.0, kRun, "exponential growth per retry")      \
+  X(std::int64_t, backoff_cap_ms, 10'000, kRun, "backoff ceiling")          \
+  X(std::int64_t, deadline_ms, 0, kRun, "whole-stage wall-clock budget; 0 = off") \
+  X(std::int64_t, hang_ms, 0, kRun, "max heartbeat silence; 0 = off")       \
+  X(std::uint64_t, jitter_seed, 0x5DDB0FF5ULL, kRun, "backoff jitter seed")
+
 struct SupervisorConfig {
-  std::int64_t retry_max = 3;         // retries after the first attempt
-  std::int64_t backoff_ms = 100;      // base delay before the first retry
-  double backoff_factor = 2.0;        // exponential growth per retry
-  std::int64_t backoff_cap_ms = 10'000;
-  std::int64_t deadline_ms = 0;       // whole-stage wall-clock budget; 0 = off
-  std::int64_t hang_ms = 0;           // max heartbeat silence; 0 = off
-  std::uint64_t jitter_seed = 0x5DDB0FF5ULL;
+  SDD_CONFIG_FIELDS(SDD_SUPERVISOR_FIELDS)
 
   // Test seam: invoked for backoff waits instead of a real sleep when set.
-  std::function<void(std::chrono::milliseconds)> sleep_fn;
-
-  // SDD_RETRY_MAX=3, SDD_BACKOFF_MS=100, SDD_STAGE_DEADLINE_SEC=0,
-  // SDD_STAGE_HANG_SEC=0.
-  static SupervisorConfig from_env();
+  std::function<void(std::chrono::milliseconds)> sleep_fn{};
 
   bool watchdog_enabled() const { return deadline_ms > 0 || hang_ms > 0; }
 };

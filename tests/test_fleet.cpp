@@ -21,6 +21,8 @@
 
 #include "fleet/orchestrator.hpp"
 #include "fleet/queue.hpp"
+#include "fleet/stages.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/proc.hpp"
@@ -81,6 +83,58 @@ TEST(FleetTaskSpec, SerializeParseRoundTrip) {
   TaskSpec bad = parsed;
   bad.fields["size"] = "not-a-number";
   EXPECT_THROW(bad.field_int("size"), Error);
+}
+
+// Seeded mutation fuzz of task files: every mutant parses, and field() and
+// field_int() return or throw Error{fatal}.
+TEST(FleetTaskSpec, MutatedSpecsParseOrThrowFatal) {
+  eval::SuiteSpec spec;
+  spec.task_seed = ~0ULL;
+  TaskSpec distill = make_task("distill_gsm8k_32");
+  distill.fields["size"] = "32";
+  const std::vector<std::string> corpus{
+      eval_cell("arc_c", "/m/model.bin", "/m/arc_c.metric", spec, 42).serialize(),
+      distill.serialize()};
+  Rng rng{0x7A5C};
+  std::int64_t read = 0;
+  std::int64_t fatal = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const TaskSpec task = TaskSpec::parse("fuzz", testing::mutate_bytes(corpus, rng));
+    for (const char* key : {"kind", "size", "spec.mc_items", "world_seed"}) {
+      try {
+        task.field(key);
+        task.field_int(key);
+        ++read;
+      } catch (const Error& e) {
+        ASSERT_EQ(e.kind(), ErrorKind::kFatal);
+        ++fatal;
+      }
+    }
+  }
+  EXPECT_GT(read, 1'000);
+  EXPECT_GT(fatal, 1'000);
+}
+
+// Seeds travel in their typed text form: an unsigned seed at or above 2^63
+// reaches the worker intact instead of failing the cell.
+TEST(FleetStages, EvalCellCarriesSeedsFromTwoToThe63) {
+  TempDir tmp;
+  const nn::TransformerLM model{testing::tiny_real_vocab_config(1), 17};
+  model.save(tmp.path() / "model.bin");
+  eval::SuiteSpec spec;
+  spec.mc_items = 3;
+  spec.gen_items = 2;
+  spec.task_seed = (1ULL << 63) | 5;
+  spec.options.seed = (1ULL << 63) | 7;
+  const std::uint64_t world_seed = (1ULL << 63) | 9;
+  execute_task(eval_cell("arc_c", tmp.path() / "model.bin", tmp.path() / "arc_c.metric",
+                         spec, world_seed));
+  const eval::TaskResult result = read_metric(tmp.path() / "arc_c.metric");
+  const eval::TaskResult direct =
+      eval::evaluate_named_task(model, data::World{world_seed}, "arc_c", spec);
+  EXPECT_EQ(result.n_items, 3);
+  EXPECT_EQ(result.n_correct, direct.n_correct);
+  EXPECT_EQ(result.accuracy, direct.accuracy);
 }
 
 TEST(FleetQueue, LifecycleCountsAndIdempotentEnqueue) {

@@ -134,7 +134,8 @@ TEST(RemoteReplicaFork, ServesBitIdenticalAcrossProcessBoundary) {
   const std::string path = (tmp.path() / "full.bin").string();
   model.save(path);
 
-  RemoteReplica replica{"full", path, fork_config(), [](const std::string&) {}};
+  RemoteReplica replica{"full", path, fork_config(), serve::ServerConfig{},
+                        [](const std::string&) {}};
   ASSERT_TRUE(wait_until([&] { return replica.ready(); }, 30s));
   EXPECT_GT(replica.cost(), 0);
   EXPECT_GT(replica.pid(), 1);
@@ -159,7 +160,7 @@ TEST(RemoteReplicaFork, Kill9FailsTicketsOverAndRespawns) {
   model.save(path);
 
   std::atomic<int> deaths{0};
-  RemoteReplica replica{"full", path, fork_config(),
+  RemoteReplica replica{"full", path, fork_config(), serve::ServerConfig{},
                         [&](const std::string&) { ++deaths; }};
   ASSERT_TRUE(wait_until([&] { return replica.ready(); }, 30s));
   const std::int64_t first_pid = replica.pid();
@@ -202,7 +203,7 @@ TEST(RemoteReplicaFork, LeaseExpiryDetectsWedgedWorker) {
   RemoteReplicaConfig config = fork_config();
   config.lease_ms = 250;
   std::atomic<int> deaths{0};
-  RemoteReplica replica{"full", path, config,
+  RemoteReplica replica{"full", path, config, serve::ServerConfig{},
                         [&](const std::string&) { ++deaths; }};
   ASSERT_TRUE(wait_until([&] { return replica.ready(); }, 30s));
   const std::int64_t first_pid = replica.pid();
@@ -236,7 +237,7 @@ TEST(RemoteReplicaFork, SwapModelDrainsAndServesNewWeights) {
   v2.save(path_v2);
 
   std::atomic<int> deaths{0};
-  RemoteReplica replica{"full", path_v1, fork_config(),
+  RemoteReplica replica{"full", path_v1, fork_config(), serve::ServerConfig{},
                         [&](const std::string&) { ++deaths; }};
   ASSERT_TRUE(wait_until([&] { return replica.ready(); }, 30s));
 
@@ -304,7 +305,8 @@ TEST(RemoteReplicaFork, NonTerminalResponseStateCountsAsWorkerLost) {
     return static_cast<std::int64_t>(pid);
   };
 
-  RemoteReplica replica{"fake", "unused.bin", config, [](const std::string&) {}};
+  RemoteReplica replica{"fake", "unused.bin", config, serve::ServerConfig{},
+                        [](const std::string&) {}};
   ASSERT_TRUE(wait_until([&] { return replica.ready(); }, 30s));
   auto ticket = replica.submit(request_for(0));
   ASSERT_TRUE(ticket->wait_for(kWait));
@@ -361,7 +363,8 @@ TEST(RemoteReplicaFork, OutOfRangeStateOrErrorByteCountsAsWorkerLost) {
       return static_cast<std::int64_t>(pid);
     };
 
-    RemoteReplica replica{"fake", "unused.bin", config, [](const std::string&) {}};
+    RemoteReplica replica{"fake", "unused.bin", config, serve::ServerConfig{},
+                        [](const std::string&) {}};
     ASSERT_TRUE(wait_until([&] { return replica.ready(); }, 30s));
     auto ticket = replica.submit(request_for(0));
     ASSERT_TRUE(ticket->wait_for(kWait));
@@ -498,6 +501,52 @@ TEST(RemoteRouterFork, KilledWorkerFailsOverAndProbesBack) {
   EXPECT_GE(snapshot_of("full").restarts, 1);
   EXPECT_GE(snapshot_of("full").stats.breaker_opens, 1);
 
+  router.shutdown();
+}
+
+// A cross-process worker serves with the router's ServerConfig, not with
+// defaults rebuilt from its environment: a one-slot server with a one-deep
+// queue rejects most of a burst that the default 8 slots and 64-deep queue
+// would take whole.
+TEST(RemoteRouterFork, WorkerServesWithTheRoutersServerConfig) {
+  TempDir tmp;
+  const nn::TransformerLM full{tiny_config(), 907};
+  const std::string path = (tmp.path() / "full.bin").string();
+  full.save(path);
+
+  RouterConfig config;
+  config.failover_max = 0;
+  config.cross_process = true;
+  config.remote = fork_config();
+  config.server.queue_capacity = 1;
+  config.server.max_batch = 1;
+  std::vector<VariantSpec> variants;
+  variants.push_back({"full", {}, 0.9, path, 1});
+  VariantRouter router{std::move(variants), config};
+  ASSERT_TRUE(wait_until([&] { return router.replicas()[0].pid > 1; }, 30s));
+
+  std::vector<serve::RouteTicketPtr> tickets;
+  for (std::uint64_t salt = 0; salt < 32; ++salt) {
+    RouteRequest route;
+    route.request = request_for(salt);
+    route.request.max_new_tokens = 40;
+    tickets.push_back(router.submit(route));
+  }
+  std::int64_t rejected = 0;
+  for (std::uint64_t salt = 0; salt < tickets.size(); ++salt) {
+    ASSERT_TRUE(tickets[salt]->wait_for(kWait)) << "request " << salt;
+    const serve::Response& response = tickets[salt]->wait().response;
+    if (response.state == RequestState::kRejected) {
+      ++rejected;
+    } else {
+      ASSERT_EQ(response.state, RequestState::kCompleted) << response.message;
+      Request request = request_for(salt);
+      request.max_new_tokens = 40;
+      EXPECT_EQ(response.tokens, reference_tokens(full, request));
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, 32);
   router.shutdown();
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.hpp"
 #include "util/error.hpp"
 #include "util/supervisor.hpp"
 
@@ -268,9 +269,9 @@ TEST(Supervisor, NestedStagesRestoreOuterContext) {
 }
 
 TEST(Supervisor, FromEnvDefaults) {
-  // Guard against accidental default drift; env overrides are covered by the
-  // fault-soak script which exports the SDD_* knobs.
-  const SupervisorConfig config = SupervisorConfig::from_env();
+  // Guard against accidental default drift; the env overrides are covered by
+  // ConfigEnv.EveryBoundNameSetsItsField.
+  const SupervisorConfig config = core::PipelineConfig::standard().supervise;
   EXPECT_EQ(config.retry_max, 3);
   EXPECT_EQ(config.backoff_ms, 100);
   EXPECT_EQ(config.deadline_ms, 0);
