@@ -284,6 +284,112 @@ BENCHMARK(BM_DecodeBatch)
     ->ArgsProduct({{0, 1, 2}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMicrosecond);
 
+// One scheduler-shaped speculative round over S greedy slots at the
+// wide_spec shape: the d256 / 8-layer / d_ff 512 target with blocks 2-5
+// zeroed, so its pruned(2, 4) draft agrees exactly (acceptance 1.0), and
+// k = 4. The round runs the DecodeSession phases the way
+// InferenceServer::step_slots does: draft step j of every slot shares draft
+// pass j, and every verify span shares one target pass. A slot that spent
+// its 40-token budget is replaced, untimed, by a freshly prefilled one.
+// us_per_token is round time per emitted token.
+void BM_SpecServeRound(benchmark::State& state) {
+  nn::ModelConfig config = bench_config();
+  config.d_model = 256;
+  config.n_layers = 8;
+  config.d_ff = 512;
+  nn::TransformerLM target{config, 1};
+  for (std::size_t b = 2; b < 6; ++b) {
+    for (Tensor* w : {&target.block(b).attention().wo().weight(),
+                      &target.block(b).mlp().w_down().weight()}) {
+      for (auto& v : w->data()) v = 0.0F;
+    }
+  }
+  const nn::TransformerLM draft = target.pruned(2, 4);
+  nn::GenerateOptions options;
+  options.max_new_tokens = 40;
+  options.temperature = 0.0F;
+  Rng rng{9};
+  std::vector<nn::DecodeSession> sessions;
+
+  using Segment = nn::TransformerLM::DecodeSegment;
+  std::vector<Segment> segments;
+  std::vector<nn::DecodeSession*> joined;
+  const auto round = [&] {
+    for (nn::DecodeSession& session : sessions) session.advance();
+    while (true) {
+      segments.clear();
+      joined.clear();
+      for (nn::DecodeSession& session : sessions) {
+        if (session.done()) continue;
+        if (const auto segment = session.draft_segment()) {
+          segments.push_back(*segment);
+          joined.push_back(&session);
+        }
+      }
+      if (segments.empty()) break;
+      auto logits = draft.decode_batch(segments);
+      for (std::size_t j = 0; j < joined.size(); ++j) {
+        joined[j]->set_draft_logits(std::move(logits[j]));
+      }
+    }
+    segments.clear();
+    joined.clear();
+    for (nn::DecodeSession& session : sessions) {
+      if (session.done()) continue;
+      segments.push_back(session.verify_segment());
+      joined.push_back(&session);
+    }
+    auto logits = target.decode_batch(segments);
+    for (std::size_t j = 0; j < joined.size(); ++j) {
+      joined[j]->set_logits(std::move(logits[j]));
+    }
+  };
+  const auto emitted = [&] {
+    std::int64_t total = 0;
+    for (const nn::DecodeSession& session : sessions) {
+      total += session.spec_counters()->emitted();
+    }
+    return total;
+  };
+
+  NoGradGuard no_grad;
+  std::int64_t tokens = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (sessions.empty() || sessions.front().done()) {
+      // Every slot runs the same budget at acceptance 1.0, so they finish
+      // together; restart all of them and prefill outside the timing.
+      sessions.clear();
+      for (std::int64_t slot = 0; slot < state.range(0); ++slot) {
+        std::vector<std::int32_t> prompt(24);
+        for (auto& id : prompt) {
+          id = static_cast<std::int32_t>(rng.uniform_int(0, config.vocab_size - 1));
+        }
+        sessions.emplace_back(target, prompt, options, std::vector<std::int32_t>{}, 0,
+                              &draft, 4);
+      }
+      round();
+    }
+    const std::int64_t before = emitted();
+    state.ResumeTiming();
+    round();
+    const std::int64_t after = emitted();
+    benchmark::DoNotOptimize(after);
+    tokens += after - before;
+  }
+  state.SetItemsProcessed(tokens);
+  state.counters["us_per_token"] = benchmark::Counter(
+      static_cast<double>(tokens) * 1e-6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SpecServeRound)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PruneMetric(benchmark::State& state) {
   const nn::TransformerLM model{bench_config(), 1};
   const data::World world{42};

@@ -99,34 +99,54 @@ std::optional<TransformerLM::DecodeSegment> DecodeSession::advance() {
         fed_, std::min(prefill_chunk_, prompt_.size() - fed_));
     fed_ += chunk.size();
     if (!spec_) return TransformerLM::DecodeSegment{&state_, chunk};
-    spec_->prefill_span(chunk);
+    spec_->begin_prefill(chunk);
     return std::nullopt;
   }
   const auto remaining = budget_ - static_cast<std::int64_t>(generated_.size());
   done_ = remaining <= 0;
   if (done_) return std::nullopt;
-  // Keeps `token` unless it is in the stop set, which ends the session.
-  const auto keep = [this](std::int32_t token) {
-    done_ = std::ranges::find(stop_, token) != stop_.end();
-    if (!done_) generated_.push_back(token);
-    return !done_;
-  };
-  if (!spec_) {
-    if (!keep(sample_token(logits_, temperature_, rng_))) return std::nullopt;
-  } else {
-    // A round emits the target's greedy choices in order, so the stop set
-    // and budget see exactly the sequence a plain session produces.
-    for (const std::int32_t token : spec_->round(remaining)) {
-      if (!keep(token)) return std::nullopt;
-    }
+  if (spec_) {
+    spec_->begin_round(remaining);
+    return std::nullopt;
   }
+  if (!keep(sample_token(logits_, temperature_, rng_))) return std::nullopt;
   // The token that spends the budget is never fed.
   done_ = static_cast<std::int64_t>(generated_.size()) >= budget_;
-  if (done_ || spec_) return std::nullopt;
+  if (done_) return std::nullopt;
   return TransformerLM::DecodeSegment{&state_, {&generated_.back(), 1}};
 }
 
+bool DecodeSession::keep(std::int32_t token) {
+  done_ = std::ranges::find(stop_, token) != stop_.end();
+  if (!done_) generated_.push_back(token);
+  return !done_;
+}
+
+std::optional<TransformerLM::DecodeSegment> DecodeSession::draft_segment() {
+  return spec_ ? spec_->draft_segment() : std::nullopt;
+}
+
+void DecodeSession::set_draft_logits(std::vector<float> logits) {
+  spec_->set_draft_logits(std::move(logits));
+}
+
+TransformerLM::DecodeSegment DecodeSession::verify_segment() {
+  return spec_->verify_segment();
+}
+
 void DecodeSession::set_logits(std::vector<float> logits) {
+  if (spec_) {
+    // A round emits the target's greedy choices in order, so the stop set
+    // and budget see exactly the sequence a plain session produces.
+    const std::vector<std::int32_t> emitted = spec_->set_verify_logits(std::move(logits));
+    for (const std::int32_t token : emitted) {
+      if (!keep(token)) return;
+    }
+    if (!emitted.empty()) {
+      done_ = static_cast<std::int64_t>(generated_.size()) >= budget_;
+    }
+    return;
+  }
   logits_ = std::move(logits);
   if (prefix_cache_ == nullptr) return;
   for (; (published_ + 1) * prefix_cache_->chunk() <= fed_; ++published_) {
@@ -137,9 +157,14 @@ void DecodeSession::set_logits(std::vector<float> logits) {
 std::vector<std::int32_t> DecodeSession::run() {
   NoGradGuard no_grad;
   while (!done_) {
-    if (const auto segment = advance()) {
-      set_logits(std::move(model_->decode_batch({&*segment, 1}).front()));
+    std::optional<TransformerLM::DecodeSegment> segment = advance();
+    if (spec_ && !done_) {
+      while (const auto draft = draft_segment()) {
+        set_draft_logits(std::move(spec_->draft().decode_batch({&*draft, 1}).front()));
+      }
+      segment = verify_segment();
     }
+    if (segment) set_logits(std::move(model_->decode_batch({&*segment, 1}).front()));
   }
   return take_generated();
 }

@@ -41,12 +41,17 @@ std::int32_t sample_token(std::span<const float> logits, float temperature,
 // generative eval and every serving slot: prompt chunks of `prefill_chunk`
 // tokens (0 = whole prompt), sampling seeded from options.seed, the stop set
 // `stop` (not emitted) and the budget min(max_new_tokens, max_seq_len -
-// prompt). Each advance() is one step: cancellation check, heartbeat,
+// prompt). Each advance() opens one step: cancellation check, heartbeat,
 // fault::on_decode_token, then a prompt chunk or a sampled token, whose
 // segment the caller runs (alone or in a shared decode_batch) and answers
 // with set_logits(). With a `draft` (greedy only, `k` proposals per round)
-// the session steps itself: a prefill chunk or a draft/verify round. Throws
-// std::invalid_argument on an empty prompt or a sampled draft.
+// a step is a prefill chunk or a draft/verify round, run in phases: the
+// caller feeds draft_segment() to the draft model until it returns nothing,
+// answering each with set_draft_logits(), then runs verify_segment() on the
+// target and answers it with set_logits(), which emits the round's tokens.
+// run() drives exactly these phases one segment at a time; a server batches
+// each phase across its slots. Throws std::invalid_argument on an empty
+// prompt or a sampled draft.
 //
 // A plain session given a `prefix_cache` of the same model starts from the
 // longest cached chain of its prompt, at most (prompt - 1) / chunk chunks,
@@ -66,13 +71,24 @@ class DecodeSession {
   DecodeSession& operator=(DecodeSession&&) noexcept;
   ~DecodeSession();
 
-  // The segment to run (valid until the session moves or advances), or
-  // nothing when the session stepped itself or is done().
+  // Open the next step. Returns the segment to run (valid until the session
+  // moves or advances), or nothing when the session is done() or drafts.
   std::optional<TransformerLM::DecodeSegment> advance();
+  // Drafting sessions, after an advance() that left them running: the
+  // step's next draft segment, or nothing once the draft is done; then the
+  // step's target segment (no tokens when the step needs no pass: answer it
+  // with empty logits).
+  std::optional<TransformerLM::DecodeSegment> draft_segment();
+  void set_draft_logits(std::vector<float> logits);
+  TransformerLM::DecodeSegment verify_segment();
+  // Answers the step's target segment. A drafting session emits its round
+  // here and may finish; it throws Error{kNumericDivergence} on non-finite
+  // target logits when its NaN guard is on.
   void set_logits(std::vector<float> logits);
   // Step to completion, one segment per pass; returns the generated tokens.
   std::vector<std::int32_t> run();
 
+  bool drafting() const { return spec_ != nullptr; }
   bool done() const { return done_; }
   // Done because options.cancel fired; the output is partial.
   bool cancelled() const { return cancelled_; }
@@ -84,6 +100,9 @@ class DecodeSession {
   std::size_t prefill_reused() const { return reused_; }
 
  private:
+  // Keeps `token` unless it is in the stop set, which ends the session.
+  bool keep(std::int32_t token);
+
   const TransformerLM* model_;
   std::vector<std::int32_t> prompt_;
   std::vector<std::int32_t> stop_;

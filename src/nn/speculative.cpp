@@ -4,10 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/supervisor.hpp"
 
 namespace sdd::nn {
 namespace {
@@ -46,23 +46,12 @@ std::int32_t SpeculativeSession::greedy(std::span<const float> logits) {
   return sample_token(logits, /*temperature=*/0.0F, rng_);
 }
 
-void SpeculativeSession::prefill_span(std::span<const std::int32_t> tokens) {
-  if (tokens.empty()) return;
-  if (pending_ >= 0) {
-    throw std::logic_error("speculative prefill: the prompt must precede every round");
-  }
-  target_logits_ = target_.prefill(target_state_, tokens);
-  if (nan_guard_ && has_nonfinite(target_logits_)) {
-    throw Error(ErrorKind::kNumericDivergence,
-                "speculative: non-finite target logits during prefill");
-  }
-  draft_logits_ = draft_.prefill(draft_state_, tokens);
-  // The draft poison schedule advances once per fed token, as it does in
-  // decode_step feeds, but only the final token's verdict survives (its
-  // logits are the only ones kept). Consume one slot per token and honor
-  // the last, so fault ordinals do not depend on how a prompt is chunked.
+void SpeculativeSession::poison_draft_logits(std::size_t fed_tokens) {
+  // The draft poison schedule advances once per fed token, but only the
+  // final token's verdict survives (its logits are the only ones kept), so
+  // fault ordinals do not depend on how a prompt is chunked.
   bool poison = false;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
+  for (std::size_t i = 0; i < fed_tokens; ++i) {
     poison = fault::should_poison_draft_logits();
   }
   if (poison && !draft_logits_.empty()) {
@@ -70,7 +59,16 @@ void SpeculativeSession::prefill_span(std::span<const std::int32_t> tokens) {
   }
 }
 
-std::vector<std::int32_t> SpeculativeSession::round(std::int64_t remaining) {
+void SpeculativeSession::begin_prefill(std::span<const std::int32_t> chunk) {
+  if (!chunk.empty() && counters_.rounds > 0) {
+    throw std::logic_error("speculative prefill: the prompt must precede every round");
+  }
+  prefill_ = true;
+  chunk_ = chunk;
+  lead_drafted_ = false;
+}
+
+void SpeculativeSession::begin_round(std::int64_t remaining) {
   if (remaining <= 0) {
     throw std::logic_error("speculative round: no token budget remaining");
   }
@@ -78,99 +76,98 @@ std::vector<std::int32_t> SpeculativeSession::round(std::int64_t remaining) {
     throw std::logic_error("speculative round: prefill the prompt first");
   }
   ++counters_.rounds;
-  const std::int32_t vocab =
-      static_cast<std::int32_t>(target_.config().vocab_size);
-
+  prefill_ = false;
+  lead_drafted_ = false;
   // The draft must consume last round's token before it can propose, but the
-  // target's copy of that step rides at the front of the verify span below —
-  // folding it into the batched pass saves a full sequential target forward
-  // per round, and decode_span makes the fold bitwise-invisible.
-  const std::int32_t owed = pending_;
-  pending_ = -1;
-  if (owed >= 0) {
-    draft_logits_ = draft_.decode_step(draft_state_, owed);
-    if (fault::should_poison_draft_logits() && !draft_logits_.empty()) {
-      draft_logits_[0] = std::numeric_limits<float>::quiet_NaN();
-    }
-  }
-
+  // target's copy of that step rides at the front of the verify span —
+  // folding it into the one target segment saves a full sequential target
+  // forward per round, and the span makes the fold bitwise-invisible.
+  span_.clear();
+  if (owed_ >= 0) span_.push_back(owed_);
+  draft_base_ = draft_state_.position + static_cast<std::int64_t>(span_.size());
   // A round always ends with one non-draft token (correction or bonus), so
   // the draft may propose at most remaining-1. With no headroom — or after
-  // a draft numeric fault below — the round degrades to exactly the step
+  // a draft numeric fault — the round degrades to exactly the step
   // nn::generate would take.
-  const std::int64_t width = std::min<std::int64_t>(k_, remaining - 1);
+  width_ = std::min<std::int64_t>(k_, remaining - 1);
+  draft_ok_ = width_ > 0;
+}
 
-  std::vector<std::int32_t> proposal;
-  bool draft_ok = width > 0;
-  const std::int64_t draft_base = draft_state_.position;
-  if (draft_ok) {
-    proposal.reserve(static_cast<std::size_t>(width));
-    for (std::int64_t i = 0; i < width; ++i) {
-      supervisor::heartbeat();
-      if (has_nonfinite(draft_logits_)) {
-        draft_ok = false;
-        break;
-      }
-      std::int32_t token = greedy(draft_logits_);
-      token = fault::corrupt_draft_token(token, vocab);
-      proposal.push_back(token);
-      draft_logits_ = draft_.decode_step(draft_state_, token);
-      if (fault::should_poison_draft_logits() && !draft_logits_.empty()) {
-        draft_logits_[0] = std::numeric_limits<float>::quiet_NaN();
-      }
-    }
+std::optional<TransformerLM::DecodeSegment> SpeculativeSession::draft_segment() {
+  if (!lead_drafted_) {
+    lead_drafted_ = true;
+    if (prefill_ && !chunk_.empty()) return DecodeSegment{&draft_state_, chunk_};
+    if (!prefill_ && owed_ >= 0) return DecodeSegment{&draft_state_, {span_.data(), 1}};
   }
-
-  if (width > 0 && !draft_ok) {
+  if (prefill_ || !draft_ok_ || proposals() >= width_) return std::nullopt;
+  if (has_nonfinite(draft_logits_)) {
     // The draft diverged mid-proposal: discard the round, rewind the draft,
-    // and emit one token from the target alone. The target never consumed a
+    // and emit one token from the target alone. The target never consumes a
     // poisoned proposal, so the output is untouched.
-    draft_state_.rollback(draft_base);
+    draft_ok_ = false;
+    draft_state_.rollback(draft_base_);
     ++counters_.draft_fallbacks;
+    return std::nullopt;
   }
+  const auto vocab = static_cast<std::int32_t>(target_.config().vocab_size);
+  span_.push_back(fault::corrupt_draft_token(greedy(draft_logits_), vocab));
+  return DecodeSegment{&draft_state_, {&span_.back(), 1}};
+}
 
-  if (width <= 0 || !draft_ok) {
-    // Target-only step: settle the owed token sequentially, then emit.
-    if (owed >= 0) {
-      target_logits_ = target_.decode_step(target_state_, owed);
-      if (nan_guard_ && has_nonfinite(target_logits_)) {
-        throw Error(ErrorKind::kNumericDivergence,
-                    "speculative: non-finite target logits during decode");
-      }
+void SpeculativeSession::set_draft_logits(std::vector<float> logits) {
+  draft_logits_ = std::move(logits);
+  poison_draft_logits(prefill_ ? chunk_.size() : 1);
+}
+
+TransformerLM::DecodeSegment SpeculativeSession::verify_segment() {
+  if (prefill_) return {&target_state_, chunk_};
+  // With the owed token in front, row 0 of a verify span is the target's
+  // logits after consuming it (the basis predicting the first proposal,
+  // bitwise what a sequential decode_step(owed) would return).
+  if (verifying()) return {&target_state_, span_, /*all_logits=*/true};
+  // Target-only step: settle the owed token, if any, then emit.
+  return {&target_state_, std::span{span_}.first(owed_ >= 0 ? 1 : 0)};
+}
+
+std::vector<std::int32_t> SpeculativeSession::set_verify_logits(std::vector<float> rows) {
+  const auto check = [this](std::span<const float> values, const char* phase) {
+    if (nan_guard_ && has_nonfinite(values)) {
+      throw Error(ErrorKind::kNumericDivergence,
+                  std::string{"speculative: non-finite target logits during "} + phase);
     }
-    const std::int32_t next = greedy(target_logits_);
+  };
+  if (prefill_) {
+    if (chunk_.empty()) return {};
+    target_logits_ = std::move(rows);
+    check(target_logits_, "prefill");
+    return {};
+  }
+  if (!verifying()) {
+    if (owed_ >= 0) {
+      target_logits_ = std::move(rows);
+      check(target_logits_, "decode");
+    }
+    owed_ = greedy(target_logits_);
     ++counters_.solo;
-    pending_ = next;
-    return {next};
+    return {owed_};
   }
 
-  // Batched verify over [owed?, proposal...]: with the owed token in front,
-  // rows[0] is the target's logits after consuming it (the basis predicting
-  // proposal[0], bitwise what a sequential decode_step(owed) would return)
-  // and rows[offset + i] the logits after proposal[i].
-  counters_.proposed += width;
-  const std::int64_t target_base = target_state_.position;
-  std::vector<std::int32_t> span;
-  span.reserve(proposal.size() + 1);
-  if (owed >= 0) span.push_back(owed);
-  span.insert(span.end(), proposal.begin(), proposal.end());
-  const std::int64_t offset = owed >= 0 ? 1 : 0;
-  const std::vector<float> rows = target_.decode_span(target_state_, span);
-  if (nan_guard_ && has_nonfinite(rows)) {
-    throw Error(ErrorKind::kNumericDivergence,
-                "speculative: non-finite target logits during verify");
-  }
-
+  counters_.proposed += width_;
+  check(rows, "verify");
+  const std::int64_t vocab = target_.config().vocab_size;
+  const std::int64_t offset = owed_ >= 0 ? 1 : 0;
+  const std::int64_t target_base =
+      target_state_.position - static_cast<std::int64_t>(span_.size());
   std::vector<std::int32_t> emitted;
-  emitted.reserve(static_cast<std::size_t>(width) + 1);
-  // Logits predicting proposal[0]: post-owed when a token was owed, last
-  // round's (or prefill's) tail logits otherwise.
-  const float* prev =
-      offset > 0 ? rows.data() : target_logits_.data();
+  emitted.reserve(static_cast<std::size_t>(width_) + 1);
+  // Logits predicting the first proposal: post-owed when a token was owed,
+  // last round's (or prefill's) tail logits otherwise; rows[offset + i] are
+  // the logits after proposal i.
+  const float* prev = offset > 0 ? rows.data() : target_logits_.data();
   std::int64_t accepted = 0;
-  while (accepted < width) {
+  while (accepted < width_) {
     const std::int32_t expect = greedy({prev, static_cast<std::size_t>(vocab)});
-    if (proposal[static_cast<std::size_t>(accepted)] != expect) break;
+    if (span_[static_cast<std::size_t>(offset + accepted)] != expect) break;
     emitted.push_back(expect);
     prev = rows.data() + (offset + accepted) * vocab;
     ++accepted;
@@ -180,19 +177,18 @@ std::vector<std::int32_t> SpeculativeSession::round(std::int64_t remaining) {
   // `prev` is now the target's logits after the accepted prefix: its argmax
   // is the correction token on a mismatch, or the free bonus token when the
   // whole proposal survived. Either way the round nets one target token.
-  const std::int32_t next = greedy({prev, static_cast<std::size_t>(vocab)});
-  emitted.push_back(next);
-  if (accepted < width) {
+  owed_ = greedy({prev, static_cast<std::size_t>(vocab)});
+  emitted.push_back(owed_);
+  if (accepted < width_) {
     ++counters_.corrections;
     // The owed token stays consumed; only the rejected proposal tail rolls
     // back (in both caches).
     target_state_.rollback(target_base + offset + accepted);
-    draft_state_.rollback(draft_base + accepted);
+    draft_state_.rollback(draft_base_ + accepted);
   } else {
     ++counters_.bonus;
   }
   target_logits_.assign(prev, prev + vocab);
-  pending_ = next;
   return emitted;
 }
 

@@ -104,24 +104,30 @@ TransformerLM::DecodeState TransformerLM::make_decode_state() const {
 std::vector<std::vector<float>> TransformerLM::decode_batch(
     std::span<const DecodeSegment> segments) const {
   const std::vector<float> x = run_segments(segments);
+  std::vector<std::vector<float>> result(segments.size());
+  if (x.empty()) return result;
   const std::int64_t channels = config_.d_model;
-  // The LM head runs once over each segment's last row.
-  std::vector<float> last;
+  const std::int64_t vocab = config_.vocab_size;
+  // The LM head runs once over every requested row: each segment's last
+  // row, or all of them for an all_logits segment.
+  std::vector<float> picked;
   std::int64_t row = 0;
   for (const DecodeSegment& seg : segments) {
-    row += static_cast<std::int64_t>(seg.tokens.size());
-    if (seg.tokens.empty()) continue;
-    const float* hidden = x.data() + (row - 1) * channels;
-    last.insert(last.end(), hidden, hidden + channels);
+    const auto count = static_cast<std::int64_t>(seg.tokens.size());
+    row += count;
+    if (count == 0) continue;
+    const float* first = x.data() + (row - (seg.all_logits ? count : 1)) * channels;
+    picked.insert(picked.end(), first, x.data() + row * channels);
   }
-  const std::int64_t heads = static_cast<std::int64_t>(last.size()) / channels;
-  const std::vector<float> logits = head_logits(last.data(), heads);
-  std::vector<std::vector<float>> result(segments.size());
+  const std::vector<float> logits =
+      head_logits(picked.data(), static_cast<std::int64_t>(picked.size()) / channels);
   const float* next = logits.data();
   for (std::size_t s = 0; s < segments.size(); ++s) {
     if (segments[s].tokens.empty()) continue;
-    result[s].assign(next, next + config_.vocab_size);
-    next += config_.vocab_size;
+    const std::int64_t rows =
+        segments[s].all_logits ? static_cast<std::int64_t>(segments[s].tokens.size()) : 1;
+    result[s].assign(next, next + rows * vocab);
+    next += rows * vocab;
   }
   return result;
 }
@@ -139,9 +145,8 @@ std::vector<float> TransformerLM::decode_step(DecodeState& state,
 
 std::vector<float> TransformerLM::decode_span(
     DecodeState& state, std::span<const std::int32_t> tokens) const {
-  const DecodeSegment segment{&state, tokens};
-  const std::vector<float> x = run_segments({&segment, 1});
-  return head_logits(x.data(), static_cast<std::int64_t>(tokens.size()));
+  const DecodeSegment segment{&state, tokens, /*all_logits=*/true};
+  return std::move(decode_batch({&segment, 1}).front());
 }
 
 std::vector<float> TransformerLM::run_segments(

@@ -67,21 +67,25 @@ class TransformerLM {
   DecodeState make_decode_state() const;
 
   // One session's share of a batched decode pass: feed `tokens` into
-  // `state` (a prompt chunk, or the one token a decoding session sampled).
+  // `state` (a prompt chunk, the one token a decoding session sampled, or a
+  // speculative verify span). `all_logits` asks for the next-token logits
+  // after every token instead of only the last.
   struct DecodeSegment {
     DecodeState* state = nullptr;
     std::span<const std::int32_t> tokens;
+    bool all_logits = false;
   };
   // Batched decode across independent sessions: one forward pass over the
   // stacked rows of every segment. Norms, projections, SwiGLU and the LM
-  // head run once over all rows, so each weight block streams once per pass
-  // instead of once per session; RoPE, K/V writes and attention stay per
-  // segment against its own state. Returns, per segment, the next-token
-  // logits [vocab] after its last token (empty for a segment with no
-  // tokens) — bitwise-identical to prefill() on that state alone, whatever
-  // else shares the pass. Throws, leaving every state untouched, on a token
-  // out of range, a state that appears twice, or a segment that would
-  // overflow the context.
+  // head run once over all rows (the head over the requested ones), so each
+  // weight block streams once per pass instead of once per session; RoPE,
+  // K/V writes and attention stay per segment against its own state.
+  // Returns, per segment, the next-token logits [vocab] after its last token
+  // — or [tokens, vocab] row-major for an `all_logits` segment, and empty
+  // for a segment with no tokens — bitwise-identical to prefill() or
+  // decode_span() on that state alone, whatever else shares the pass.
+  // Throws, leaving every state untouched, on a token out of range, a state
+  // that appears twice, or a segment that would overflow the context.
   std::vector<std::vector<float>> decode_batch(
       std::span<const DecodeSegment> segments) const;
   // Prompt prefill: a one-segment decode_batch, returning the logits [vocab]
@@ -93,8 +97,8 @@ class TransformerLM {
   // Feed one token; returns the next-token logits [vocab].
   std::vector<float> decode_step(DecodeState& state, std::int32_t token) const;
   // Feed `tokens` consecutively and return all next-token logits as a
-  // [tokens.size(), vocab] row-major buffer — the speculative verify pass.
-  // Row t is bitwise-identical to the decode_step() of token t.
+  // [tokens.size(), vocab] row-major buffer: a one-segment decode_batch with
+  // all_logits. Row t is bitwise-identical to the decode_step() of token t.
   std::vector<float> decode_span(DecodeState& state,
                                  std::span<const std::int32_t> tokens) const;
 

@@ -559,22 +559,29 @@ void InferenceServer::retire_slot(ActiveSlot& slot, RequestState state,
   resolve(*job, state, error, std::move(message), slot.session.take_generated());
 }
 
-// One scheduler round in three phases (docs/serving.md):
+// One scheduler round in four phases (docs/serving.md):
 //   1. per slot, in slot order: DecodeSession::advance() (cancellation,
 //      heartbeat, fault hooks, sampling, stop and budget). A plain session
-//      returns its prompt chunk or sampled token as one segment of the
-//      round's batched pass; a speculative session runs its prefill chunk
-//      or draft/verify round itself. A finished session retires its slot.
-//   2. one TransformerLM::decode_batch over every queued segment, so each
-//      weight block streams once per round instead of once per slot.
-//   3. per stepped slot, in slot order: logit poisoning and the NaN guard.
-// The per-slot decode sequence is exactly nn::generate's, so a request's
-// output is bit-identical to an unloaded single-request decode regardless
-// of what else shares the round.
+//      returns its prompt chunk or sampled token as its segment of the
+//      target pass; a speculative session opens its prefill chunk or
+//      draft/verify round. A finished session retires its slot.
+//   2. draft sub-passes: pass j is one draft decode_batch over step j of
+//      every speculative slot (its prompt chunk, owed token or next
+//      proposal), so the draft runs at most k+1 passes per round.
+//   3. one target decode_batch over every plain segment and every
+//      speculative slot's prompt chunk or verify span, so each weight block
+//      streams once per round instead of once per slot; then, per slot in
+//      slot order, set_logits() (a speculative slot accepts or rolls back
+//      here, and retires when it emitted its last token).
+//   4. per stepped slot, in slot order: logit poisoning and the NaN guard.
+// A failed pass fails exactly the slots that joined it. The per-slot decode
+// sequence is exactly nn::generate's, so a request's output is
+// bit-identical to an unloaded single-request decode regardless of what
+// else shares the round.
 bool InferenceServer::step_slots() {
   if (active_.empty()) return false;
   // Retired slots leave active_ once the round is over, however it ends, so
-  // slot indices stay stable across the three phases.
+  // slot indices stay stable across the phases.
   struct Sweep {
     std::vector<ActiveSlot>& slots;
     ~Sweep() {
@@ -583,16 +590,16 @@ bool InferenceServer::step_slots() {
   } sweep{active_};
 
   std::vector<std::size_t> stepped;  // slots with fresh logits this round
-  std::vector<std::size_t> batched;  // plain slots in the batched pass
-  std::vector<nn::TransformerLM::DecodeSegment> segments;
+  // Per slot: its segment of the target pass, once known.
+  std::vector<std::optional<nn::TransformerLM::DecodeSegment>> target_segment(
+      active_.size());
   std::exception_ptr recycle;
   for (std::size_t i = 0; i < active_.size(); ++i) {
     ActiveSlot& slot = active_[i];
     detail::Job& job = *slot.job;
 
     try {
-      const std::optional<nn::TransformerLM::DecodeSegment> segment =
-          slot.session.advance();
+      target_segment[i] = slot.session.advance();
       if (slot.session.cancelled()) {
         // Token-boundary cancellation: deadline expiry or a client abandon
         // frees the slot with the partial output.
@@ -611,20 +618,17 @@ bool InferenceServer::step_slots() {
         retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
         continue;
       }
-      if (segment) {
-        batched.push_back(i);
-        segments.push_back(*segment);
-      }
       stepped.push_back(i);
     } catch (const Error& e) {
       if (e.kind() == ErrorKind::kTimeout &&
           supervisor::cancellation_requested()) {
         // The hang watchdog cancelled the worker stage while this slot was
         // stepping: fail the hung request, finish the round for the slots
-        // already queued (none may keep a sampled token without its
-        // logits), then unwind so the supervisor recycles the stage (fresh
-        // cancellation context); the surviving slots are member state and
-        // continue on the next attempt.
+        // already stepped (none may keep a sampled token or an open round
+        // without its passes and logits), then unwind so the supervisor
+        // recycles the stage (fresh cancellation context); the surviving
+        // slots are member state and continue on the next attempt. Nothing
+        // after this phase heartbeats, so the rest of the round runs.
         retire_slot(slot, RequestState::kFailed, ErrorKind::kTimeout,
                     std::string{"decode hung; worker recycled: "} + e.what());
         {
@@ -640,36 +644,89 @@ bool InferenceServer::step_slots() {
     }
   }
 
-  if (!segments.empty()) {
-    // A failed pass fails exactly the slots that joined it; speculative
-    // slots and slots that did not step this round carry on.
-    const auto fail_batched = [&](ErrorKind kind, const std::string& message) {
-      for (const std::size_t i : batched) {
-        retire_slot(active_[i], RequestState::kFailed, kind, message);
-      }
-    };
+  // One pass over `segments`, the shares of the slots in `joined`. A failed
+  // pass fails exactly those slots and returns no logits.
+  std::vector<std::size_t> joined;
+  std::vector<nn::TransformerLM::DecodeSegment> segments;
+  const auto run_pass = [&](const nn::TransformerLM& model, bool target_pass) {
+    ErrorKind kind = ErrorKind::kFatal;
+    std::string message;
     try {
-      fault::on_decode_pass();
-      std::vector<std::vector<float>> logits = model_.decode_batch(segments);
-      for (std::size_t j = 0; j < batched.size(); ++j) {
-        active_[batched[j]].session.set_logits(std::move(logits[j]));
+      if (target_pass) fault::on_decode_pass();
+      return model.decode_batch(segments);
+    } catch (const Error& e) {
+      kind = e.kind();
+      message = e.what();
+    } catch (const std::exception& e) {
+      message = e.what();
+    }
+    for (const std::size_t i : joined) {
+      retire_slot(active_[i], RequestState::kFailed, kind, message);
+    }
+    return std::vector<std::vector<float>>{};
+  };
+
+  // Draft sub-pass j: step j of every speculative slot still drafting.
+  while (true) {
+    joined.clear();
+    segments.clear();
+    for (const std::size_t i : stepped) {
+      ActiveSlot& slot = active_[i];
+      if (slot.job == nullptr) continue;
+      if (const auto segment = slot.session.draft_segment()) {
+        joined.push_back(i);
+        segments.push_back(*segment);
+      }
+    }
+    if (segments.empty()) break;
+    std::vector<std::vector<float>> logits = run_pass(*draft_, /*target_pass=*/false);
+    for (std::size_t j = 0; j < logits.size(); ++j) {
+      active_[joined[j]].session.set_draft_logits(std::move(logits[j]));
+    }
+  }
+
+  joined.clear();
+  segments.clear();
+  for (const std::size_t i : stepped) {
+    ActiveSlot& slot = active_[i];
+    if (slot.job == nullptr) continue;
+    if (slot.session.drafting()) target_segment[i] = slot.session.verify_segment();
+    // A verify segment with no tokens (a target-only step with nothing
+    // owed) emits from the logits the slot already holds.
+    if (!target_segment[i]->tokens.empty()) {
+      joined.push_back(i);
+      segments.push_back(*target_segment[i]);
+    }
+  }
+  std::vector<std::vector<float>> logits;
+  if (!segments.empty()) logits = run_pass(model_, /*target_pass=*/true);
+  std::size_t next = 0;
+  for (const std::size_t i : stepped) {
+    ActiveSlot& slot = active_[i];
+    if (slot.job == nullptr) continue;  // retired, perhaps by its failed pass
+    try {
+      slot.session.set_logits(target_segment[i]->tokens.empty()
+                                  ? std::vector<float>{}
+                                  : std::move(logits[next++]));
+      if (slot.session.done()) {
+        retire_slot(slot, RequestState::kCompleted, std::nullopt, "");
       }
     } catch (const Error& e) {
-      fail_batched(e.kind(), e.what());
+      retire_slot(slot, RequestState::kFailed, e.kind(), e.what());
     } catch (const std::exception& e) {
-      fail_batched(ErrorKind::kFatal, e.what());
+      retire_slot(slot, RequestState::kFailed, ErrorKind::kFatal, e.what());
     }
   }
 
   for (const std::size_t i : stepped) {
     ActiveSlot& slot = active_[i];
-    if (slot.job == nullptr) continue;  // its batched pass failed
-    std::vector<float>& logits = slot.session.logits();
-    if (fault::should_poison_logits() && !logits.empty()) {
-      logits[0] = std::numeric_limits<float>::quiet_NaN();
+    if (slot.job == nullptr) continue;
+    std::vector<float>& slot_logits = slot.session.logits();
+    if (fault::should_poison_logits() && !slot_logits.empty()) {
+      slot_logits[0] = std::numeric_limits<float>::quiet_NaN();
     }
     if (config_.nan_guard &&
-        std::ranges::any_of(logits, [](float v) { return !std::isfinite(v); })) {
+        std::ranges::any_of(slot_logits, [](float v) { return !std::isfinite(v); })) {
       retire_slot(slot, RequestState::kFailed, ErrorKind::kNumericDivergence,
                   "non-finite logits during decode");
     }

@@ -3,10 +3,12 @@
 // InferenceServer wraps a const model behind a bounded request queue and a
 // single scheduler thread that continuously batches admitted requests: each
 // in-flight request owns a decode slot (its own KV cache, RNG, and token
-// budget) and every round steps each slot once — a decode token, or a prompt
-// chunk of up to 32 tokens — with the plain slots' rows run as ONE batched
-// forward pass, so each weight block streams once per round while one slow
-// request never blocks the rest for more than a step. Plain slots restore
+// budget) and every round steps each slot once — a decode token, a prompt
+// chunk of up to 32 tokens, or a speculative draft/verify round — with every
+// slot's target rows (speculative verify spans included) run as ONE batched
+// forward pass and the speculative slots' draft steps batched into at most
+// k+1 draft passes, so each weight block streams once per pass while one
+// slow request never blocks the rest for more than a step. Plain slots restore
 // prompt chunks that an earlier request already computed from one shared
 // prefix cache instead of prefilling them again. Per-request determinism is
 // preserved — a request's output depends only on its prompt, seed, and

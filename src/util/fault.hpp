@@ -95,8 +95,8 @@ enum class Site : std::uint8_t {
   X(nan_decode, kOrdinal, kDecodeLogits, 0,                                     \
     "poison the logits of the Nth served decode token with NaN")                \
   X(decode_pass_fail, kOrdinal, kDecodePass, 0,                                 \
-    "the Nth batched serving decode pass throws Error{resource_exhausted}; "    \
-    "every slot in it fails")                                                   \
+    "the Nth batched serving target pass throws Error{resource_exhausted}; "    \
+    "every slot in it fails (draft passes do not count)")                       \
   X(worker_kill9, kOrdinal, kFleetClaim, 0,                                     \
     "a fleet worker raises SIGKILL right after its Nth claim; once per fleet "  \
     "run")                                                                      \

@@ -7,8 +7,10 @@
 
 #include "nn/decode.hpp"
 #include "nn/transformer.hpp"
+#include "tensor/kernels.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace sdd {
 namespace {
@@ -315,6 +317,71 @@ TEST(TransformerLM, DecodeBatchValidatesBeforeTouchingAnyState) {
   EXPECT_EQ(logits[0], model.prefill(reference, ok));
   EXPECT_TRUE(logits[1].empty());
   EXPECT_EQ(b.position, 0);
+}
+
+// One pass mixing all-row (verify span), last-row (prefill chunk or decode
+// token) and empty segments, 31 rows in all, run serially and sharded over a
+// pool: every logits row and KV cache must equal decode_span() or prefill()
+// on a clone of that state alone, bit for bit.
+TEST(TransformerLM, DecodeBatchAllRowSegmentsMatchDecodeSpan) {
+  using State = nn::TransformerLM::DecodeState;
+  const nn::TransformerLM model{tiny_config(), 65};
+  const std::int64_t vocab = model.config().vocab_size;
+  const std::int64_t channels = model.config().d_model;
+  const std::vector<std::int64_t> prefix = {5, 0, 3, 17, 9, 0};
+  const std::vector<std::int64_t> rows = {12, 9, 0, 1, 1, 8};
+  const std::vector<bool> all_rows = {true, false, true, true, false, true};
+  Rng rng{78};
+  std::vector<State> start;
+  std::vector<std::vector<std::int32_t>> feeds;
+  for (std::size_t s = 0; s < prefix.size(); ++s) {
+    start.push_back(model.make_decode_state());
+    model.prefill(start.back(), random_ids(rng, prefix[s], vocab));
+    feeds.push_back(random_ids(rng, rows[s], vocab));
+  }
+  std::vector<State> reference = start;
+  std::vector<std::vector<float>> want;
+  {
+    const kernels::ScopedDispatch serial{kernels::DispatchMode::kForceSerial};
+    for (std::size_t s = 0; s < start.size(); ++s) {
+      want.push_back(all_rows[s] ? model.decode_span(reference[s], feeds[s])
+                                 : model.prefill(reference[s], feeds[s]));
+    }
+  }
+
+  ThreadPool pool{3};
+  for (const bool parallel : {false, true}) {
+    const kernels::ScopedDispatch dispatch{
+        parallel ? kernels::DispatchMode::kForceParallel
+                 : kernels::DispatchMode::kForceSerial,
+        parallel ? &pool : nullptr};
+    std::vector<State> batched = start;
+    std::vector<nn::TransformerLM::DecodeSegment> segments;
+    for (std::size_t s = 0; s < batched.size(); ++s) {
+      segments.push_back({&batched[s], feeds[s], all_rows[s]});
+    }
+    const std::vector<std::vector<float>> logits = model.decode_batch(segments);
+    ASSERT_EQ(logits.size(), segments.size());
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      const std::size_t expect_rows = feeds[s].empty() ? 0 : all_rows[s] ? feeds[s].size() : 1;
+      ASSERT_EQ(logits[s].size(), expect_rows * static_cast<std::size_t>(vocab))
+          << "segment " << s;
+      ASSERT_EQ(logits[s].size(), want[s].size()) << "segment " << s;
+      EXPECT_TRUE(bitwise_equal(logits[s].data(), want[s].data(), want[s].size()))
+          << (parallel ? "parallel" : "serial") << " segment " << s << " logits";
+      ASSERT_EQ(batched[s].position, reference[s].position);
+      for (std::size_t l = 0; l < batched[s].caches.size(); ++l) {
+        const nn::LayerKVCache& got = batched[s].caches[l];
+        const nn::LayerKVCache& ref = reference[s].caches[l];
+        ASSERT_EQ(got.length, ref.length);
+        const auto floats = static_cast<std::size_t>(ref.length * channels);
+        EXPECT_TRUE(bitwise_equal(got.keys.data(), ref.keys.data(), floats))
+            << "segment " << s << " layer " << l << " keys";
+        EXPECT_TRUE(bitwise_equal(got.values.data(), ref.values.data(), floats))
+            << "segment " << s << " layer " << l << " values";
+      }
+    }
+  }
 }
 
 // --------------------------------- decode ---------------------------------

@@ -677,9 +677,10 @@ TEST(Serve, FailedDecodePassFailsExactlyItsOwnSlots) {
   config.spec_k = 3;
   InferenceServer server{model, config, &draft};
 
-  // Pass 0 prefills the three sampled requests (the greedy one prefills
-  // speculatively, outside the pass); in round 2 request 1 retires on its
-  // one-token budget before pass 1, which fails for requests 2 and 3 only.
+  // Pass 0 prefills all four requests (the greedy one's target chunk joins
+  // it after its draft sub-pass); in round 2 request 1 retires on its
+  // one-token budget before pass 1, which fails for requests 2 and 3 and for
+  // request 0, whose verify span joined it.
   fault::configure("decode_pass_fail:1");
   std::vector<Request> requests;
   for (std::uint64_t i = 0; i < 4; ++i) {
@@ -690,12 +691,10 @@ TEST(Serve, FailedDecodePassFailsExactlyItsOwnSlots) {
   for (const Request& request : requests) tickets.push_back(server.submit(request));
   server.start();
 
-  for (std::size_t i = 0; i < 2; ++i) {
-    const Response& ok = wait_resolved(*tickets[i]);
-    ASSERT_EQ(ok.state, RequestState::kCompleted) << "request " << i << ": " << ok.message;
-    EXPECT_EQ(ok.tokens, reference_tokens(model, requests[i])) << "request " << i;
-  }
-  for (std::size_t i = 2; i < 4; ++i) {
+  const Response& ok = wait_resolved(*tickets[1]);
+  ASSERT_EQ(ok.state, RequestState::kCompleted) << ok.message;
+  EXPECT_EQ(ok.tokens, reference_tokens(model, requests[1]));
+  for (const std::size_t i : {0, 2, 3}) {
     const Response& failed = wait_resolved(*tickets[i]);
     EXPECT_EQ(failed.state, RequestState::kFailed) << "request " << i;
     EXPECT_EQ(failed.error, ErrorKind::kResourceExhausted) << "request " << i;
@@ -712,7 +711,7 @@ TEST(Serve, FailedDecodePassFailsExactlyItsOwnSlots) {
   const Response& later = wait_resolved(*later_ticket);
   ASSERT_EQ(later.state, RequestState::kCompleted) << later.message;
   EXPECT_EQ(later.tokens, reference_tokens(model, after));
-  EXPECT_EQ(server.stats().failed, 2);
+  EXPECT_EQ(server.stats().failed, 3);
   fault::reset();
 }
 

@@ -5,7 +5,10 @@
 // output to the target's plain greedy decode at every prune depth, every k,
 // and under injected rejection storms and draft NaNs.
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 
 namespace sdd {
 namespace {
@@ -538,6 +542,152 @@ TEST(SpecServe, KvSlotBytesIncludeTheDraftCache) {
   serve::InferenceServer disabled{model, off, &draft};
   EXPECT_FALSE(disabled.speculative());
   EXPECT_EQ(disabled.kv_slot_bytes(), plain.kv_slot_bytes());
+}
+
+// Every speculative slot's verify span rides the round's one target pass:
+// when the first pass after prefill fails, the four greedy slots fail with
+// the sampled one. Fault-free, each request's acceptance counters must be
+// exactly the ones speculative_generate reports for it alone, whatever
+// proposal widths its neighbours ran in the same draft sub-passes.
+TEST(SpecServe, VerifySpansShareTheRoundsPass) {
+  const TransformerLM model{tiny_config(4), 98};
+  const TransformerLM draft = model.pruned(1, 2);
+  serve::ServerConfig config;
+  config.spec_k = 3;
+  config.max_batch = 6;
+  config.start_worker = false;  // every request joins the first round
+  const auto sampled = [](std::uint64_t index) {
+    serve::Request request = spec_request(index);
+    request.temperature = 0.8F;
+    request.seed = 40 + index;
+    return request;
+  };
+  {
+    serve::InferenceServer server{model, config, &draft};
+    fault::configure("decode_pass_fail:1");  // pass 0 is the prefill
+    std::vector<serve::TicketPtr> tickets;
+    for (std::uint64_t i = 0; i < 4; ++i) tickets.push_back(server.submit(spec_request(i)));
+    tickets.push_back(server.submit(sampled(4)));
+    server.start();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      ASSERT_TRUE(tickets[i]->wait_for(kWait));
+      const serve::Response& response = tickets[i]->wait();
+      EXPECT_EQ(response.state, serve::RequestState::kFailed) << "request " << i;
+      EXPECT_EQ(response.error, ErrorKind::kResourceExhausted) << "request " << i;
+    }
+    server.shutdown();
+    fault::reset();
+  }
+
+  serve::InferenceServer server{model, config, &draft};
+  std::vector<serve::Request> requests;
+  for (const std::int64_t budget : {1, 2, 4, 7, 13}) {
+    requests.push_back(spec_request(requests.size(), budget));
+    requests.back().task = "request-" + std::to_string(requests.size());
+  }
+  requests.push_back(sampled(5));
+  std::vector<serve::TicketPtr> tickets;
+  for (const serve::Request& request : requests) tickets.push_back(server.submit(request));
+  server.start();
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    ASSERT_TRUE(tickets[i]->wait_for(kWait));
+    ASSERT_EQ(tickets[i]->wait().state, serve::RequestState::kCompleted) << "request " << i;
+  }
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.spec_requests, 5);
+  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
+    nn::SpecCounters alone;
+    const auto output =
+        nn::speculative_generate(model, draft, requests[i].prompt,
+                                 greedy_options(requests[i].max_new_tokens),
+                                 config.spec_k, &alone);
+    EXPECT_EQ(tickets[i]->wait().tokens, output) << "request " << i;
+    ASSERT_EQ(stats.spec_by_task.count(requests[i].task), 1U) << requests[i].task;
+    const nn::SpecCounters& served = stats.spec_by_task.at(requests[i].task);
+    EXPECT_EQ(served, alone) << requests[i].task << ": rounds " << served.rounds
+                             << " vs " << alone.rounds << ", proposed " << served.proposed
+                             << " vs " << alone.proposed;
+  }
+}
+
+// Random traffic against a draft-equipped server: greedy and sampled
+// requests, prompts of 1-80 tokens drawn from three shared prefixes, budgets
+// of 1-24, random stop tokens and client cancels mid-flight. A completed
+// response must be nn::generate's output and a cancelled one a prefix of it.
+TEST(ServeDifferential, RandomMixesMatchGenerate) {
+  nn::ModelConfig model_config = tiny_config(4);
+  model_config.max_seq_len = 112;
+  const TransformerLM model{model_config, 99};
+  const TransformerLM draft = model.pruned(1, 2);
+  serve::ServerConfig config;
+  config.spec_k = 3;
+  config.max_batch = 6;
+  serve::InferenceServer server{model, config, &draft};
+  const std::int64_t vocab = model_config.vocab_size;
+
+  Rng rng{2024};
+  std::vector<std::vector<std::int32_t>> prefixes(3);
+  for (auto& prefix : prefixes) {
+    for (int t = 0; t < 48; ++t) {
+      prefix.push_back(static_cast<std::int32_t>(rng.uniform_int(0, vocab - 1)));
+    }
+  }
+  std::int64_t completed = 0;
+  std::int64_t cancelled = 0;
+  for (int wave = 0; wave < 256; ++wave) {
+    std::vector<serve::Request> requests;
+    std::vector<serve::TicketPtr> tickets;
+    std::vector<bool> cancel;
+    for (int r = 0; r < 8; ++r) {
+      serve::Request request;
+      const auto length = static_cast<std::size_t>(rng.uniform_int(1, 80));
+      const std::vector<std::int32_t>& prefix = prefixes[rng.index(prefixes.size())];
+      request.prompt.assign(prefix.begin(),
+                            prefix.begin() + static_cast<std::ptrdiff_t>(
+                                                 std::min(length, prefix.size())));
+      while (request.prompt.size() < length) {
+        request.prompt.push_back(static_cast<std::int32_t>(rng.uniform_int(0, vocab - 1)));
+      }
+      request.max_new_tokens = rng.uniform_int(1, 24);
+      request.temperature = rng.bernoulli(0.5) ? 0.0F : 0.8F;
+      request.seed = rng.next_u64();
+      request.stop_token =
+          rng.bernoulli(0.3) ? static_cast<std::int32_t>(rng.uniform_int(0, vocab - 1)) : -1;
+      requests.push_back(request);
+      cancel.push_back(rng.bernoulli(0.25));
+      tickets.push_back(server.submit(request));
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds{rng.uniform_int(0, 2000)});
+    for (std::size_t r = 0; r < tickets.size(); ++r) {
+      if (cancel[r]) tickets[r]->cancel();
+    }
+    for (std::size_t r = 0; r < tickets.size(); ++r) {
+      ASSERT_TRUE(tickets[r]->wait_for(kWait));
+      const serve::Response& response = tickets[r]->wait();
+      nn::GenerateOptions options;
+      options.max_new_tokens = requests[r].max_new_tokens;
+      options.temperature = requests[r].temperature;
+      options.seed = requests[r].seed;
+      options.stop_token = requests[r].stop_token;
+      const std::vector<std::int32_t> reference =
+          nn::generate(model, requests[r].prompt, options);
+      if (response.state == serve::RequestState::kCancelled && cancel[r]) {
+        ++cancelled;
+        ASSERT_LE(response.tokens.size(), reference.size()) << "wave " << wave << " request " << r;
+        EXPECT_TRUE(std::equal(response.tokens.begin(), response.tokens.end(),
+                               reference.begin()))
+            << "wave " << wave << " request " << r << " is not a prefix of generate";
+      } else {
+        ASSERT_EQ(response.state, serve::RequestState::kCompleted)
+            << "wave " << wave << " request " << r << ": " << response.message;
+        ++completed;
+        EXPECT_EQ(response.tokens, reference) << "wave " << wave << " request " << r;
+      }
+    }
+  }
+  EXPECT_GT(completed, 0);
+  EXPECT_GT(cancelled, 0);
+  EXPECT_GT(server.stats().spec_requests, 0);
 }
 
 TEST(SpecRouter, DraftPairingKeepsRoutedOutputsBitIdentical) {
