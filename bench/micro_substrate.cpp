@@ -4,6 +4,7 @@
 // every experiment bench: GEMM, fused attention, full forward/backward
 // training steps, KV-cache decode throughput, and the pruning metric.
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include "core/prune.hpp"
 #include "data/corpus.hpp"
@@ -13,6 +14,7 @@
 #include "tensor/ops.hpp"
 #include "train/trainer.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace {
 
@@ -44,6 +46,39 @@ void BM_GemmNt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNt)->Arg(64)->Arg(128)->Arg(256);
+
+// The decode projection kernel on its own: `rows` activation rows against an
+// [n, k] weight, every output bitwise dot(). Shapes are the served ones: k 64
+// with n 64 (attention), 128 (FFN up) and 320 (about the 316-row LM head),
+// and the wide_spec target's d256 projections.
+void BM_GemmNtRowwise(benchmark::State& state) {
+  const auto k = state.range(0);
+  const auto n = state.range(1);
+  const auto rows = state.range(2);
+  Rng rng{1};
+  std::vector<float> a(static_cast<std::size_t>(rows * k));
+  std::vector<float> b(static_cast<std::size_t>(n * k));
+  std::vector<float> c(static_cast<std::size_t>(rows * n));
+  for (auto& x : a) x = rng.gaussian_float(0, 1);
+  for (auto& x : b) x = rng.gaussian_float(0, 1);
+  for (auto _ : state) {
+    kernels::gemm_nt_rowwise(a.data(), b.data(), c.data(), rows, k, n, false);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * rows * k * n);
+}
+BENCHMARK(BM_GemmNtRowwise)
+    ->ArgNames({"k", "n", "rows"})
+    ->Args({64, 64, 8})
+    ->Args({64, 128, 8})
+    ->Args({64, 320, 8})
+    ->Args({256, 256, 8})
+    ->Args({256, 512, 8})
+    ->Args({64, 320, 1})
+    ->Args({256, 256, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_GemmNn(benchmark::State& state) {
   const auto n = state.range(0);
@@ -107,7 +142,7 @@ void BM_ModelForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * seq);
 }
-BENCHMARK(BM_ModelForward)->Arg(48)->Arg(80);
+BENCHMARK(BM_ModelForward)->Arg(48)->Arg(80)->UseRealTime();
 
 void BM_TrainStep(benchmark::State& state) {
   nn::TransformerLM model{bench_config(), 1};
@@ -133,7 +168,11 @@ void BM_TrainStep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * seq);
 }
-BENCHMARK(BM_TrainStep)->Arg(48)->Arg(80)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrainStep)
+    ->Arg(48)
+    ->Arg(80)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DecodeTokensPerSecond(benchmark::State& state) {
   const nn::TransformerLM model{bench_config(), 1};
@@ -245,7 +284,8 @@ BENCHMARK(BM_SpecDecode)
 // slots. Shapes: 0 = bench_config() (the served d64 `full`), 1 = its
 // pruned(6, 4) variant `p4`, 2 = the d256 / 8-layer / d_ff 512 target of the
 // wide_spec workload. items_per_second counts rows, so its inverse is the
-// per-row cost of the pass.
+// per-row cost of the pass. Real time, because the d256 passes shard over the
+// thread pool and the main thread's CPU time misses the workers' share.
 void BM_DecodeBatch(benchmark::State& state) {
   nn::ModelConfig config = bench_config();
   if (state.range(0) == 2) {
@@ -282,6 +322,7 @@ void BM_DecodeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeBatch)
     ->ArgsProduct({{0, 1, 2}, {1, 2, 4, 8}})
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 // One scheduler-shaped speculative round over S greedy slots at the
@@ -389,6 +430,38 @@ BENCHMARK(BM_SpecServeRound)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+// Two equal chunks of dependent scalar work (a few milliseconds each)
+// through the global pool's parallel_for; /1 runs one chunk inline for
+// reference. With SDD_THREADS >= 2 the second chunk goes to a pool worker, so
+// /2 should take about as long as /1; it takes twice as long when the worker
+// is woken onto the caller's CPU and the two time-share it. same_cpu is the
+// share of calls whose two chunks ran on one CPU (sched_getcpu at the end of
+// each chunk). See docs/kernels.md, Threading.
+void BM_ParallelForTwoChunks(benchmark::State& state) {
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  constexpr std::int64_t kSteps = std::int64_t{1} << 20;
+  std::vector<int> cpus(chunks);
+  std::int64_t same_cpu = 0;
+  for (auto _ : state) {
+    ThreadPool::global().parallel_for(0, chunks, [&](std::size_t c) {
+      float x = static_cast<float>(c + 1);
+      for (std::int64_t i = 0; i < kSteps; ++i) {
+        x = x * 0.9999999F + 1e-7F;
+        benchmark::DoNotOptimize(x);
+      }
+      cpus[c] = sched_getcpu();
+    });
+    if (chunks == 2 && cpus[0] == cpus[1]) ++same_cpu;
+  }
+  state.counters["same_cpu"] =
+      static_cast<double>(same_cpu) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ParallelForTwoChunks)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PruneMetric(benchmark::State& state) {
   const nn::TransformerLM model{bench_config(), 1};

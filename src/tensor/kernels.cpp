@@ -309,11 +309,13 @@ constexpr bool kHasNtMicro = false;
 
 // ---- decode-path kernels ----------------------------------------------------
 //
-// Per ISA: dot_lanes (the dot() body), gemv_block (kGemvCols outputs of
-// gemv), exp_sum (softmax numerators and their sum), mix_rows (the attention
-// value mix) and silu_mul_lanes. dot and gemv follow the 16-lane order
-// documented in kernels.hpp on every tier; on the SIMD tiers the elementwise
-// kernels run their tails through the same lane code under a mask.
+// Per ISA: dot_lanes (the dot() body), exp_sum (softmax numerators and their
+// sum), mix_rows (the attention value mix), silu_mul_lanes, and the gemv and
+// gemm_nt_rowwise bodies: on AVX-512 the register tiles dot_tiles (behind
+// gemv and rowwise_block), elsewhere gemv_block (kGemvCols outputs of gemv).
+// dot, gemv and gemm_nt_rowwise follow the 16-lane order documented in
+// kernels.hpp on every tier; on the SIMD tiers the elementwise kernels run
+// their tails through the same lane code under a mask.
 
 // Cephes-style exp constants: x = n ln2 + r with ln2 split in two for an
 // exact-enough r, a degree-6 polynomial in r, and 2^n built in the exponent
@@ -334,6 +336,7 @@ constexpr float kExpPoly[6] = {1.9875691500e-4F, 1.3981999507e-3F, 8.3334519073e
 
 #if defined(__AVX512F__)
 
+// Weight rows per gemm_nt_rowwise job: one 16-wide column block of tiles.
 constexpr std::int64_t kGemvCols = 16;
 
 inline __mmask16 lane_mask(std::int64_t count) {  // first min(count, 16) lanes
@@ -408,27 +411,84 @@ inline __m512 transpose_fold16(const __m512 (&acc)[16]) {
   return _mm512_permutexvar_ps(order, h1);
 }
 
-[[gnu::noinline]] void gemv_block(const float* x, const float* w, std::int64_t ldw,
-                                  float* y, std::int64_t k, bool accumulate) {
-  __m512 acc[16];
-  for (__m512& a : acc) a = _mm512_setzero_ps();
-  std::int64_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m512 xv = _mm512_loadu_ps(x + p);
-    for (int j = 0; j < 16; ++j) {
-      acc[j] = _mm512_fmadd_ps(xv, _mm512_loadu_ps(w + j * ldw + p), acc[j]);
+// Register tiles of dot() outputs for rows <= Rows activation rows (`ldx`
+// floats apart) against cols <= 16 weight rows (`ldw` floats apart):
+//   y[r * ldy + j] (+)= dot(x + r * ldx, w + j * ldw, k)
+// Each tile is Rows x (16 / Rows) outputs. It loads every 16-float weight
+// chunk once, FMAs it into the accumulators of all its rows, and reduces the
+// 16 accumulators with one transpose_fold16 (output r * (16 / Rows) + j of
+// the tile lands in lane r * (16 / Rows) + j). A partial tile repeats its
+// last real row and column, so it reads only valid memory, and stores only
+// its real outputs. Each Rows is one compiled copy whose tile loop is never
+// unrolled (noinline and noclone, like dot()), so every output of a tile
+// kind runs the same instructions (docs/kernels.md, Determinism).
+template <int Rows>
+[[gnu::noinline, gnu::noclone]] void dot_tiles(const float* x, std::int64_t ldx,
+                                               const float* w, std::int64_t ldw, float* y,
+                                               std::int64_t ldy, std::int64_t k,
+                                               std::int64_t rows, std::int64_t cols,
+                                               bool accumulate) {
+  constexpr int kCols = 16 / Rows;
+  const float* xr[Rows];
+  for (int r = 0; r < Rows; ++r) xr[r] = x + std::min<std::int64_t>(r, rows - 1) * ldx;
+#pragma GCC unroll 1
+  for (std::int64_t j0 = 0; j0 < cols; j0 += kCols) {
+    const std::int64_t tile_cols = std::min<std::int64_t>(kCols, cols - j0);
+    const float* wr[kCols];
+    for (int j = 0; j < kCols; ++j) {
+      wr[j] = w + (j0 + std::min<std::int64_t>(j, tile_cols - 1)) * ldw;
+    }
+    __m512 acc[16];
+    for (__m512& v : acc) v = _mm512_setzero_ps();
+    const auto fma_chunk = [&](auto load) {
+      __m512 xv[Rows];
+      for (int r = 0; r < Rows; ++r) xv[r] = load(xr[r]);
+      for (int j = 0; j < kCols; ++j) {
+        const __m512 wv = load(wr[j]);
+        for (int r = 0; r < Rows; ++r) {
+          acc[r * kCols + j] = _mm512_fmadd_ps(xv[r], wv, acc[r * kCols + j]);
+        }
+      }
+    };
+    std::int64_t p = 0;
+    for (; p + 16 <= k; p += 16) {
+      fma_chunk([p](const float* row) { return _mm512_loadu_ps(row + p); });
+    }
+    if (p < k) {
+      const __mmask16 m = lane_mask(k - p);
+      fma_chunk([p, m](const float* row) { return _mm512_maskz_loadu_ps(m, row + p); });
+    }
+    const __m512 sums = transpose_fold16(acc);
+    const __mmask16 keep = lane_mask(tile_cols);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      __m512 out = _mm512_maskz_compress_ps(static_cast<__mmask16>(keep << (r * kCols)),
+                                            sums);
+      float* yr = y + r * ldy + j0;
+      if (accumulate) out = _mm512_add_ps(_mm512_maskz_loadu_ps(keep, yr), out);
+      _mm512_mask_storeu_ps(yr, keep, out);
     }
   }
-  if (p < k) {
-    const __mmask16 m = lane_mask(k - p);
-    const __m512 xv = _mm512_maskz_loadu_ps(m, x + p);
-    for (int j = 0; j < 16; ++j) {
-      acc[j] = _mm512_fmadd_ps(xv, _mm512_maskz_loadu_ps(m, w + j * ldw + p), acc[j]);
-    }
+}
+
+// All m input rows against B rows [j0, j0 + cols). The tile shape is a fixed
+// rule on the rows left: 4 x 4 tiles (8 loads per 16 FMAs) while at least 3
+// rows are left, the last of them partial when 3 are; a last pair runs 2 x 8
+// tiles and a last single row the 1 x 16 tile of gemv.
+void rowwise_block(const float* a, const float* b, float* c, std::int64_t m,
+                   std::int64_t k, std::int64_t n, std::int64_t j0, std::int64_t cols,
+                   bool accumulate) {
+  const float* w = b + j0 * k;
+  std::int64_t i = 0;
+  while (m - i >= 3) {
+    const std::int64_t rows = std::min<std::int64_t>(4, m - i);
+    dot_tiles<4>(a + i * k, k, w, k, c + i * n + j0, n, k, rows, cols, accumulate);
+    i += rows;
   }
-  __m512 sums = transpose_fold16(acc);
-  if (accumulate) sums = _mm512_add_ps(_mm512_loadu_ps(y), sums);
-  _mm512_storeu_ps(y, sums);
+  if (m - i == 2) {
+    dot_tiles<2>(a + i * k, k, w, k, c + i * n + j0, n, k, 2, cols, accumulate);
+  } else if (m - i == 1) {
+    dot_tiles<1>(a + i * k, k, w, k, c + i * n + j0, n, k, 1, cols, accumulate);
+  }
 }
 
 float exp_sum(float* v, std::int64_t n, float shift) {
@@ -753,6 +813,10 @@ void axpy(float alpha, const float* x, float* y, std::int64_t n, bool accumulate
 
 void gemv(const float* x, const float* w, std::int64_t ldw, float* y, std::int64_t k,
           std::int64_t n, bool accumulate) {
+#if defined(__AVX512F__)
+  // 1 x 16 tiles; the n % 16 tail columns are one partial tile.
+  dot_tiles<1>(x, 0, w, ldw, y, 0, k, 1, n, accumulate);
+#else
   std::int64_t j = 0;
   for (; j + kGemvCols <= n; j += kGemvCols) {
     gemv_block(x, w + j * ldw, ldw, y + j, k, accumulate);
@@ -761,6 +825,7 @@ void gemv(const float* x, const float* w, std::int64_t ldw, float* y, std::int64
     const float value = dot(x, w + j * ldw, k);
     y[j] = accumulate ? y[j] + value : value;
   }
+#endif
 }
 
 void attend(const float* q, const float* keys, const float* values, std::int64_t ld,
@@ -832,18 +897,22 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m, std::int6
 void gemm_nt_rowwise(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n, bool accumulate) {
   if (m <= 0 || n <= 0) return;
-  // Every element is a dot()-identical gemv output, so any sharding over the
-  // column blocks is bitwise-identical to serial and to m separate m=1
-  // gemm_nt calls. The block-outer loop is the batching win: one block of B
-  // rows services all m input rows before the next is streamed in.
+  // Every element is dot()-identical, so any sharding over the column blocks
+  // is bitwise-identical to serial and to m separate m=1 gemm_nt calls. The
+  // block-outer loop is the batching win: one block of B rows services all m
+  // input rows before the next is streamed in.
   const std::int64_t blocks = (n + kGemvCols - 1) / kGemvCols;
   const bool parallel = should_parallelize(n, 2 * m * k * n);
   run_jobs(blocks, parallel, [=](std::size_t blk) {
     const std::int64_t j0 = static_cast<std::int64_t>(blk) * kGemvCols;
     const std::int64_t cols = std::min(kGemvCols, n - j0);
+#if defined(__AVX512F__)
+    rowwise_block(a, b, c, m, k, n, j0, cols, accumulate);
+#else
     for (std::int64_t i = 0; i < m; ++i) {
       gemv(a + i * k, b + j0 * k, k, c + i * n + j0, k, cols, accumulate);
     }
+#endif
   });
 }
 

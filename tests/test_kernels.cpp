@@ -443,6 +443,36 @@ TEST(KernelDeterminism, GemvMatchesDotBitExact) {
   }
 }
 
+// gemm_nt_rowwise runs register tiles of up to four input rows, partial ones
+// for left-over rows and columns; every output must still be bitwise dot(),
+// whatever tile, row group or column it lands in.
+TEST(KernelDeterminism, RowwiseMatchesDotBitExact) {
+  for (const std::int64_t m : {1, 2, 3, 4, 5, 7, 8, 9, 16, 33}) {
+    for (const std::int64_t k : {1, 7, 15, 16, 17, 64, 100, 128, 257}) {
+      for (const std::int64_t n : {1, 15, 16, 17, 33, 64, 316}) {
+        Rng rng{static_cast<std::uint64_t>(m * 100003 + k * 37 + n)};
+        const auto a = random_vec(rng, m * k);
+        const auto b = random_vec(rng, n * k);
+        const auto c_init = random_vec(rng, m * n);
+        for (const bool accumulate : {false, true}) {
+          auto c = c_init;
+          kernels::gemm_nt_rowwise(a.data(), b.data(), c.data(), m, k, n, accumulate);
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              const float value = kernels::dot(a.data() + i * k, b.data() + j * k, k);
+              const auto at = static_cast<std::size_t>(i * n + j);
+              const float want = accumulate ? c_init[at] + value : value;
+              ASSERT_EQ(c[at], want) << "m=" << m << " k=" << k << " n=" << n
+                                     << " i=" << i << " j=" << j
+                                     << " accumulate=" << accumulate;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // An element's value must not depend on the vector lane it lands in: a span
 // runs silu_mul over count * d_ff contiguous values while a step runs d_ff,
 // so at d_ff = 24 the same gate value sits in a full vector in one call and
@@ -490,24 +520,30 @@ TEST(KernelDeterminism, DecodeKernelsIndependentOfLanePosition) {
   }
 }
 
+// gemm_nt_rowwise runs every tile kind under the pool: 4 x 4 tiles for the
+// row groups, then the 1 x 16 tile (m = 33), a 2 x 8 tile (m = 34) or a
+// 4 x 4 tile with a repeated row (m = 35) for the rows left over, and the
+// partial block for column 128 of n = 129.
 TEST(KernelDeterminism, DecodeKernelsParallelMatchSerial) {
   ThreadPool pool{3};
-  const std::int64_t m = 33, k = 100, n = 129;
-  Rng rng{15};
-  const auto a = random_vec(rng, m * k);
-  const auto b = random_vec(rng, n * k);
-  const auto c_init = random_vec(rng, m * n);
+  const std::int64_t k = 100, n = 129;
 
   const auto run_all = [&](kernels::DispatchMode mode, ThreadPool* run_pool) {
     kernels::ScopedDispatch dispatch{mode, run_pool};
+    Rng rng{15};
     std::vector<std::vector<float>> outs;
-    for (const bool accumulate : {false, true}) {
-      auto c = c_init;
-      kernels::gemm_nt_rowwise(a.data(), b.data(), c.data(), m, k, n, accumulate);
-      outs.push_back(c);
-      c = c_init;
-      kernels::gemm_nt(a.data(), b.data(), c.data(), 3, k, n, accumulate);  // gemv rows
-      outs.push_back(c);
+    for (const std::int64_t m : {33, 34, 35}) {
+      const auto a = random_vec(rng, m * k);
+      const auto b = random_vec(rng, n * k);
+      const auto c_init = random_vec(rng, m * n);
+      for (const bool accumulate : {false, true}) {
+        auto c = c_init;
+        kernels::gemm_nt_rowwise(a.data(), b.data(), c.data(), m, k, n, accumulate);
+        outs.push_back(c);
+        c = c_init;
+        kernels::gemm_nt(a.data(), b.data(), c.data(), 3, k, n, accumulate);  // gemv rows
+        outs.push_back(c);
+      }
     }
     return outs;
   };
