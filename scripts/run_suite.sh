@@ -18,6 +18,7 @@ BENCHES=(
   ablation_distill
   ablation_width_depth
   ablation_kd
+  ablation_compress
   micro_substrate
 )
 

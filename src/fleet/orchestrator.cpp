@@ -1,10 +1,14 @@
 #include "fleet/orchestrator.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <climits>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -36,7 +40,8 @@ std::string FleetStats::to_string() const {
 namespace {
 
 struct WorkerSlot {
-  std::int64_t pid = -1;  // -1 = no live process
+  proc::Child child;         // empty = no live process
+  std::int64_t spawn_at = 0;  // monotonic ms; a respawn waits out its backoff
 };
 
 // SIGTERM then SIGKILL every live child; used on every exit path so an
@@ -45,18 +50,16 @@ struct WorkerSlot {
 // either complete or go stale and get reclaimed by the next run.)
 void shutdown_workers(std::vector<WorkerSlot>& slots, std::int64_t grace_ms) {
   for (WorkerSlot& slot : slots) {
-    if (slot.pid < 0) continue;
     try {
-      proc::terminate(slot.pid, grace_ms);
-    } catch (const std::exception&) {
-      // Reaping can legitimately fail if the child was already collected.
+      slot.child.terminate(grace_ms);
+    } catch (const Error&) {
+      // The Child's destructor still SIGKILLs and reaps what is left.
     }
-    slot.pid = -1;
   }
 }
 
-std::int64_t spawn_worker(const fs::path& dir, const FleetConfig& config,
-                          std::int64_t slot, std::int64_t generation) {
+proc::Child spawn_worker(const fs::path& dir, const FleetConfig& config,
+                         std::int64_t slot, std::int64_t generation) {
   const std::string worker_id =
       "w" + std::to_string(slot) + "-g" + std::to_string(generation);
   std::vector<std::string> argv = {
@@ -74,7 +77,7 @@ std::int64_t spawn_worker(const fs::path& dir, const FleetConfig& config,
   if (const char* child_fault = std::getenv(fault::kChildEnv)) {
     env.push_back(std::string{"SDD_FAULT="} + child_fault);
   }
-  return proc::spawn(argv, env);
+  return proc::Child::spawn(argv, env);
 }
 
 }  // namespace
@@ -101,20 +104,25 @@ FleetStats orchestrate(const fs::path& dir, const std::vector<TaskSpec>& tasks,
   std::vector<WorkerSlot> slots{static_cast<std::size_t>(config.workers)};
   std::int64_t generation = 0;
   std::set<std::string> validated;  // done markers already accepted this run
+  // Respawns back off from the poll interval up to the lease window.
+  const supervisor::SupervisorConfig backoff{.backoff_ms = config.poll_ms,
+                                             .backoff_cap_ms = config.lease_ms};
 
   try {
     while (true) {
       supervisor::heartbeat();  // graceful shutdown + watchdog liveness
 
-      // Reap exited workers without blocking.
+      // Reap exited workers; their pidfds woke the poll below.
       for (WorkerSlot& slot : slots) {
-        if (slot.pid < 0) continue;
-        if (const auto status = proc::try_reap(slot.pid)) {
+        if (!slot.child) continue;
+        if (const auto status = slot.child.try_reap()) {
           if (!status->clean()) {
-            log_warn("fleet: worker pid ", slot.pid, " died (exit ",
+            log_warn("fleet: worker pid ", status->pid, " died (exit ",
                      status->exit_code, ", signal ", status->term_signal, ")");
           }
-          slot.pid = -1;
+          slot.child = proc::Child{};
+          slot.spawn_at = proc::monotonic_ms() +
+                          supervisor::backoff_delay_ms(backoff, "fleet", stats.respawned);
         }
       }
 
@@ -124,9 +132,9 @@ FleetStats orchestrate(const fs::path& dir, const std::vector<TaskSpec>& tasks,
            queue.reclaim_stale(config.lease_ms, config.task_retry)) {
         ++stats.reclaimed;
         for (WorkerSlot& slot : slots) {
-          if (slot.pid == lease.claim.pid) {
-            log_warn("fleet: SIGKILLing stalled worker pid ", slot.pid);
-            proc::send_signal(slot.pid, SIGKILL);
+          if (slot.child && slot.child.pid() == lease.claim.pid) {
+            log_warn("fleet: SIGKILLing stalled worker pid ", slot.child.pid());
+            slot.child.signal(SIGKILL);
           }
         }
       }
@@ -156,25 +164,33 @@ FleetStats orchestrate(const fs::path& dir, const std::vector<TaskSpec>& tasks,
       // Refill empty slots while work remains, under the respawn budget.
       // The initial spawns are "free"; only restarts after the first
       // generation count against the budget.
+      const std::int64_t now = proc::monotonic_ms();
+      std::int64_t timeout_ms = std::min<std::int64_t>(config.poll_ms, INT_MAX);
+      std::vector<pollfd> exits;
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].pid >= 0) continue;
+        WorkerSlot& slot = slots[i];
         const bool is_respawn = generation >= config.workers;
-        if (is_respawn && stats.respawned >= config.respawn_max) continue;
-        slots[i].pid = spawn_worker(dir, config, static_cast<std::int64_t>(i),
-                                    generation++);
-        if (is_respawn) ++stats.respawned;
+        if (!slot.child && (!is_respawn || stats.respawned < config.respawn_max)) {
+          if (now < slot.spawn_at) {
+            timeout_ms = std::min(timeout_ms, slot.spawn_at - now);
+          } else {
+            slot.child = spawn_worker(dir, config, static_cast<std::int64_t>(i),
+                                      generation++);
+            if (is_respawn) ++stats.respawned;
+          }
+        }
+        if (slot.child) exits.push_back({slot.child.fd(), POLLIN, 0});
       }
-
-      bool any_live = false;
-      for (const WorkerSlot& slot : slots) any_live |= slot.pid >= 0;
-      if (!any_live) {
+      if (exits.empty() && stats.respawned >= config.respawn_max) {
         throw Error(ErrorKind::kWorkerLost,
                     "fleet: all workers gone, respawn budget (" +
                         std::to_string(config.respawn_max) +
                         ") exhausted with work remaining in " + dir.string());
       }
 
-      std::this_thread::sleep_for(std::chrono::milliseconds{config.poll_ms});
+      // Sleep until a worker exits, a respawn is due, or the next lease
+      // sweep and done-marker check.
+      ::poll(exits.data(), exits.size(), static_cast<int>(timeout_ms));
     }
   } catch (...) {
     shutdown_workers(slots, config.lease_ms);
@@ -192,7 +208,7 @@ int worker_main(const fs::path& dir, const std::string& worker_id,
   const std::int64_t renew_ms = std::max<std::int64_t>(config.lease_ms / 4, 10);
   while (true) {
     supervisor::heartbeat();  // throws Error{kInterrupted} on SIGTERM/SIGINT
-    // Leaderless recovery: any worker may break a stale lease; the O_EXCL
+    // Leaderless recovery: any worker may break a stale lease; the link()
     // re-claim race elects exactly one new owner.
     queue.reclaim_stale(config.lease_ms, config.task_retry);
     const auto task = queue.try_claim(worker_id);
@@ -207,14 +223,13 @@ int worker_main(const fs::path& dir, const std::string& worker_id,
     // Renew the lease on a background thread so a long task execution never
     // goes stale. Renewal failures are swallowed: a missed beat risks a
     // benign duplicate execution, never a wrong result.
-    std::atomic<bool> running{true};
+    std::mutex renew_mutex;
+    std::condition_variable renew_cv;
+    bool running = true;
     std::thread renewer{[&] {
-      std::int64_t slept = 0;
-      while (running.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds{5});
-        slept += 5;
-        if (slept < renew_ms) continue;
-        slept = 0;
+      std::unique_lock<std::mutex> lock{renew_mutex};
+      while (!renew_cv.wait_for(lock, std::chrono::milliseconds{renew_ms},
+                                [&] { return !running; })) {
         try {
           queue.renew(task->id, worker_id);
         } catch (const std::exception&) {
@@ -223,7 +238,11 @@ int worker_main(const fs::path& dir, const std::string& worker_id,
     }};
     // Idempotent: complete() can throw after the renewer was stopped.
     const auto stop_renewer = [&] {
-      running.store(false, std::memory_order_release);
+      {
+        const std::lock_guard<std::mutex> lock{renew_mutex};
+        running = false;
+      }
+      renew_cv.notify_all();
       if (renewer.joinable()) renewer.join();
     };
 

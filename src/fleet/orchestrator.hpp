@@ -32,7 +32,7 @@ namespace sdd::fleet {
   X(std::int64_t, lease_ms, 2000, kRun, "heartbeat lease window")           \
   X(std::int64_t, task_retry, 3, kRun, "failures before a task is quarantined") \
   X(std::int64_t, respawn_max, 16, kRun, "worker respawns before giving up") \
-  X(std::int64_t, poll_ms, 50, kRun, "queue poll / reap interval")          \
+  X(std::int64_t, poll_ms, 50, kRun, "queue poll / lease sweep interval")   \
   X(std::filesystem::path, dir_override, {}, kRun, "queue dir; \"\" = derived per run")
 
 struct FleetConfig {

@@ -1,12 +1,14 @@
 #include "fleet/queue.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -59,6 +61,29 @@ std::map<std::string, std::string> parse_kv_lines(const std::string& text) {
     fields[line.substr(0, eq)] = line.substr(eq + 1);
   }
   return fields;
+}
+
+// Sorted stems of the `ext` files in `dir`.
+std::vector<std::string> stems(const fs::path& dir, const char* ext) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator{dir}) {
+    if (entry.path().extension() == ext) out.push_back(entry.path().stem().string());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::optional<ClaimInfo> parse_claim(const std::string& text) {
+  const auto fields = parse_kv_lines(text);
+  ClaimInfo info;
+  try {
+    info.pid = std::stoll(fields.at("pid"));
+    info.worker = fields.at("worker");
+    info.beat_ms = std::stoll(fields.at("beat"));
+  } catch (const std::exception&) {
+    return std::nullopt;  // damaged claim
+  }
+  return info;
 }
 
 }  // namespace
@@ -142,14 +167,7 @@ bool WorkQueue::enqueue(const TaskSpec& task) {
 }
 
 std::vector<std::string> WorkQueue::task_ids() const {
-  std::vector<std::string> ids;
-  for (const auto& entry : fs::directory_iterator{dir_ / "tasks"}) {
-    if (entry.path().extension() == ".task") {
-      ids.push_back(entry.path().stem().string());
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
+  return stems(dir_ / "tasks", ".task");
 }
 
 TaskSpec WorkQueue::read_task(const std::string& id) const {
@@ -174,29 +192,30 @@ std::optional<TaskSpec> WorkQueue::try_claim(const std::string& worker_id) {
     if (fs::exists(claim_path(id))) continue;
     if (race) {
       // Widen the select-to-claim window so concurrent workers pile onto the
-      // same O_EXCL create. Exactly one open() below may succeed.
+      // same claim file. Exactly one link() below may succeed.
       std::this_thread::sleep_for(std::chrono::milliseconds{2});
     }
+    // Publish the claim whole: stage it in a file of our own, then link()
+    // it into place, which fails with EEXIST for all but one racer. A worker
+    // killed mid-claim leaves at most a stray staging file, never an empty
+    // claim.
     const fs::path claim = claim_path(id);
-    const int fd =
-        ::open(claim.string().c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0) {
-      if (errno == EEXIST) continue;  // lost the race for this task
+    static std::atomic<std::uint64_t> staged_seq{0};
+    const fs::path staged = claim.string() + "." + std::to_string(::getpid()) +
+                            "-" + std::to_string(staged_seq++) + ".tmp";
+    const std::string text = claim_text(worker_id);
+    detail::write_file_durable(staged, std::as_bytes(std::span{text}), /*sync=*/false);
+    const bool won = ::link(staged.c_str(), claim.c_str()) == 0;
+    const int link_errno = errno;
+    std::error_code ec;
+    fs::remove(staged, ec);
+    if (!won && link_errno == EEXIST) continue;  // lost the race for this task
+    if (!won) {
       throw Error(ErrorKind::kTransientIo,
                   "work queue: cannot create claim " + claim.string());
     }
-    const std::string text = claim_text(worker_id);
-    const ssize_t written = ::write(fd, text.data(), text.size());
-    ::close(fd);
-    if (written != static_cast<ssize_t>(text.size())) {
-      std::error_code ec;
-      fs::remove(claim, ec);
-      throw Error(ErrorKind::kTransientIo,
-                  "work queue: short write on claim " + claim.string());
-    }
     if (!fs::exists(task_path(id))) {
       // The task was quarantined between the scan and the claim; back out.
-      std::error_code ec;
       fs::remove(claim, ec);
       continue;
     }
@@ -245,34 +264,38 @@ bool WorkQueue::release_failed(const std::string& id,
 std::vector<ReclaimedLease> WorkQueue::reclaim_stale(std::int64_t lease_ms,
                                                      std::int64_t retry_budget) {
   std::vector<ReclaimedLease> reclaimed;
-  const std::int64_t now = proc::monotonic_ms();
-  std::vector<std::string> ids;
-  for (const auto& entry : fs::directory_iterator{dir_ / "claims"}) {
-    if (entry.path().extension() == ".claim") {
-      ids.push_back(entry.path().stem().string());
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const std::string& id : ids) {
+  for (const std::string& id : stems(dir_ / "claims", ".claim")) {
     std::error_code ec;
     if (is_done(id)) {  // crash between done marker and claim release
       fs::remove(claim_path(id), ec);
       continue;
     }
-    const auto claim = read_claim(id);
-    if (!claim) continue;
-    if (now - claim->beat_ms <= lease_ms) continue;
+    const auto text = read_text(claim_path(id));
+    if (!text) continue;  // released meanwhile
+    // Claims are published whole, so one that does not parse has no owner
+    // left to wait for: it is stale at once. So is a beat too far in the
+    // past to subtract, and a beat from the future: the claim was read
+    // before `now`, so only a queue that outlived a reboot (CLOCK_MONOTONIC
+    // restarts) holds one.
+    const auto claim = parse_claim(*text);
+    const std::int64_t now = proc::monotonic_ms();
+    std::int64_t silent = INT64_MAX;
+    if (claim && !__builtin_sub_overflow(now, claim->beat_ms, &silent) &&
+        silent >= 0 && silent <= lease_ms) {
+      continue;
+    }
     if (!fs::remove(claim_path(id), ec)) continue;  // lost the reclaim race
     ReclaimedLease lease;
     lease.id = id;
-    lease.claim = *claim;
+    lease.claim = claim.value_or(ClaimInfo{});
     lease.quarantined = bump_attempts(
         id, retry_budget,
-        "lease expired (worker " + claim->worker + ", pid " +
-            std::to_string(claim->pid) + ", silent for " +
-            std::to_string(now - claim->beat_ms) + " ms)");
+        claim ? "lease expired (worker " + claim->worker + ", pid " +
+                    std::to_string(claim->pid) + ", silent for " +
+                    std::to_string(silent) + " ms)"
+              : "unparsable claim");
     log_warn("fleet: reclaimed stale lease on '", id, "' from worker ",
-             claim->worker, " (pid ", claim->pid, ")",
+             lease.claim.worker, " (pid ", lease.claim.pid, ")",
              lease.quarantined ? " — task quarantined" : "");
     reclaimed.push_back(std::move(lease));
   }
@@ -293,17 +316,7 @@ bool WorkQueue::is_done(const std::string& id) const {
 
 std::optional<ClaimInfo> WorkQueue::read_claim(const std::string& id) const {
   const auto text = read_text(claim_path(id));
-  if (!text) return std::nullopt;
-  const auto fields = parse_kv_lines(*text);
-  ClaimInfo info;
-  try {
-    info.pid = std::stoll(fields.at("pid"));
-    info.worker = fields.at("worker");
-    info.beat_ms = std::stoll(fields.at("beat"));
-  } catch (const std::exception&) {
-    return std::nullopt;  // torn claim write; treated as absent
-  }
-  return info;
+  return text ? parse_claim(*text) : std::nullopt;
 }
 
 std::int64_t WorkQueue::attempts(const std::string& id) const {
@@ -350,20 +363,11 @@ void WorkQueue::quarantine_task(const std::string& id, const std::string& why) {
 }
 
 QueueCounts WorkQueue::counts() const {
-  QueueCounts c;
-  for (const auto& entry : fs::directory_iterator{dir_ / "tasks"}) {
-    if (entry.path().extension() == ".task") ++c.tasks;
-  }
-  for (const auto& entry : fs::directory_iterator{dir_ / "claims"}) {
-    if (entry.path().extension() == ".claim") ++c.claimed;
-  }
-  for (const auto& entry : fs::directory_iterator{dir_ / "done"}) {
-    if (entry.path().extension() == ".done") ++c.done;
-  }
-  for (const auto& entry : fs::directory_iterator{dir_ / "dead"}) {
-    if (entry.path().extension() == ".task") ++c.dead;
-  }
-  return c;
+  const auto count = [&](const char* sub, const char* ext) {
+    return static_cast<std::int64_t>(stems(dir_ / sub, ext).size());
+  };
+  return {count("tasks", ".task"), count("claims", ".claim"),
+          count("done", ".done"), count("dead", ".task")};
 }
 
 bool WorkQueue::all_terminal() const {

@@ -6,9 +6,11 @@
 //                       completion — the done marker is the terminal state —
 //                       and moved to dead/ when the task is quarantined.
 //   claims/<id>.claim   lease: `pid=`, `worker=`, `beat=` (CLOCK_MONOTONIC
-//                       ms). Created with O_CREAT|O_EXCL, so exactly one
-//                       worker wins a claim; renewed by atomically rewriting
-//                       the file with a fresh beat.
+//                       ms). Written to a staging file and link()ed into
+//                       place, so exactly one worker wins a claim and a claim
+//                       is never seen half-written; renewed by atomically
+//                       rewriting the file with a fresh beat. A claim that
+//                       does not parse is stale at once.
 //   done/<id>.done      completion marker, written atomically BEFORE the
 //                       claim is released. Idempotent: a late duplicate
 //                       completion of a reclaimed task is benign because task
@@ -22,7 +24,7 @@
 //
 // Liveness is leaderless: any process (worker or orchestrator) may reclaim a
 // lease whose beat is older than the lease window. That is safe because the
-// claim removal + O_CREAT|O_EXCL re-claim race always elects exactly one new
+// claim removal + link() re-claim race always elects exactly one new
 // owner, and duplicate execution of a task is benign (see done/ above). Only
 // the orchestrator ever signals pids — workers never kill anything.
 #pragma once
@@ -84,7 +86,7 @@ class WorkQueue {
   // no-op that lets completed work be reused.
   bool enqueue(const TaskSpec& task);
 
-  // Scans live tasks in sorted id order and O_EXCL-creates a claim for the
+  // Scans live tasks in sorted id order and link()s a claim into place for the
   // first unclaimed, not-done one. Workers normally start the scan at an
   // offset derived from `worker_id` to spread contention; under the
   // claim_race fault every worker starts at index 0 and pauses between
@@ -113,7 +115,8 @@ class WorkQueue {
   // didn't fail, the worker was asked to stop).
   void release(const std::string& id);
 
-  // Breaks every lease whose beat is older than `lease_ms`. Claims on done
+  // Breaks every lease whose beat is older than `lease_ms` or later than
+  // now, and every claim that does not parse. Claims on done
   // tasks are dropped silently; the rest count one failure each (possibly
   // quarantining). Returns the broken leases so the orchestrator can SIGKILL
   // stalled-but-alive children.

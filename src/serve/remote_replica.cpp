@@ -1,5 +1,6 @@
 #include "serve/remote_replica.hpp"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "util/log.hpp"
 #include "util/proc.hpp"
 #include "util/signals.hpp"
+#include "util/supervisor.hpp"
 
 namespace sdd::serve {
 namespace {
@@ -148,19 +150,19 @@ RemoteReplica::~RemoteReplica() { shutdown(); }
 
 void RemoteReplica::spawn_locked() {
   const ipc::SocketPair pair = ipc::socket_pair();
-  std::int64_t pid = -1;
+  proc::Child child;
   try {
     // Queued before the worker exists, so it is the first frame it reads.
     ipc::write_frame(pair.parent_fd, frame_type(ReplicaFrame::kConfig), server_text_);
     if (config_.spawn_fn) {
-      pid = config_.spawn_fn(pair.child_fd, model_path_, name_);
+      child = proc::Child::adopt(config_.spawn_fn(pair.child_fd, model_path_, name_));
     } else {
       std::vector<std::string> env = config_.env_overrides;
       // Chaos targets the first worker generation only: a respawn must come
       // up clean or the kill/respawn loop under test could never converge.
       env.push_back(generation_ == 0 ? "SDD_FAULT=" + config_.child_fault_spec
                                      : "SDD_FAULT=");
-      pid = proc::spawn(
+      child = proc::Child::spawn(
           {proc::self_exe().string(), "replica-worker", "--model", model_path_,
            "--name", name_, "--fd", std::to_string(pair.child_fd),
            "--heartbeat", std::to_string(config_.heartbeat_ms)},
@@ -173,7 +175,7 @@ void RemoteReplica::spawn_locked() {
   }
   ::close(pair.child_fd);
   fd_ = pair.parent_fd;
-  pid_ = pid;
+  child_ = std::move(child);
   hello_received_ = false;
   draining_ = false;
   // The lease countdown starts at spawn; the worker heartbeats while the
@@ -181,8 +183,8 @@ void RemoteReplica::spawn_locked() {
   last_beat_ = proc::monotonic_ms();
   if (generation_ > 0) ++stats_.respawns;
   ++generation_;
-  log_info("route: replica '", name_, "' worker pid ", pid, " spawned (gen ",
-           generation_, ", model ", model_path_, ")");
+  log_info("route: replica '", name_, "' worker pid ", child_.pid(),
+           " spawned (gen ", generation_, ", model ", model_path_, ")");
 }
 
 TicketPtr RemoteReplica::submit(Request request) {
@@ -190,8 +192,10 @@ TicketPtr RemoteReplica::submit(Request request) {
   TicketPtr ticket = detail::RemoteJob::ticket(job);
   std::uint64_t id = 0;
   int fd = -1;
-  std::int64_t pid = -1;
   std::string unavailable;
+  // Held across the write: handle_death closes the fd under write_mutex_, so
+  // the number read from fd_ cannot name a recycled descriptor.
+  const std::lock_guard<std::mutex> wlock{write_mutex_};
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     ++stats_.submitted;
@@ -205,7 +209,6 @@ TicketPtr RemoteReplica::submit(Request request) {
       id = next_id_++;
       pending_[id] = Pending{job, false};
       fd = fd_;
-      pid = pid_;
     }
     if (!unavailable.empty()) ++stats_.worker_lost;
   }
@@ -215,43 +218,41 @@ TicketPtr RemoteReplica::submit(Request request) {
     detail::RemoteJob::resolve(*job, worker_lost_response(unavailable));
     return ticket;
   }
-  const std::string payload =
-      detail::encode_request(id, detail::RemoteJob::request(*job));
   try {
-    const std::lock_guard<std::mutex> wlock{write_mutex_};
-    ipc::write_frame(fd, frame_type(ReplicaFrame::kRequest), payload);
+    ipc::write_frame(fd, frame_type(ReplicaFrame::kRequest),
+                     detail::encode_request(id, detail::RemoteJob::request(*job)));
   } catch (const Error& e) {
     {
       const std::lock_guard<std::mutex> lock{mutex_};
-      pending_.erase(id);
-      ++stats_.worker_lost;
+      stats_.worker_lost += static_cast<std::int64_t>(pending_.erase(id));
+      // Make the death prompt and unambiguous; the pump observes the exit
+      // and runs the full recovery path (it owns the fd lifecycle). Once
+      // fd_ changed, the pump has taken this worker and kills it itself.
+      if (fd_ == fd) child_.signal(SIGKILL);
     }
+    cv_.notify_all();
     detail::RemoteJob::resolve(*job, worker_lost_response(e.what()));
-    // Make the death prompt and unambiguous; the pump observes the reap/EOF
-    // and runs the full recovery path (it owns fd lifecycle).
-    proc::send_signal(pid, SIGKILL);
   }
   return ticket;
 }
 
 void RemoteReplica::pump_main() {
   while (true) {
-    int fd = -1;
+    pollfd polled[2] = {};  // socket, pidfd
     {
-      const std::lock_guard<std::mutex> lock{mutex_};
-      if (pump_exit_) return;
-      if (stopping_ && fd_ < 0) return;
-      fd = fd_;
-    }
-    if (fd < 0) {
-      // Dead worker: respawn once the backoff expires, unless the budget of
-      // consecutive unexpected deaths is exhausted (the breaker then keeps
-      // the replica quarantined and probes fail fast).
-      {
-        const std::lock_guard<std::mutex> lock{mutex_};
-        if (!stopping_ && fd_ < 0 &&
-            consecutive_deaths_ <= config_.respawn_max &&
-            proc::monotonic_ms() >= next_spawn_at_) {
+      std::unique_lock<std::mutex> lock{mutex_};
+      if (pump_exit_ || (stopping_ && fd_ < 0)) return;
+      if (fd_ < 0) {
+        // Dead worker: respawn once the backoff expires, unless the budget
+        // of consecutive unexpected deaths is exhausted (the breaker then
+        // keeps the replica quarantined and probes fail fast).
+        const std::int64_t wait_ms = next_spawn_at_ - proc::monotonic_ms();
+        const auto stop = [this] { return stopping_; };
+        if (consecutive_deaths_ > config_.respawn_max) {
+          cv_.wait(lock, stop);
+        } else if (wait_ms > 0) {
+          cv_.wait_for(lock, std::chrono::milliseconds{wait_ms}, stop);
+        } else {
           try {
             spawn_locked();
           } catch (const std::exception& e) {
@@ -261,21 +262,30 @@ void RemoteReplica::pump_main() {
             next_spawn_at_ = proc::monotonic_ms() + config_.backoff_cap_ms;
           }
         }
+        continue;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds{5});
-      continue;
+      polled[0] = {fd_, POLLIN, 0};
+      polled[1] = {child_.fd(), POLLIN, 0};
     }
+    // The 10 ms tick also carries cancels and the lease check (sweep).
+    ::poll(polled, 2, 10);
     try {
       ipc::Frame frame;
-      const ipc::ReadStatus status = ipc::read_frame(fd, &frame, 10);
-      if (status == ipc::ReadStatus::kFrame) {
-        handle_frame(frame.type, frame.payload);
-      } else if (status == ipc::ReadStatus::kClosed) {
-        handle_death("worker closed the channel", false);
+      if (polled[0].revents != 0) {
+        // Frames first: a worker that exits after answering is read out
+        // before its death fails what is left.
+        const ipc::ReadStatus status = ipc::read_frame(polled[0].fd, &frame, 10);
+        if (status == ipc::ReadStatus::kClosed) {
+          handle_death("worker closed the channel");
+          continue;
+        }
+        if (status == ipc::ReadStatus::kFrame) handle_frame(frame.type, frame.payload);
+      } else if (polled[1].revents != 0) {
+        handle_death("worker exited");
         continue;
       }
     } catch (const Error& e) {
-      handle_death(e.what(), false);
+      handle_death(e.what());
       continue;
     }
     sweep();
@@ -299,6 +309,7 @@ void RemoteReplica::handle_frame(std::uint8_t type,
     hello_received_ = true;
     cost_ = params;
     consecutive_deaths_ = 0;  // a generation that loads is a healthy restart
+    cv_.notify_all();
     log_info("route: replica '", name_, "' worker ready (", params,
              " params, ", layers, " layers)");
     return;
@@ -320,6 +331,7 @@ void RemoteReplica::handle_frame(std::uint8_t type,
     // Unknown id = ticket already failed over on a presumed-lost worker that
     // answered late after all; first resolution won, drop the duplicate.
     if (job) detail::RemoteJob::resolve(*job, std::move(response));
+    cv_.notify_all();
     return;
   }
   log_warn("route: replica '", name_, "' sent unknown frame type ",
@@ -329,26 +341,20 @@ void RemoteReplica::handle_frame(std::uint8_t type,
 void RemoteReplica::sweep() {
   const std::int64_t now = proc::monotonic_ms();
   std::string death;
-  bool reaped = false;
-  std::int64_t kill_pid = -1;
   std::vector<std::pair<std::uint64_t, int>> cancels;  // (id, fd)
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (fd_ < 0) return;
-    if (const auto status = proc::try_reap(pid_)) {
-      death = status->term_signal != 0
-                  ? "worker killed by signal " +
-                        std::to_string(status->term_signal)
-                  : "worker exited rc=" + std::to_string(status->exit_code);
-      reaped = true;
-      pid_ = -1;  // never signal a reaped (reusable) pid again
-    } else if (now - last_beat_ > config_.lease_ms) {
+    if (now - last_beat_ > config_.lease_ms) {
       ++stats_.lease_expiries;
       death = "heartbeat lease expired (" +
               std::to_string(now - last_beat_) + " ms silent)";
     } else if (draining_ &&
                now - drain_started_ > config_.drain_grace_ms) {
-      kill_pid = pid_;  // overstayed drain: escalate, reap on the next tick
+      // Overstayed drain: escalate; the pidfd reports the exit.
+      log_warn("route: replica '", name_, "' overstayed its drain grace; "
+               "escalating to SIGKILL");
+      child_.signal(SIGKILL);
     }
     if (death.empty()) {
       for (auto& [id, pending] : pending_) {
@@ -361,13 +367,8 @@ void RemoteReplica::sweep() {
     }
   }
   if (!death.empty()) {
-    handle_death(death, reaped);
+    handle_death(death);
     return;
-  }
-  if (kill_pid > 1) {
-    log_warn("route: replica '", name_, "' overstayed its drain grace; "
-             "escalating to SIGKILL");
-    proc::send_signal(kill_pid, SIGKILL);
   }
   for (const auto& [id, fd] : cancels) {
     ipc::PayloadWriter w;
@@ -381,20 +382,20 @@ void RemoteReplica::sweep() {
   }
 }
 
-void RemoteReplica::handle_death(const std::string& reason,
-                                 bool already_reaped) {
+void RemoteReplica::handle_death(const std::string& reason) {
   std::vector<std::shared_ptr<detail::Job>> orphans;
   int fd = -1;
-  std::int64_t pid = -1;
+  proc::Child child;
   bool intentional = false;
+  bool quiet = false;  // a shutdown that interrupts nothing is no loss
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (fd_ < 0) return;  // already handled
     fd = fd_;
     fd_ = -1;  // submits fail fast from this point on
-    pid = pid_;
-    pid_ = -1;
+    child = std::move(child_);
     intentional = draining_ || stopping_;
+    quiet = stopping_ && pending_.empty();
     draining_ = false;
     hello_received_ = false;
     orphans.reserve(pending_.size());
@@ -406,18 +407,17 @@ void RemoteReplica::handle_death(const std::string& reason,
       next_spawn_at_ = now;  // drain/upgrade: respawn immediately
     } else {
       ++consecutive_deaths_;
-      const std::int64_t shift =
-          std::min<std::int64_t>(consecutive_deaths_ - 1, 20);
-      next_spawn_at_ =
-          now + std::min(config_.backoff_ms << shift, config_.backoff_cap_ms);
+      next_spawn_at_ = now + supervisor::backoff_delay_ms(
+                                 {.backoff_ms = config_.backoff_ms,
+                                  .backoff_cap_ms = config_.backoff_cap_ms},
+                                 name_, consecutive_deaths_ - 1);
     }
   }
-  if (!already_reaped && pid > 1) {
-    // Ensure the death is total before recycling the channel (a half-dead
-    // worker must not keep a stale fd open).
-    proc::send_signal(pid, SIGKILL);
-    proc::wait_reap(pid, 2000);
-  }
+  cv_.notify_all();
+  // Ensure the death is total before recycling the channel (a half-dead
+  // worker must not keep a stale fd open): kill what is left of its group
+  // and reap it. A drained or shut-down worker gets a moment to exit first.
+  const proc::ExitStatus status = child.terminate(intentional ? 200 : 0);
   {
     // No writer is mid-frame once the worker is reaped: a blocked write has
     // returned EPIPE and released the lock. Closing under it prevents a
@@ -427,101 +427,60 @@ void RemoteReplica::handle_death(const std::string& reason,
   }
   const Response lost = worker_lost_response(reason);
   for (const auto& job : orphans) detail::RemoteJob::resolve(*job, lost);
-  log_warn("route: replica '", name_, "' worker lost (", reason, "); ",
-           orphans.size(), " in-flight request(s) failed over",
-           intentional ? "" : "; respawning");
+  if (!quiet) {
+    log_warn("route: replica '", name_, "' worker lost (", reason, "; exit ",
+             status.exit_code, ", signal ", status.term_signal, "); ",
+             orphans.size(), " in-flight request(s) failed over",
+             intentional ? "" : "; respawning");
+  }
   if (!intentional && on_process_failure_) on_process_failure_(reason);
 }
 
 bool RemoteReplica::swap_model(const std::string& new_path,
                                std::int64_t timeout_ms) {
-  std::int64_t target_generation = 0;
-  std::int64_t pid = -1;
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    if (stopping_) return false;
-    model_path_ = new_path;
-    ++stats_.swaps;
-    target_generation = generation_ + 1;
-    if (fd_ >= 0) {
-      draining_ = true;
-      drain_started_ = proc::monotonic_ms();
-      pid = pid_;
-    }
+  std::unique_lock<std::mutex> lock{mutex_};
+  if (stopping_) return false;
+  model_path_ = new_path;
+  ++stats_.swaps;
+  const std::int64_t target_generation = generation_ + 1;
+  if (fd_ >= 0) {
+    // SIGTERM starts the worker's graceful drain: finish the in-flight
+    // batch, answer what it can, exit 72. The pump reaps it and respawns
+    // with the new weights (next_spawn_at_ = now for an intentional death).
+    draining_ = true;
+    drain_started_ = proc::monotonic_ms();
+    child_.signal(SIGTERM);
   }
-  // SIGTERM starts the worker's graceful drain: finish the in-flight batch,
-  // answer what it can, exit 72. The pump reaps it and respawns with the new
-  // weights (next_spawn_at_ = now for an intentional death).
-  proc::send_signal(pid, SIGTERM);
-  const std::int64_t deadline = proc::monotonic_ms() + timeout_ms;
-  while (proc::monotonic_ms() < deadline) {
-    {
-      const std::lock_guard<std::mutex> lock{mutex_};
-      if (generation_ >= target_generation && hello_received_) return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  }
-  return false;
+  return cv_.wait_for(lock, std::chrono::milliseconds{timeout_ms}, [&] {
+    return generation_ >= target_generation && hello_received_;
+  });
 }
 
 void RemoteReplica::shutdown() {
-  std::int64_t pid = -1;
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    if (stopping_) {
-      // Second caller: the first one is (or was) already tearing down.
-    } else {
-      stopping_ = true;
-      pid = pid_;
-    }
-  }
-  // Graceful first: let a live worker drain its in-flight batch so those
-  // clients get real results, mirroring InferenceServer::shutdown.
-  proc::send_signal(pid, SIGTERM);
-  const std::int64_t deadline =
-      proc::monotonic_ms() + config_.drain_grace_ms;
-  while (proc::monotonic_ms() < deadline) {
-    {
-      const std::lock_guard<std::mutex> lock{mutex_};
-      if (fd_ < 0 || pending_.empty()) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  }
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    pump_exit_ = true;
-  }
   std::thread pump;
   {
-    const std::lock_guard<std::mutex> lock{mutex_};
+    std::unique_lock<std::mutex> lock{mutex_};
+    if (!stopping_) {
+      // Graceful first: let a live worker drain its in-flight batch so those
+      // clients get real results, mirroring InferenceServer::shutdown. A
+      // second caller finds the first one's teardown under way.
+      stopping_ = true;
+      child_.signal(SIGTERM);
+      cv_.notify_all();
+    }
+    cv_.wait_for(lock, std::chrono::milliseconds{config_.drain_grace_ms},
+                 [this] { return fd_ < 0 || pending_.empty(); });
+    pump_exit_ = true;
     pump = std::move(pump_);
   }
   if (pump.joinable()) pump.join();
-  // The pump is gone; finish whatever it left behind.
-  std::vector<std::shared_ptr<detail::Job>> orphans;
-  int fd = -1;
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    fd = fd_;
-    fd_ = -1;
-    pid = pid_;
-    pid_ = -1;
-    for (auto& [id, pending] : pending_) orphans.push_back(pending.job);
-    stats_.worker_lost += static_cast<std::int64_t>(orphans.size());
-    pending_.clear();
-  }
-  if (pid > 1) proc::terminate(pid, 200);
-  if (fd >= 0) {
-    const std::lock_guard<std::mutex> wlock{write_mutex_};
-    ::close(fd);
-  }
-  const Response lost = worker_lost_response("replica shutting down");
-  for (const auto& job : orphans) detail::RemoteJob::resolve(*job, lost);
+  // The pump is gone; fail what it left behind and reap the worker.
+  handle_death("replica shutting down");
 }
 
 std::int64_t RemoteReplica::pid() const {
   const std::lock_guard<std::mutex> lock{mutex_};
-  return fd_ >= 0 ? pid_ : -1;
+  return fd_ >= 0 ? child_.pid() : -1;
 }
 
 std::int64_t RemoteReplica::restarts() const {

@@ -10,8 +10,9 @@
 //   * heartbeat lease: the worker beats every heartbeat_ms; a beat older
 //     than lease_ms (CLOCK_MONOTONIC, as in fleet/queue) means the worker is
 //     wedged — SIGKILL, fail the in-flight tickets with retryable
-//     worker_lost, respawn with bounded exponential backoff;
-//   * reaped pid / torn frame / EOF: same recovery path. Every death invokes
+//     worker_lost, respawn after supervisor::backoff_delay_ms;
+//   * exited worker (its pidfd wakes the pump) / torn frame / EOF: same
+//     recovery path. Every death invokes
 //     the owner's on_process_failure callback exactly once so the routing
 //     layer can trip the replica's HealthBreaker — a process crash, not just
 //     a failed request, quarantines the variant;
@@ -30,6 +31,7 @@
 // boundary — the soak asserts this end to end.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "serve/serve.hpp"
+#include "util/proc.hpp"
 
 namespace sdd::serve {
 
@@ -75,7 +78,8 @@ struct RemoteReplicaConfig {
   std::vector<std::string> env_overrides;
 
   // Test seam: spawn the worker without exec'ing a binary (fork; child calls
-  // replica_worker_main on child_fd, then _exit). Returns the child pid.
+  // replica_worker_main on child_fd, then _exit). Returns the child pid,
+  // which the replica adopts (proc::Child::adopt).
   // Production default re-execs self_exe() with the `replica-worker`
   // subcommand.
   std::function<std::int64_t(int child_fd, const std::string& model_path,
@@ -94,7 +98,7 @@ struct RemoteStats {
 
 class RemoteReplica {
  public:
-  // `on_process_failure` fires once per unexpected worker death (reaped pid,
+  // `on_process_failure` fires once per unexpected worker death (exit,
   // lease expiry, torn frame), from the thread that detected it. It must not
   // call back into this RemoteReplica.
   // Every worker generation serves with `server`.
@@ -138,10 +142,9 @@ class RemoteReplica {
   void pump_main();
   void sweep();
   void handle_frame(std::uint8_t type, const std::string& payload);
-  // Pump-thread only (submit's write failures SIGKILL and let the pump
-  // observe the death). `already_reaped` skips the kill/reap step so a pid
-  // collected by try_reap is never signalled again (pid-reuse hazard).
-  void handle_death(const std::string& reason, bool already_reaped);
+  // Pump thread, or shutdown once the pump is joined (submit's write
+  // failures SIGKILL and let the pump observe the death).
+  void handle_death(const std::string& reason);
   void spawn_locked();
 
   const std::string name_;
@@ -150,9 +153,10 @@ class RemoteReplica {
   const std::function<void(const std::string&)> on_process_failure_;
 
   mutable std::mutex mutex_;     // state below
+  std::condition_variable cv_;   // HELLO, death, resolved ticket, stopping_
   std::string model_path_;
   int fd_ = -1;                  // parent end; -1 = no live worker
-  std::int64_t pid_ = -1;
+  proc::Child child_;            // worker; signalled only under mutex_
   std::int64_t generation_ = 0;  // spawn count
   bool hello_received_ = false;
   std::int64_t cost_ = 0;

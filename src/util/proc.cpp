@@ -1,17 +1,21 @@
 #include "util/proc.hpp"
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstring>
-#include <thread>
+#include <utility>
 
 #include <fcntl.h>
+#include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
 #include "util/error.hpp"
+#include "util/log.hpp"
 
 extern char** environ;
 
@@ -34,7 +38,7 @@ std::filesystem::path self_exe() {
   return path;
 }
 
-std::int64_t spawn(const std::vector<std::string>& argv,
+Child Child::spawn(const std::vector<std::string>& argv,
                    const std::vector<std::string>& env_overrides,
                    const std::vector<int>& inherit_fds) {
   if (argv.empty()) {
@@ -42,33 +46,23 @@ std::int64_t spawn(const std::vector<std::string>& argv,
   }
   // Build the child argv/envp before forking: only async-signal-safe calls
   // are allowed between fork and exec in a multi-threaded parent.
-  std::vector<std::string> env;
+  std::vector<std::string> env = env_overrides;
   for (char** e = environ; *e != nullptr; ++e) {
     const std::string entry{*e};
-    const std::string key = entry.substr(0, entry.find('='));
-    bool overridden = false;
-    for (const std::string& override_entry : env_overrides) {
-      if (override_entry.rfind(key + "=", 0) == 0) {
-        overridden = true;
-        break;
-      }
+    const std::string key = entry.substr(0, entry.find('=')) + "=";
+    if (std::none_of(env_overrides.begin(), env_overrides.end(),
+                     [&](const std::string& o) { return o.rfind(key, 0) == 0; })) {
+      env.push_back(entry);
     }
-    if (!overridden) env.push_back(entry);
   }
-  env.insert(env.end(), env_overrides.begin(), env_overrides.end());
-
-  std::vector<char*> argv_ptrs;
-  argv_ptrs.reserve(argv.size() + 1);
-  for (const std::string& arg : argv) {
-    argv_ptrs.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv_ptrs.push_back(nullptr);
-  std::vector<char*> env_ptrs;
-  env_ptrs.reserve(env.size() + 1);
-  for (const std::string& entry : env) {
-    env_ptrs.push_back(const_cast<char*>(entry.c_str()));
-  }
-  env_ptrs.push_back(nullptr);
+  const auto pointers = [](const std::vector<std::string>& strings) {
+    std::vector<char*> out;
+    for (const std::string& s : strings) out.push_back(const_cast<char*>(s.c_str()));
+    out.push_back(nullptr);
+    return out;
+  };
+  const std::vector<char*> argv_ptrs = pointers(argv);
+  const std::vector<char*> env_ptrs = pointers(env);
 
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -90,95 +84,125 @@ std::int64_t spawn(const std::vector<std::string>& argv,
     ::_exit(127);
   }
   ::setpgid(pid, 0);
-  return pid;
+  try {
+    return adopt(pid);
+  } catch (...) {
+    ::kill(pid, SIGKILL);  // not supervisable: do not leave it running
+    ::waitpid(pid, nullptr, 0);
+    throw;
+  }
 }
 
-bool alive(std::int64_t pid) {
-  if (pid <= 0) return false;
-  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
-}
-
-void send_signal(std::int64_t pid, int signum) noexcept {
-  // pid 0 / -1 / -pgid forms of kill() signal whole groups; a stale pid
-  // sentinel must never fan out like that. pid 1 is refused for the same
-  // defence-in-depth reason (containers run us as init's descendants).
-  if (pid > 1) ::kill(static_cast<pid_t>(pid), signum);
-}
-
-std::optional<ExitStatus> try_reap(std::int64_t pid) {
+Child Child::adopt(std::int64_t pid) {
   if (pid <= 1) {
     throw Error(ErrorKind::kFatal,
-                "proc: refusing to reap pid " + std::to_string(pid) +
-                    " (waitpid would collect an arbitrary child)");
-  }
-  int status = 0;
-  const pid_t reaped = ::waitpid(static_cast<pid_t>(pid), &status, WNOHANG);
-  if (reaped == 0) return std::nullopt;
-  if (reaped < 0) {
-    throw Error(ErrorKind::kWorkerLost,
-                "proc: waitpid(" + std::to_string(pid) +
-                    ") failed: " + std::strerror(errno));
-  }
-  ExitStatus result;
-  result.pid = reaped;
-  if (WIFEXITED(status)) {
-    result.exit_code = WEXITSTATUS(status);
-  } else if (WIFSIGNALED(status)) {
-    result.term_signal = WTERMSIG(status);
-  }
-  return result;
-}
-
-std::optional<ExitStatus> wait_reap(std::int64_t pid, std::int64_t timeout_ms) {
-  const std::int64_t deadline = monotonic_ms() + timeout_ms;
-  for (;;) {
-    if (auto status = try_reap(pid)) return status;
-    if (monotonic_ms() >= deadline) return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  }
-}
-
-namespace {
-
-// Signals the process group `pid` leads, or `pid` alone when it leads none.
-void signal_group(std::int64_t pid, int signum) {
-  if (::kill(-static_cast<pid_t>(pid), signum) != 0) send_signal(pid, signum);
-}
-
-// True once child `pid` has exited. Leaves it unreaped: while the zombie
-// stands its pid, and so its group id, cannot be reused.
-bool exited(std::int64_t pid) {
-  siginfo_t info{};
-  if (::waitid(P_PID, static_cast<id_t>(pid), &info,
-               WEXITED | WNOHANG | WNOWAIT) != 0) {
-    throw Error(ErrorKind::kWorkerLost,
-                "proc: waitid(" + std::to_string(pid) +
-                    ") failed: " + std::strerror(errno));
-  }
-  return info.si_pid == pid;
-}
-
-}  // namespace
-
-ExitStatus terminate(std::int64_t pid, std::int64_t grace_ms) {
-  if (pid <= 1) {
-    throw Error(ErrorKind::kFatal,
-                "proc: refusing to terminate pid " + std::to_string(pid) +
+                "proc: refusing to adopt pid " + std::to_string(pid) +
                     " (stale sentinel would signal the whole session)");
   }
-  signal_group(pid, SIGTERM);
-  const std::int64_t deadline = monotonic_ms() + grace_ms;
-  while (!exited(pid) && monotonic_ms() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (fd < 0) {
+    throw Error(ErrorKind::kFatal,
+                "proc: pidfd_open(" + std::to_string(pid) + ") failed: " +
+                    std::strerror(errno) + " (needs Linux >= 5.4)");
   }
+  // Only a child can be reaped; refuse anything else before a destructor
+  // could signal it.
+  siginfo_t info{};
+  if (::waitid(P_PIDFD, static_cast<id_t>(fd), &info,
+               WEXITED | WNOHANG | WNOWAIT) != 0) {
+    const std::string why = std::strerror(errno);
+    ::close(fd);
+    throw Error(ErrorKind::kWorkerLost,
+                "proc: cannot adopt pid " + std::to_string(pid) + ": " + why);
+  }
+  return Child{pid, fd};
+}
+
+Child::Child(Child&& other) noexcept
+    : pid_{std::exchange(other.pid_, -1)},
+      fd_{std::exchange(other.fd_, -1)},
+      status_{std::exchange(other.status_, std::nullopt)} {}
+
+Child& Child::operator=(Child&& other) noexcept {
+  Child replaced{std::move(other)};  // ends up with, and destroys, our old child
+  std::swap(pid_, replaced.pid_);
+  std::swap(fd_, replaced.fd_);
+  std::swap(status_, replaced.status_);
+  return *this;
+}
+
+Child::~Child() {
+  if (fd_ < 0) return;
+  if (!status_) {
+    signal_group(SIGKILL);
+    try {
+      wait(10'000);
+    } catch (const std::exception& e) {
+      log_warn("proc: could not reap pid ", pid_, ": ", e.what());
+    }
+  }
+  ::close(fd_);
+}
+
+std::optional<ExitStatus> Child::try_reap() {
+  if (status_) return status_;
+  if (fd_ < 0) {
+    throw Error(ErrorKind::kFatal,
+                "proc: refusing to reap an empty Child (pid -1 would reap an "
+                "arbitrary child)");
+  }
+  siginfo_t info{};
+  if (::waitid(P_PIDFD, static_cast<id_t>(fd_), &info, WEXITED | WNOHANG) != 0) {
+    throw Error(ErrorKind::kWorkerLost,
+                "proc: waitid(" + std::to_string(pid_) +
+                    ") failed: " + std::strerror(errno));
+  }
+  if (info.si_pid == 0) return std::nullopt;
+  const bool exited = info.si_code == CLD_EXITED;
+  status_ = ExitStatus{pid_, exited ? info.si_status : -1, exited ? 0 : info.si_status};
+  return status_;
+}
+
+void Child::await_exit(std::int64_t timeout_ms) const {
+  const std::int64_t deadline = monotonic_ms() + timeout_ms;
+  pollfd pfd{fd_, POLLIN, 0};
+  // A signal handler's EINTR resumes the wait with what is left of it.
+  while (::poll(&pfd, 1, static_cast<int>(std::clamp<std::int64_t>(
+                             deadline - monotonic_ms(), 0, INT_MAX))) < 0 &&
+         errno == EINTR) {
+  }
+}
+
+std::optional<ExitStatus> Child::wait(std::int64_t timeout_ms) {
+  if (!status_ && fd_ >= 0) await_exit(timeout_ms);
+  return try_reap();
+}
+
+void Child::signal(int signum) const noexcept {
+  // After the reap the pidfd answers ESRCH: it never reaches a recycled pid.
+  if (fd_ >= 0) ::syscall(SYS_pidfd_send_signal, fd_, signum, nullptr, 0);
+}
+
+// Signals the process group the child leads, or the child alone when it
+// leads none (a forked test seam). Only called before the reap: while the
+// zombie stands, its pid, and so its group id, cannot be reused.
+void Child::signal_group(int signum) const noexcept {
+  if (fd_ < 0) return;  // never kill(-(-1)): that would signal init
+  if (::kill(-static_cast<pid_t>(pid_), signum) != 0) signal(signum);
+}
+
+ExitStatus Child::terminate(std::int64_t grace_ms) {
+  if (status_ || fd_ < 0) return status_.value_or(ExitStatus{});
+  signal_group(SIGTERM);
+  await_exit(grace_ms);  // leaves the zombie unreaped for the group kill
   // Kill what is left of the group: the child if it outlived the grace
   // period, and any descendant that survived SIGTERM.
-  signal_group(pid, SIGKILL);
+  signal_group(SIGKILL);
   // SIGKILL cannot be blocked; the bounded wait is belt-and-braces against a
   // child stuck in an uninterruptible state.
-  if (auto status = wait_reap(pid, 10'000)) return *status;
+  if (auto status = wait(10'000)) return *status;
   ExitStatus lost;
-  lost.pid = pid;
+  lost.pid = pid_;
   lost.term_signal = SIGKILL;
   return lost;
 }

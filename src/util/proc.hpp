@@ -1,9 +1,14 @@
-// Minimal POSIX process helpers for the multi-process fleet orchestrator.
+// POSIX child processes for the fleet orchestrator and serving replicas.
 //
-// The orchestrator forks/execs worker processes, reaps them without blocking,
-// and escalates SIGTERM -> SIGKILL when a worker overstays its lease. All
-// helpers throw sdd::Error (util/error.hpp) so callers can classify failures;
-// a spawn failure is kWorkerLost (retryable: the orchestrator respawns).
+// proc::Child owns one child: its pid and a pidfd (pidfd_open), so the
+// child's exit is a pollable event (the pidfd turns readable) and every
+// signal goes through the pidfd, which can never reach a recycled pid.
+// Callers poll fd() next to their own descriptors and reap at once instead
+// of sleeping between waitpid() calls. Destroying a Child that still runs
+// SIGKILLs its process group and reaps it, so no owner can leak a worker.
+// Needs Linux >= 5.4 (pidfd_open, waitid(P_PIDFD)); on older kernels the
+// first spawn throws Error{kFatal}. All failures are sdd::Error
+// (util/error.hpp): a fork failure is kWorkerLost (the owner respawns).
 //
 // monotonic_ms() is CLOCK_MONOTONIC, which is comparable across processes on
 // the same machine — the lease/heartbeat protocol (fleet/queue) depends on
@@ -26,26 +31,6 @@ std::int64_t monotonic_ms();
 // itself with a worker subcommand, so workers always run the same binary.
 std::filesystem::path self_exe();
 
-// fork + execve; the child leads a new process group (see terminate()).
-// `argv[0]` is the program path; `env_overrides` are KEY=VALUE
-// strings appended to (and overriding) the inherited environment.
-// `inherit_fds` are descriptors that survive the exec: they are opened
-// CLOEXEC in the parent (so concurrently spawned siblings never leak them)
-// and the child clears the flag on its own copies between fork and exec.
-// Returns the child pid; throws Error{kWorkerLost} when the fork fails. An
-// exec failure inside the child exits 127.
-std::int64_t spawn(const std::vector<std::string>& argv,
-                   const std::vector<std::string>& env_overrides = {},
-                   const std::vector<int>& inherit_fds = {});
-
-// True when `pid` still exists (kill(pid, 0) semantics).
-bool alive(std::int64_t pid);
-
-// Best-effort signal delivery; never throws. Refuses pid <= 1: a stale
-// sentinel (-1 or 0) passed to kill() would signal the whole process group
-// or session — silently doing nothing is the only safe interpretation.
-void send_signal(std::int64_t pid, int signum) noexcept;
-
 struct ExitStatus {
   std::int64_t pid = -1;
   int exit_code = -1;     // valid when exited normally, else -1
@@ -53,19 +38,57 @@ struct ExitStatus {
   bool clean() const { return term_signal == 0 && exit_code == 0; }
 };
 
-// Non-blocking reap of one child. nullopt while the child is still running;
-// throws Error{kWorkerLost} if `pid` is not a child of this process and
-// Error{kFatal} on pid <= 1 (waitpid(-1) would reap an arbitrary child).
-std::optional<ExitStatus> try_reap(std::int64_t pid);
+class Child {
+ public:
+  Child() = default;  // owns no process
+  Child(Child&& other) noexcept;
+  Child& operator=(Child&& other) noexcept;  // the replaced child is destroyed
+  ~Child();
 
-// Polls try_reap until the child exits or `timeout_ms` elapses.
-std::optional<ExitStatus> wait_reap(std::int64_t pid, std::int64_t timeout_ms);
+  // fork + execve; the child leads a new process group (see terminate()).
+  // `argv[0]` is the program path; `env_overrides` are KEY=VALUE strings
+  // appended to (and overriding) the inherited environment. `inherit_fds`
+  // survive the exec: they are opened CLOEXEC in the parent (so concurrently
+  // spawned siblings never leak them) and the child clears the flag on its
+  // own copies between fork and exec. An exec failure exits 127.
+  static Child spawn(const std::vector<std::string>& argv,
+                     const std::vector<std::string>& env_overrides = {},
+                     const std::vector<int>& inherit_fds = {});
 
-// SIGTERM the child's process group, wait up to `grace_ms` for the child,
-// then SIGKILL the group (no descendant outlives it) and reap the child.
-// Used for fleet and replica shutdown so workers can run their graceful path.
-// Throws Error{kFatal} on pid <= 1 — a stale sentinel here would
-// kill(-1, SIGKILL) everything the user owns.
-ExitStatus terminate(std::int64_t pid, std::int64_t grace_ms);
+  // Takes ownership of child `pid` forked by the caller (the fork-based test
+  // seams). Throws Error{kFatal} on pid <= 1 — a stale sentinel that
+  // kill() would fan out to a whole group or session — and
+  // Error{kWorkerLost} when `pid` is not a child of this process.
+  static Child adopt(std::int64_t pid);
+
+  explicit operator bool() const { return fd_ >= 0; }
+  std::int64_t pid() const { return pid_; }  // -1 when empty
+  int fd() const { return fd_; }              // readable once the child exits
+
+  // Non-blocking reap: nullopt while the child runs, its status (every call)
+  // once it has exited. Both reaps throw Error{kFatal} on an empty Child.
+  std::optional<ExitStatus> try_reap();
+  // Reaps the child, waiting up to `timeout_ms` for it to exit.
+  std::optional<ExitStatus> wait(std::int64_t timeout_ms);
+
+  // Signals the child alone; never throws. A no-op once the child is reaped.
+  void signal(int signum) const noexcept;
+
+  // SIGTERM the child's process group, wait up to `grace_ms` for the child,
+  // then SIGKILL the group (no descendant outlives it) and reap the child.
+  // Used for fleet and replica shutdown so workers can run their graceful
+  // path. An empty Child signals nothing and returns ExitStatus{} at once.
+  ExitStatus terminate(std::int64_t grace_ms);
+
+ private:
+  Child(std::int64_t pid, int fd) : pid_{pid}, fd_{fd} {}
+  // Polls the pidfd until the child exits or `timeout_ms` passes; no reap.
+  void await_exit(std::int64_t timeout_ms) const;
+  void signal_group(int signum) const noexcept;
+
+  std::int64_t pid_ = -1;
+  int fd_ = -1;                        // pidfd
+  std::optional<ExitStatus> status_;  // set once reaped
+};
 
 }  // namespace sdd::proc

@@ -11,8 +11,11 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/log.hpp"
 #include "util/proc.hpp"
 #include "util/signals.hpp"
 
@@ -293,6 +297,66 @@ TEST(FleetQueue, ReclaimOfDoneTaskDropsClaimSilently) {
   EXPECT_TRUE(queue.all_terminal());
 }
 
+// A claim that never got its text (a claimer killed between creating and
+// writing it, as an older writer could be) has no owner to wait for: it is
+// reclaimed at once, and the task completes.
+TEST(FleetQueue, EmptyClaimIsReclaimedAndTheTaskCompletes) {
+  TempDir tmp;
+  WorkQueue queue{tmp.path()};
+  ASSERT_TRUE(queue.enqueue(make_task("torn")));
+  std::ofstream{queue.claim_path("torn")}.close();
+  EXPECT_FALSE(queue.read_claim("torn").has_value());
+  EXPECT_FALSE(queue.try_claim("w0").has_value());
+
+  const auto reclaimed = queue.reclaim_stale(/*lease_ms=*/60'000, 3);
+  ASSERT_EQ(reclaimed.size(), 1U);
+  EXPECT_EQ(reclaimed[0].claim.pid, -1);
+  FleetConfig config;
+  config.lease_ms = 60'000;
+  config.poll_ms = 5;
+  int executed = 0;
+  EXPECT_EQ(worker_main(tmp.path(), "w0", config, [&](const TaskSpec&) { ++executed; }), 0);
+  EXPECT_EQ(executed, 1);
+  EXPECT_TRUE(queue.is_done("torn"));
+}
+
+// Seeded mutation fuzz of the claim reader: every mutant of a valid claim
+// reads and sweeps without throwing, and one that does not parse is
+// reclaimed. Beats at the ends of the int64 range must not overflow the
+// silence computation (the ASan+UBSan build checks that).
+TEST(FleetQueue, MutatedClaimsReadAndReclaimWithoutThrowing) {
+  TempDir tmp;
+  WorkQueue queue{tmp.path()};
+  ASSERT_TRUE(queue.enqueue(make_task("t")));
+  const std::vector<std::string> claims = {
+      "pid=4242\nworker=w0-g1\nbeat=" + std::to_string(proc::monotonic_ms()) + "\n",
+      "pid=1\nworker=w\nbeat=0\n",
+      "pid=-1\nworker=\nbeat=-9223372036854775808\n",
+      "pid=7\nworker=w7\nbeat=9223372036854775807\n",
+  };
+  // Both ends of the beat range are stale: int64 min is older than any
+  // lease, and a beat from the future means the queue outlived a reboot.
+  for (const std::string& edge : {claims[2], claims[3]}) {
+    std::ofstream{queue.claim_path("t")} << edge;
+    EXPECT_EQ(queue.reclaim_stale(/*lease_ms=*/60'000, 1'000'000).size(), 1U) << edge;
+  }
+
+  const ScopedLogLevel quiet{LogLevel::kOff};
+  Rng rng{0xC1A1};
+  for (int i = 0; i < 2'000; ++i) {
+    {
+      std::ofstream out{queue.claim_path("t"), std::ios::binary | std::ios::trunc};
+      out << testing::mutate_bytes(claims, rng);
+    }
+    std::optional<ClaimInfo> claim;
+    ASSERT_NO_THROW(claim = queue.read_claim("t")) << "mutant " << i;
+    ASSERT_NO_THROW(queue.reclaim_stale(/*lease_ms=*/60'000, 1'000'000)) << "mutant " << i;
+    if (!claim) {
+      EXPECT_FALSE(fs::exists(queue.claim_path("t"))) << "mutant " << i;
+    }
+  }
+}
+
 TEST(FleetQueue, PoisonTaskQuarantinesAfterBudget) {
   TempDir tmp;
   WorkQueue queue{tmp.path()};
@@ -538,24 +602,52 @@ TEST(FleetOrphan, ReclaimAfterKill9) {
   EXPECT_TRUE(queue.all_terminal());
 }
 
-// proc helpers against a real child process.
+// proc::Child against a real child process.
 TEST(FleetProc, SpawnReapAndTerminate) {
-  const std::int64_t pid =
-      proc::spawn({"/bin/sh", "-c", "exit 7"});
-  const auto status = proc::wait_reap(pid, 5'000);
+  proc::Child child = proc::Child::spawn({"/bin/sh", "-c", "exit 7"});
+  const auto status = child.wait(5'000);
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->exit_code, 7);
   EXPECT_EQ(status->term_signal, 0);
   EXPECT_FALSE(status->clean());
 
-  const std::int64_t sleeper =
-      proc::spawn({"/bin/sh", "-c", "sleep 30"});
-  EXPECT_TRUE(proc::alive(sleeper));
-  const auto killed = proc::terminate(sleeper, /*grace_ms=*/200);
+  proc::Child sleeper = proc::Child::spawn({"/bin/sh", "-c", "sleep 30"});
+  EXPECT_FALSE(sleeper.try_reap().has_value());
+  const auto killed = sleeper.terminate(/*grace_ms=*/200);
   EXPECT_TRUE(killed.term_signal == SIGTERM || killed.term_signal == SIGKILL);
-  EXPECT_FALSE(proc::alive(sleeper));
+  EXPECT_TRUE(sleeper.try_reap().has_value());
 }
 #endif  // !SDD_TSAN
+
+#if defined(SDD_CLI_PATH) && !defined(SDD_TSAN)
+// `sdd_cli eval` through the fleet: the orchestrator reaps its worker the
+// moment it exits instead of sleeping out a 30 s poll tick, and the fleet
+// digest is byte-identical to the serial one.
+TEST(FleetCliFork, EvalReapsTheWorkerWhenItExits) {
+  TempDir tmp;
+  const std::string shape =
+      "SDD_DMODEL=32 SDD_HEADS=2 SDD_LAYERS=4 SDD_DFF=64 SDD_MAX_SEQ=64 "
+      "SDD_CORPUS_DOCS=400 SDD_PRETRAIN_STEPS=4 SDD_PRETRAIN_BATCH=2 "
+      "SDD_PRETRAIN_SEQ=48 SDD_LOG_LEVEL=error ";
+  const auto eval = [&](const std::string& name, const std::string& fleet) {
+    const fs::path dir = tmp.path() / name;
+    return std::system((shape + fleet + "SDD_CACHE_DIR=" + dir.string() + " " +
+                        SDD_CLI_PATH + " eval --suite openllm --items 3 --out " +
+                        (dir / "digest.txt").string() + " > /dev/null")
+                           .c_str());
+  };
+  ASSERT_EQ(eval("serial", ""), 0);
+  const std::int64_t start = proc::monotonic_ms();
+  ASSERT_EQ(eval("fleet", "SDD_FLEET_WORKERS=1 SDD_FLEET_POLL_MS=30000 "), 0);
+  EXPECT_LT(proc::monotonic_ms() - start, 10'000);
+  std::ifstream serial{tmp.path() / "serial" / "digest.txt"};
+  std::ifstream fleet{tmp.path() / "fleet" / "digest.txt"};
+  const std::string serial_text{std::istreambuf_iterator<char>{serial}, {}};
+  const std::string fleet_text{std::istreambuf_iterator<char>{fleet}, {}};
+  EXPECT_FALSE(serial_text.empty());
+  EXPECT_EQ(fleet_text, serial_text);
+}
+#endif
 
 }  // namespace
 }  // namespace sdd::fleet

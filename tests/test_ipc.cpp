@@ -1,8 +1,9 @@
 // Tests for the framed IPC transport (src/util/ipc) and the POSIX process
 // helpers (src/util/proc): frame round-trips, torn/corrupt frame
 // classification, payload codec bounds, the pid<=1 guard rails, and — in
-// non-TSan builds — real fork/exec behaviour (env_overrides precedence,
-// exec-failure exit 127, SIGTERM -> SIGKILL escalation, non-child reaps).
+// non-TSan builds — real proc::Child behaviour (env_overrides precedence,
+// exec-failure exit 127, pidfd wake-up, SIGTERM -> SIGKILL escalation,
+// group kills, adoption of forked and non-child pids).
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -11,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <poll.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -242,24 +245,45 @@ TEST(Ipc, MutatedFramesGiveAFrameClosedOrWorkerLost) {
 
 // ---- pid guard rails (no fork needed) --------------------------------------
 
-TEST(ProcGuard, SendSignalRefusesSentinelPids) {
-  // kill(-1)/kill(0) would signal the whole group/session; the guard turns a
-  // stale sentinel into a silent no-op. Surviving these calls IS the test.
-  proc::send_signal(-1, SIGTERM);
-  proc::send_signal(0, SIGTERM);
-  proc::send_signal(1, SIGTERM);
+TEST(ProcGuard, AdoptRefusesSentinelPids) {
+  // kill(-1)/kill(0) would signal the whole group/session and waitpid(-1)
+  // would reap an arbitrary child; a stale sentinel never becomes a Child.
+  EXPECT_EQ(thrown_kind([] { proc::Child::adopt(-1); }), ErrorKind::kFatal);
+  EXPECT_EQ(thrown_kind([] { proc::Child::adopt(0); }), ErrorKind::kFatal);
+  EXPECT_EQ(thrown_kind([] { proc::Child::adopt(1); }), ErrorKind::kFatal);
 }
 
 TEST(ProcGuard, TryReapRefusesSentinelPids) {
-  EXPECT_EQ(thrown_kind([] { proc::try_reap(-1); }), ErrorKind::kFatal);
-  EXPECT_EQ(thrown_kind([] { proc::try_reap(0); }), ErrorKind::kFatal);
-  EXPECT_EQ(thrown_kind([] { proc::try_reap(1); }), ErrorKind::kFatal);
+  // An empty Child holds the sentinel pid -1, which waitpid(-1) would read as
+  // "any child": both reaps refuse it, and wait() does not sit out its timeout.
+  proc::Child empty;
+  EXPECT_EQ(thrown_kind([&] { empty.try_reap(); }), ErrorKind::kFatal);
+  const std::int64_t start = proc::monotonic_ms();
+  EXPECT_EQ(thrown_kind([&] { empty.wait(10'000); }), ErrorKind::kFatal);
+  EXPECT_LT(proc::monotonic_ms() - start, 1'000);
+  EXPECT_EQ(thrown_kind([] { proc::Child::adopt(-1).try_reap(); }), ErrorKind::kFatal);
 }
 
 TEST(ProcGuard, TerminateRefusesSentinelPids) {
-  EXPECT_EQ(thrown_kind([] { proc::terminate(-1, 100); }), ErrorKind::kFatal);
-  EXPECT_EQ(thrown_kind([] { proc::terminate(0, 100); }), ErrorKind::kFatal);
-  EXPECT_EQ(thrown_kind([] { proc::terminate(1, 100); }), ErrorKind::kFatal);
+  // kill(-(-1)) would signal init: an empty Child signals no group, waits out
+  // no grace, and reports the sentinel status.
+  proc::Child empty;
+  const std::int64_t start = proc::monotonic_ms();
+  const proc::ExitStatus status = empty.terminate(/*grace_ms=*/10'000);
+  EXPECT_LT(proc::monotonic_ms() - start, 1'000);
+  EXPECT_EQ(status.pid, -1);
+  EXPECT_EQ(status.exit_code, -1);
+  EXPECT_EQ(status.term_signal, 0);
+  EXPECT_EQ(thrown_kind([] { proc::Child::adopt(0).terminate(100); }), ErrorKind::kFatal);
+}
+
+TEST(ProcGuard, EmptyChildSignalsNothing) {
+  // An empty Child owns no pidfd, so signal() reaches no process. Surviving
+  // the call IS the test.
+  const proc::Child empty;
+  EXPECT_FALSE(empty);
+  EXPECT_EQ(empty.pid(), -1);
+  empty.signal(SIGTERM);
 }
 
 #if !defined(SDD_TSAN)
@@ -267,36 +291,51 @@ TEST(ProcGuard, TerminateRefusesSentinelPids) {
 
 TEST(ProcFork, EnvOverridesTakePrecedenceOverInherited) {
   ASSERT_EQ(::setenv("SDD_PROC_TEST_VAR", "inherited", 1), 0);
-  const std::int64_t pid = proc::spawn(
+  proc::Child child = proc::Child::spawn(
       {"/bin/sh", "-c", "test \"$SDD_PROC_TEST_VAR\" = override"},
       {"SDD_PROC_TEST_VAR=override"});
-  const auto status = proc::wait_reap(pid, 5'000);
+  const auto status = child.wait(5'000);
   ::unsetenv("SDD_PROC_TEST_VAR");
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->clean()) << "child saw exit " << status->exit_code;
 }
 
 TEST(ProcFork, ExecFailureExits127) {
-  const std::int64_t pid = proc::spawn({"/nonexistent/sdd_no_such_binary"});
-  const auto status = proc::wait_reap(pid, 5'000);
+  proc::Child child = proc::Child::spawn({"/nonexistent/sdd_no_such_binary"});
+  const auto status = child.wait(5'000);
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->exit_code, 127);
   EXPECT_EQ(status->term_signal, 0);
+}
+
+// The pidfd turns readable when the child exits, so a poll() wakes at once;
+// the status stays readable, and a signal after the reap reaches nothing.
+TEST(ProcFork, ExitWakesThePidfd) {
+  proc::Child child = proc::Child::spawn({"/bin/sh", "-c", "exit 3"});
+  pollfd pfd{child.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5'000), 1);
+  const auto status = child.try_reap();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->exit_code, 3);
+  EXPECT_EQ(status->pid, child.pid());
+  EXPECT_EQ(child.try_reap()->exit_code, 3);
+  child.signal(SIGKILL);
+  EXPECT_EQ(child.terminate(100).exit_code, 3);
 }
 
 TEST(ProcFork, TerminateEscalatesToSigkillWhenTermIsIgnored) {
   // The child reports over an inherited fd once the trap is installed;
   // terminating earlier would race the default TERM disposition.
   Pair ready;
-  const std::int64_t pid = proc::spawn(
+  proc::Child child = proc::Child::spawn(
       {"/bin/sh", "-c",
        "trap '' TERM; printf r >&" + std::to_string(ready.b) + "; sleep 30"},
       {}, {ready.b});
   char byte = 0;
   ASSERT_EQ(::read(ready.a, &byte, 1), 1);
-  const auto status = proc::terminate(pid, /*grace_ms=*/300);
+  const auto status = child.terminate(/*grace_ms=*/300);
   EXPECT_EQ(status.term_signal, SIGKILL);
-  EXPECT_FALSE(proc::alive(pid));
+  EXPECT_TRUE(child.try_reap().has_value());
 }
 
 // True while `pid` exists and is not a zombie. A killed grandchild is
@@ -312,40 +351,73 @@ bool running(std::int64_t pid) {
          line[close + 2] != 'Z';
 }
 
-TEST(ProcFork, TerminateKillsTheWholeProcessGroup) {
-  // The child starts a background grandchild, reports its pid, and waits.
-  // Terminating the child alone would leave the grandchild running.
+// Spawns a shell that starts a background grandchild, reports its pid and
+// waits; the grandchild stays in the shell's process group.
+std::int64_t spawn_with_grandchild(proc::Child* child) {
   Pair ready;
-  const std::int64_t pid = proc::spawn(
+  *child = proc::Child::spawn(
       {"/bin/sh", "-c",
        "sleep 30 & echo $! >&" + std::to_string(ready.b) + "; wait"},
       {}, {ready.b});
   std::string line;
   char byte = 0;
   while (::read(ready.a, &byte, 1) == 1 && byte != '\n') line.push_back(byte);
-  const std::int64_t grandchild = std::stoll(line);
-  ASSERT_TRUE(running(grandchild));
-
-  proc::terminate(pid, /*grace_ms=*/300);
-  EXPECT_FALSE(proc::alive(pid));
-  const std::int64_t deadline = proc::monotonic_ms() + 5'000;
-  while (running(grandchild) && proc::monotonic_ms() < deadline) {
-    ::usleep(5'000);
-  }
-  EXPECT_FALSE(running(grandchild)) << "grandchild " << grandchild << " survived";
+  return std::stoll(line);
 }
 
-TEST(ProcFork, TryReapNonChildIsWorkerLost) {
-  // Our parent process exists but is not our child: waitpid says ECHILD.
-  EXPECT_EQ(thrown_kind([] { proc::try_reap(::getppid()); }),
+bool stops_running(std::int64_t pid) {
+  const std::int64_t deadline = proc::monotonic_ms() + 5'000;
+  while (running(pid) && proc::monotonic_ms() < deadline) ::usleep(5'000);
+  return !running(pid);
+}
+
+TEST(ProcFork, TerminateKillsTheWholeProcessGroup) {
+  // Terminating the child alone would leave the grandchild running.
+  proc::Child child;
+  const std::int64_t grandchild = spawn_with_grandchild(&child);
+  ASSERT_TRUE(running(grandchild));
+  child.terminate(/*grace_ms=*/300);
+  EXPECT_TRUE(child.try_reap().has_value());
+  EXPECT_TRUE(stops_running(grandchild)) << "grandchild " << grandchild << " survived";
+}
+
+TEST(ProcFork, DroppedChildKillsItsGroupAndIsReaped) {
+  proc::Child child;
+  const std::int64_t grandchild = spawn_with_grandchild(&child);
+  const auto pid = static_cast<pid_t>(child.pid());
+  child = proc::Child{};
+  EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), -1) << "child left unreaped";
+  EXPECT_TRUE(stops_running(grandchild)) << "grandchild " << grandchild << " survived";
+}
+
+TEST(ProcFork, AdoptNonChildIsWorkerLost) {
+  // The grandchild exists but is not our child: waitid says ECHILD, and the
+  // refused pid is never signalled.
+  proc::Child child;
+  const std::int64_t grandchild = spawn_with_grandchild(&child);
+  EXPECT_EQ(thrown_kind([&] { proc::Child::adopt(grandchild); }),
             ErrorKind::kWorkerLost);
+  EXPECT_TRUE(running(grandchild));
+}
+
+// The fork-based test seams adopt what they forked, even a child that has
+// already exited: the zombie still holds its pid.
+TEST(ProcFork, AdoptReapsAForkedChild) {
+  const pid_t pid = ::fork();
+  if (pid == 0) ::_exit(5);
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT), 0);
+  proc::Child child = proc::Child::adopt(pid);
+  const auto status = child.wait(5'000);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->exit_code, 5);
 }
 
 TEST(ProcFork, InheritedFdSurvivesExec) {
   Pair p;
-  const std::int64_t pid = proc::spawn(
+  proc::Child child = proc::Child::spawn(
       {"/bin/sh", "-c", "printf x >&" + std::to_string(p.b)}, {}, {p.b});
-  const auto status = proc::wait_reap(pid, 5'000);
+  const auto status = child.wait(5'000);
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->clean()) << "redirect failed: fd did not survive exec";
   char byte = 0;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "util/ipc.hpp"
 #include "util/proc.hpp"
 #include "util/signals.hpp"
+#include "util/supervisor.hpp"
 
 namespace sdd {
 namespace {
@@ -192,6 +194,44 @@ TEST(RemoteReplicaFork, Kill9FailsTicketsOverAndRespawns) {
       << after->wait().message;
   EXPECT_EQ(after->wait().tokens, reference_tokens(model, request));
   replica.shutdown();
+}
+
+// Every unexpected death before HELLO counts against the respawn budget,
+// and respawn k waits at least supervisor::backoff_delay_ms for death k.
+TEST(RemoteReplicaFork, EachRespawnWaitsOutItsBackoff) {
+  RemoteReplicaConfig config = fork_config();  // backoff 20 ms, cap 100 ms
+  config.respawn_max = 4;
+  std::mutex mutex;
+  std::vector<std::int64_t> spawned_at;
+  config.spawn_fn = [&](int, const std::string&, const std::string&) -> std::int64_t {
+    {
+      const std::lock_guard<std::mutex> lock{mutex};
+      spawned_at.push_back(proc::monotonic_ms());
+    }
+    const pid_t pid = ::fork();
+    if (pid == 0) ::_exit(1);
+    return static_cast<std::int64_t>(pid);
+  };
+  std::atomic<int> deaths{0};
+  RemoteReplica replica{"crashy", "unused.bin", config, serve::ServerConfig{},
+                        [&](const std::string&) { ++deaths; }};
+  // Deaths 1-4 respawn; the fifth exhausts the budget.
+  ASSERT_TRUE(wait_until([&] { return deaths.load() == 5; }, 30s));
+  std::this_thread::sleep_for(300ms);
+  replica.shutdown();
+  EXPECT_EQ(deaths.load(), 5);
+
+  supervisor::SupervisorConfig backoff;
+  backoff.backoff_ms = config.backoff_ms;
+  backoff.backoff_cap_ms = config.backoff_cap_ms;
+  const std::lock_guard<std::mutex> lock{mutex};
+  ASSERT_EQ(spawned_at.size(), 5U);
+  for (std::size_t death = 1; death < spawned_at.size(); ++death) {
+    EXPECT_GE(spawned_at[death] - spawned_at[death - 1],
+              supervisor::backoff_delay_ms(backoff, "crashy",
+                                           static_cast<std::int64_t>(death) - 1))
+        << "respawn after death " << death;
+  }
 }
 
 TEST(RemoteReplicaFork, LeaseExpiryDetectsWedgedWorker) {
