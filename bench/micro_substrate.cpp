@@ -4,7 +4,13 @@
 // every experiment bench: GEMM, fused attention, full forward/backward
 // training steps, KV-cache decode throughput, and the pruning metric.
 #include <benchmark/benchmark.h>
+#include <pthread.h>
 #include <sched.h>
+
+#include <array>
+#include <chrono>
+#include <memory>
+#include <thread>
 
 #include "core/prune.hpp"
 #include "data/corpus.hpp"
@@ -431,6 +437,15 @@ BENCHMARK(BM_SpecServeRound)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+// Dependent scalar work the compiler cannot fold: `steps` multiply-adds.
+float chain(std::int64_t steps, float x) {
+  for (std::int64_t i = 0; i < steps; ++i) {
+    x = x * 0.9999999F + 1e-7F;
+    benchmark::DoNotOptimize(x);
+  }
+  return x;
+}
+
 // Two equal chunks of dependent scalar work (a few milliseconds each)
 // through the global pool's parallel_for; /1 runs one chunk inline for
 // reference. With SDD_THREADS >= 2 the second chunk goes to a pool worker, so
@@ -445,11 +460,7 @@ void BM_ParallelForTwoChunks(benchmark::State& state) {
   std::int64_t same_cpu = 0;
   for (auto _ : state) {
     ThreadPool::global().parallel_for(0, chunks, [&](std::size_t c) {
-      float x = static_cast<float>(c + 1);
-      for (std::int64_t i = 0; i < kSteps; ++i) {
-        x = x * 0.9999999F + 1e-7F;
-        benchmark::DoNotOptimize(x);
-      }
+      benchmark::DoNotOptimize(chain(kSteps, static_cast<float>(c + 1)));
       cpus[c] = sched_getcpu();
     });
     if (chunks == 2 && cpus[0] == cpus[1]) ++same_cpu;
@@ -462,6 +473,78 @@ BENCHMARK(BM_ParallelForTwoChunks)
     ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+bool pin_thread(int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
+}
+
+// Fork/join cost of a decode-sized sharded call: two ~20 us chunks through
+// parallel_for on a one-worker pool, with ~10 us of serial work between
+// calls (a decode pass's unsharded ops). The worker and this thread are
+// pinned to two different CPUs (the pool is built from a helper thread
+// pinned to one of them, so its worker inherits that mask), which takes
+// placement out of the measurement: what is left is waking the worker and
+// joining it. per_chunk is the mean call time over the mean time of one
+// chunk run inline (twice the timed gap); 1.0 is a free fork/join. The
+// library itself pins nothing; see docs/kernels.md, Threading.
+void BM_ParallelForForkJoin(benchmark::State& state) {
+  constexpr std::int64_t kChunkSteps = 6144;  // ~20 us
+  constexpr std::int64_t kGapSteps = 3072;    // ~10 us
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed);
+  std::array<int, 2> cpu{-1, -1};
+  for (int c = 0, found = 0; c < CPU_SETSIZE && found < 2; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpu[found++] = c;
+  }
+  if (cpu[1] < 0) {
+    state.SkipWithError("needs two CPUs");
+    return;
+  }
+  std::unique_ptr<ThreadPool> pool;
+  bool worker_pinned = false;
+  std::thread{[&] {
+    worker_pinned = pin_thread(cpu[1]);
+    pool = std::make_unique<ThreadPool>(1);
+  }}.join();
+  if (!worker_pinned || !pin_thread(cpu[0])) {
+    state.SkipWithError("cannot pin threads");
+    return;
+  }
+
+  using Clock = std::chrono::steady_clock;
+  std::array<int, 2> ran_on{};
+  std::int64_t same_cpu = 0;
+  double call_s = 0.0;
+  double gap_s = 0.0;
+  for (auto _ : state) {
+    const auto start = Clock::now();
+    pool->parallel_for(0, 2, [&](std::size_t c) {
+      benchmark::DoNotOptimize(chain(kChunkSteps, static_cast<float>(c + 1)));
+      ran_on[c] = sched_getcpu();
+    });
+    const auto joined = Clock::now();
+    if (ran_on[0] == ran_on[1]) ++same_cpu;
+    benchmark::DoNotOptimize(chain(kGapSteps, 2.0F));
+    call_s += std::chrono::duration<double>(joined - start).count();
+    gap_s += std::chrono::duration<double>(Clock::now() - joined).count();
+  }
+  pool.reset();
+  pthread_setaffinity_np(pthread_self(), sizeof allowed, &allowed);
+
+  // The gap is half a chunk's chain on this thread, timed in the same
+  // iterations, so clock drift and a busy neighbour hit both sides alike.
+  const double chunk_s = gap_s * (static_cast<double>(kChunkSteps) / kGapSteps);
+  const auto calls = static_cast<double>(state.iterations());
+  state.counters["same_cpu"] = static_cast<double>(same_cpu) / calls;
+  state.counters["chunk_us"] = chunk_s / calls * 1e6;
+  state.counters["call_us"] = call_s / calls * 1e6;
+  state.counters["per_chunk"] = call_s / chunk_s;
+}
+BENCHMARK(BM_ParallelForForkJoin)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_PruneMetric(benchmark::State& state) {
   const nn::TransformerLM model{bench_config(), 1};

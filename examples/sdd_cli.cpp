@@ -56,6 +56,7 @@
 #include "nn/speculative.hpp"
 #include "serve/router.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/serialize.hpp"
 #include "util/signals.hpp"
 #include "util/table.hpp"
@@ -267,8 +268,16 @@ int cmd_fleet_worker(const Args& args) {
   config.lease_ms = arg_int(args, "lease", config.lease_ms);
   config.task_retry = arg_int(args, "retry", config.task_retry);
   config.poll_ms = arg_int(args, "poll", config.poll_ms);
-  return fleet::worker_main(args.at("dir"), arg_or(args, "worker", "w0"),
-                            config, fleet::execute_task);
+  try {
+    return fleet::worker_main(args.at("dir"), arg_or(args, "worker", "w0"),
+                              config, fleet::execute_task);
+  } catch (const Error& e) {
+    // The orchestrator SIGTERMs its idle workers at the end of every run: a
+    // graceful stop (exit 72), not a failure worth an error line.
+    if (e.kind() != ErrorKind::kInterrupted) throw;
+    log_info("fleet-worker: ", e.what());
+    return error_kind_exit_code(ErrorKind::kInterrupted);
+  }
 }
 
 int cmd_generate(const Args& args) {

@@ -214,7 +214,9 @@ int worker_main(const fs::path& dir, const std::string& worker_id,
     const auto task = queue.try_claim(worker_id);
     if (!task) {
       if (queue.all_terminal()) return 0;
-      std::this_thread::sleep_for(std::chrono::milliseconds{config.poll_ms});
+      // Ends early on SIGTERM, so the heartbeat above exits 72 at once
+      // instead of after the orchestrator's whole lease_ms grace.
+      signals::wait_for_interrupt(std::chrono::milliseconds{config.poll_ms});
       continue;
     }
     log_info("fleet[", worker_id, "]: claimed '", task->id, "'");

@@ -17,6 +17,8 @@
 // installed.
 #pragma once
 
+#include <chrono>
+
 namespace sdd::signals {
 
 // Installs SIGTERM/SIGINT handlers (idempotent).
@@ -28,7 +30,14 @@ bool interrupt_requested() noexcept;
 // The signal number behind interrupt_requested(), 0 when none.
 int interrupt_signal() noexcept;
 
-// Test seam: clears the interrupt flag (handlers stay installed).
+// Sleeps up to `timeout`, returning early once SIGTERM or SIGINT arrives
+// (the handler writes a self-pipe that this polls, so the wait ends whichever
+// thread took the signal); returns interrupt_requested(). Without installed
+// handlers it is a plain sleep. May also return early on another signal.
+bool wait_for_interrupt(std::chrono::milliseconds timeout);
+
+// Test seam: clears the interrupt flag and drains the self-pipe (handlers
+// stay installed).
 void reset_interrupt_for_test() noexcept;
 
 // SIG_IGN for SIGPIPE: a serving process must see EPIPE from a vanished

@@ -1,10 +1,51 @@
 #include "util/threadpool.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "util/env.hpp"
 
 namespace sdd {
+namespace {
+
+// How long a worker keeps polling for the next job before it parks, and a
+// caller polls for its workers' chunks before it starts yielding its CPU.
+// Decode passes issue sharded calls a few to a few tens of µs apart, so a
+// worker that spins this long is usually still running when the next call
+// comes and holds a CPU other than the caller's.
+constexpr std::chrono::microseconds kSpin{30};
+
+constexpr std::uint64_t kEpochOne = std::uint64_t{1} << 32;
+constexpr std::size_t kMaxChunks = 0xFFFF;
+
+std::uint64_t chunks_of(std::uint64_t word) { return (word >> 16) & 0xFFFF; }
+std::uint64_t next_of(std::uint64_t word) { return word & 0xFFFF; }
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
+// Polls `ready` for kSpin; true as soon as it holds.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  for (unsigned polls = 1;; ++polls) {
+    if (ready()) return true;
+    cpu_relax();
+    if (polls % 32 == 0 && std::chrono::steady_clock::now() >= deadline) return false;
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == kAutoWorkers) {
@@ -18,75 +59,93 @@ ThreadPool::ThreadPool(std::size_t workers) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    stopping_ = true;
-  }
-  cv_.notify_all();
+  stop_.store(true);
+  job_.fetch_add(kEpochOne);  // moves every spinning or parked worker on
+  job_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::run_range(const Task& task) {
-  for (std::size_t i = task.begin; i < task.end; ++i) task.fn(i);
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
+void ThreadPool::run(Body body, std::size_t begin, std::size_t end) {
   if (begin >= end) return;
   const std::size_t total = end - begin;
-  const std::size_t parts = std::min(total, workers_.size() + 1);
-  if (parts <= 1) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
+  const std::size_t chunks = std::min({total, workers_.size() + 1, kMaxChunks});
+  if (chunks <= 1 || busy_.exchange(true, std::memory_order_acquire)) {
+    for (std::size_t i = begin; i < end; ++i) body.call(body.fn, i);
     return;
   }
 
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = parts - 1;  // caller runs the last chunk itself
+  body_ = body;
+  begin_ = begin;
+  end_ = end;
+  chunk_ = (total + chunks - 1) / chunks;
+  done_.store(0, std::memory_order_relaxed);
+  const std::uint64_t epoch = (job_.load(std::memory_order_relaxed) >> 32) + 1;
+  const std::uint64_t word = (epoch << 32) | (std::uint64_t{chunks} << 16);
+  // seq_cst store, then seq_cst load of sleepers_: a worker that counted
+  // itself a sleeper after this store sees the new word before it parks.
+  job_.store(word);
+  if (sleepers_.load() != 0) job_.notify_all();
 
-  const std::size_t chunk = (total + parts - 1) / parts;
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    for (std::size_t p = 0; p + 1 < parts; ++p) {
-      Task task;
-      task.fn = fn;
-      task.begin = begin + p * chunk;
-      task.end = std::min(end, task.begin + chunk);
-      task.remaining = &remaining;
-      task.done_mutex = &done_mutex;
-      task.done_cv = &done_cv;
-      queue_.push(std::move(task));
-    }
+  run_chunks(word);
+  if (!spin_until([&] { return done_.load(std::memory_order_acquire) == chunks; })) {
+    while (done_.load(std::memory_order_acquire) != chunks) std::this_thread::yield();
   }
-  cv_.notify_all();
 
-  // Caller's own chunk.
-  const std::size_t own_begin = begin + (parts - 1) * chunk;
-  for (std::size_t i = own_begin; i < end; ++i) fn(i);
-
-  std::unique_lock<std::mutex> lock{done_mutex};
-  done_cv.wait(lock, [&] { return remaining == 0; });
+  std::exception_ptr error;
+  if (failed_.load(std::memory_order_relaxed)) {
+    error = std::exchange(error_, nullptr);
+    failed_.store(false, std::memory_order_relaxed);
+  }
+  busy_.store(false, std::memory_order_release);
+  if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::worker_loop() {
+std::uint64_t ThreadPool::run_chunks(std::uint64_t word) noexcept {
+  while (next_of(word) < chunks_of(word)) {
+    // The claim succeeds only while the word still names this job, so a
+    // worker that read an older job's word never runs a chunk of it.
+    if (job_.compare_exchange_weak(word, word + 1, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+      run_chunk(next_of(word));
+      word = job_.load(std::memory_order_acquire);
+    }
+  }
+  return word;
+}
+
+void ThreadPool::run_chunk(std::uint64_t chunk) noexcept {
+  if (!failed_.load(std::memory_order_relaxed)) {
+    const std::size_t lo = std::min(end_, begin_ + chunk * chunk_);
+    const std::size_t hi = std::min(end_, lo + chunk_);
+    try {
+      for (std::size_t i = lo; i < hi; ++i) body_.call(body_.fn, i);
+    } catch (...) {
+      if (!failed_.exchange(true)) error_ = std::current_exception();
+    }
+  }
+  done_.fetch_add(1, std::memory_order_release);
+}
+
+std::uint64_t ThreadPool::await_job(std::uint64_t seen) noexcept {
+  std::uint64_t word = seen;
+  if (spin_until([&] { return (word = job_.load(std::memory_order_acquire)) != seen; })) {
+    return word;
+  }
+  // Counted before the re-check, so a caller that publishes after it wakes us.
+  sleepers_.fetch_add(1);
+  while ((word = job_.load()) == seen) job_.wait(seen);
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  return word;
+}
+
+void ThreadPool::worker_loop() noexcept {
+  std::uint64_t word = job_.load(std::memory_order_acquire);
   for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock{mutex_};
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    run_range(task);
-    {
-      // Notify while still holding done_mutex: the waiting caller owns the
-      // counter/cv on its stack and may destroy them the instant it observes
-      // remaining == 0, so the signal must complete before that can happen.
-      const std::lock_guard<std::mutex> lock{*task.done_mutex};
-      --*task.remaining;
-      task.done_cv->notify_one();
-    }
+    word = run_chunks(word);
+    // After the last read of the job word: either that read saw the
+    // destructor's epoch bump, and with it stop_, or await_job sees the bump.
+    if (stop_.load(std::memory_order_acquire)) return;
+    word = await_job(word);
   }
 }
 
@@ -97,11 +156,6 @@ ThreadPool& ThreadPool::global() {
     return kAutoWorkers;
   }()};
   return pool;
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn) {
-  ThreadPool::global().parallel_for(begin, end, fn);
 }
 
 }  // namespace sdd

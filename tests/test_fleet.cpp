@@ -506,6 +506,40 @@ TEST(FleetWorker, GracefulShutdownReleasesClaimWithoutFailure) {
   EXPECT_FALSE(queue.is_done("t"));
 }
 
+// An idle worker (its one task is held by a live sibling) waits in a 30 s
+// queue poll. A process-directed SIGTERM, whichever thread takes it, ends
+// that wait at once and the worker unwinds with kInterrupted.
+TEST(FleetWorker, SigtermEndsTheIdleQueuePoll) {
+  TempDir tmp;
+  WorkQueue queue{tmp.path()};
+  ASSERT_TRUE(queue.enqueue(make_task("t")));
+  ASSERT_TRUE(queue.try_claim("sibling").has_value());
+  FleetConfig config;
+  config.workers = 1;
+  config.poll_ms = 30'000;
+  config.lease_ms = 600'000;
+
+  signals::install_graceful_shutdown();
+  signals::reset_interrupt_for_test();
+  std::thread killer{[] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{100});
+    ::kill(::getpid(), SIGTERM);
+  }};
+  const auto start = std::chrono::steady_clock::now();
+  bool interrupted = false;
+  try {
+    worker_main(tmp.path(), "w0", config, [](const TaskSpec&) {});
+  } catch (const Error& e) {
+    interrupted = e.kind() == ErrorKind::kInterrupted;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  killer.join();
+  signals::reset_interrupt_for_test();
+  EXPECT_TRUE(interrupted);
+  EXPECT_LT(elapsed, std::chrono::seconds{10});
+  EXPECT_EQ(queue.counts().claimed, 1);  // the sibling's claim is untouched
+}
+
 // The worker_kill9 marker fires at most once per fleet run even when several
 // workers reach the armed claim count (mode:throw keeps it in-process).
 TEST(FleetFaults, WorkerKill9FiresOncePerRun) {
@@ -620,10 +654,10 @@ TEST(FleetProc, SpawnReapAndTerminate) {
 #endif  // !SDD_TSAN
 
 #if defined(SDD_CLI_PATH) && !defined(SDD_TSAN)
-// `sdd_cli eval` through the fleet: the orchestrator reaps its worker the
-// moment it exits instead of sleeping out a 30 s poll tick, and the fleet
-// digest is byte-identical to the serial one.
-TEST(FleetCliFork, EvalReapsTheWorkerWhenItExits) {
+// Runs `sdd_cli eval` serially and then through the fleet under `fleet_env`,
+// expects the two digests to be byte-identical, and returns the fleet run's
+// wall time in ms.
+std::int64_t fleet_eval_ms(const std::string& fleet_env) {
   TempDir tmp;
   const std::string shape =
       "SDD_DMODEL=32 SDD_HEADS=2 SDD_LAYERS=4 SDD_DFF=64 SDD_MAX_SEQ=64 "
@@ -636,16 +670,32 @@ TEST(FleetCliFork, EvalReapsTheWorkerWhenItExits) {
                         (dir / "digest.txt").string() + " > /dev/null")
                            .c_str());
   };
-  ASSERT_EQ(eval("serial", ""), 0);
+  EXPECT_EQ(eval("serial", ""), 0);
   const std::int64_t start = proc::monotonic_ms();
-  ASSERT_EQ(eval("fleet", "SDD_FLEET_WORKERS=1 SDD_FLEET_POLL_MS=30000 "), 0);
-  EXPECT_LT(proc::monotonic_ms() - start, 10'000);
+  EXPECT_EQ(eval("fleet", fleet_env), 0);
+  const std::int64_t elapsed = proc::monotonic_ms() - start;
   std::ifstream serial{tmp.path() / "serial" / "digest.txt"};
   std::ifstream fleet{tmp.path() / "fleet" / "digest.txt"};
   const std::string serial_text{std::istreambuf_iterator<char>{serial}, {}};
   const std::string fleet_text{std::istreambuf_iterator<char>{fleet}, {}};
   EXPECT_FALSE(serial_text.empty());
   EXPECT_EQ(fleet_text, serial_text);
+  return elapsed;
+}
+
+// `sdd_cli eval` through the fleet: the orchestrator reaps its worker the
+// moment it exits instead of sleeping out a 30 s poll tick.
+TEST(FleetCliFork, EvalReapsTheWorkerWhenItExits) {
+  EXPECT_LT(fleet_eval_ms("SDD_FLEET_WORKERS=1 SDD_FLEET_POLL_MS=30000 "), 10'000);
+}
+
+// Two workers: once the queue drains, one of them idles in its 30 s queue
+// poll while the other finishes. The orchestrator's SIGTERM ends that wait at
+// once, so the run does not sit out the 20 s lease grace before the SIGKILL.
+TEST(FleetCliFork, EvalStopsAnIdleWorkerOnSigterm) {
+  EXPECT_LT(fleet_eval_ms("SDD_FLEET_WORKERS=2 SDD_FLEET_POLL_MS=30000 "
+                          "SDD_FLEET_LEASE_MS=20000 "),
+            10'000);
 }
 #endif
 

@@ -1,4 +1,7 @@
 // Correctness tests for the raw compute kernels against naive references.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -7,8 +10,17 @@
 
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_ref.hpp"
+#include "util/proc.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
+
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SDD_TSAN 1
+#endif
+#elif defined(__SANITIZE_THREAD__)
+#define SDD_TSAN 1
+#endif
 
 namespace sdd {
 namespace {
@@ -557,6 +569,38 @@ TEST(KernelDeterminism, DecodeKernelsParallelMatchSerial) {
     }
   }
 }
+
+#if !defined(SDD_TSAN)
+// A fork()ed child inherits the global pool's state but none of its worker
+// threads. The caller runs every chunk no worker claimed, so a sharded GEMM
+// in the child still finishes, bitwise equal to the parent's serial result.
+TEST(ThreadPoolFork, ChildOfAWarmedPoolFinishesAShardedGemm) {
+  const std::int64_t m = 96, k = 64, n = 80;
+  Rng rng{16};
+  const auto a = random_vec(rng, m * k);
+  const auto b = random_vec(rng, n * k);
+  const auto gemm = [&](kernels::DispatchMode mode) {
+    kernels::ScopedDispatch dispatch{mode};
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    kernels::gemm_nt(a.data(), b.data(), c.data(), m, k, n, false);
+    return c;
+  };
+  const auto serial = gemm(kernels::DispatchMode::kForceSerial);
+  ASSERT_EQ(gemm(kernels::DispatchMode::kForceParallel), serial);  // warms the pool
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::setpgid(0, 0);  // a timed-out child is killed alone, not the test's group
+    ::_exit(gemm(kernels::DispatchMode::kForceParallel) == serial ? 0 : 1);
+  }
+  ::setpgid(pid, pid);
+  proc::Child child = proc::Child::adopt(pid);
+  const auto status = child.wait(20'000);
+  ASSERT_TRUE(status.has_value()) << "child blocked in parallel_for";
+  EXPECT_TRUE(status->clean()) << "exit " << status->exit_code;
+}
+#endif  // !SDD_TSAN
 
 }  // namespace
 }  // namespace sdd

@@ -1,9 +1,14 @@
 // Tests for RNG, hashing, serialization, thread pool, tables, and env config.
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -180,6 +185,84 @@ TEST(ThreadPool, EmptyRangeIsNoop) {
   bool called = false;
   pool.parallel_for(5, 5, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, RangeShorterThanThreadCountIsCoveredOnce) {
+  ThreadPool pool{3};
+  for (std::size_t n = 1; n <= 5; ++n) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_for(10, 10 + n, [&](std::size_t i) { hits[i - 10] += 1; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n=" << n;
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeOnce) {
+  ThreadPool pool{2};
+  constexpr std::size_t kRange = 257;
+  constexpr int kCalls = 200;
+  const auto caller = [&](std::vector<std::atomic<int>>& hits) {
+    for (int call = 0; call < kCalls; ++call) {
+      pool.parallel_for(0, kRange, [&](std::size_t i) { hits[i] += 1; });
+    }
+  };
+  std::vector<std::atomic<int>> a(kRange);
+  std::vector<std::atomic<int>> b(kRange);
+  std::thread other{[&] { caller(b); }};
+  caller(a);
+  other.join();
+  for (std::size_t i = 0; i < kRange; ++i) {
+    EXPECT_EQ(a[i].load(), kCalls) << i;
+    EXPECT_EQ(b[i].load(), kCalls) << i;
+  }
+}
+
+TEST(ThreadPool, NestedParallelForCompletes) {
+  ThreadPool pool{3};
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 33;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.parallel_for(0, kOuter, [&](std::size_t o) {
+    pool.parallel_for(0, kInner, [&](std::size_t i) { hits[o * kInner + i] += 1; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Each index in turn throws: the caller's own chunk and the workers' chunks
+// alike. The exception reaches the caller, and the next call on the same
+// pool covers its range exactly once.
+TEST(ThreadPool, ExceptionReachesTheCallerAndThePoolStaysUsable) {
+  ThreadPool pool{3};
+  constexpr std::size_t kRange = 64;
+  for (std::size_t bad = 0; bad < kRange; bad += 7) {
+    EXPECT_THROW(pool.parallel_for(0, kRange,
+                                   [&](std::size_t i) {
+                                     if (i == bad) throw std::runtime_error("chunk failed");
+                                   }),
+                 std::runtime_error)
+        << "bad=" << bad;
+    std::vector<std::atomic<int>> hits(kRange);
+    pool.parallel_for(0, kRange, [&](std::size_t i) { hits[i] += 1; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "bad=" << bad;
+  }
+}
+
+// Workers long parked, and workers mid-spin right after a job: the
+// destructor wakes both at once instead of waiting for anything. The
+// spinning case repeats, because destruction races each worker's last look
+// at the finished job.
+TEST(ThreadPool, DestructorReturnsPromptlyWithWorkersSpinningOrParked) {
+  for (int round = 0; round < 200; ++round) {
+    const bool parked = round == 0;
+    auto pool = std::make_unique<ThreadPool>(3);
+    std::atomic<int> sum{0};
+    pool->parallel_for(0, 4, [&](std::size_t i) { sum += static_cast<int>(i); });
+    ASSERT_EQ(sum.load(), 6);
+    if (parked) std::this_thread::sleep_for(std::chrono::milliseconds{50});
+    const auto start = std::chrono::steady_clock::now();
+    pool.reset();
+    ASSERT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{1})
+        << (parked ? "parked" : "spinning") << " round " << round;
+  }
 }
 
 TEST(Table, AsciiAlignmentAndCells) {
