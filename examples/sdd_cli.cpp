@@ -235,9 +235,9 @@ int cmd_eval(const Args& args) {
   const auto& tasks = arg_or(args, "suite", "core") == "openllm"
                           ? eval::openllm_v1_tasks()
                           : eval::core_tasks();
-  // run_eval_suite IS evaluate_suite when the fleet is off; with
-  // SDD_FLEET_WORKERS > 0 the cells run in worker processes and the
-  // assembled scores are byte-identical to the serial run.
+  // run_eval_suite memoizes every task's score under the fleet work root;
+  // with SDD_FLEET_WORKERS > 0 the missing cells run in worker processes
+  // and the assembled scores are byte-identical to the serial run.
   const fleet::FleetConfig fleet_config = fleet::FleetConfig::from_env();
   fleet::FleetStats fleet_stats;
   const auto scores = fleet::run_eval_suite(
@@ -261,23 +261,6 @@ int cmd_eval(const Args& args) {
     std::printf("digest written to %s\n", out.c_str());
   }
   return 0;
-}
-
-int cmd_fleet_worker(const Args& args) {
-  fleet::FleetConfig config = fleet::FleetConfig::from_env();
-  config.lease_ms = arg_int(args, "lease", config.lease_ms);
-  config.task_retry = arg_int(args, "retry", config.task_retry);
-  config.poll_ms = arg_int(args, "poll", config.poll_ms);
-  try {
-    return fleet::worker_main(args.at("dir"), arg_or(args, "worker", "w0"),
-                              config, fleet::execute_task);
-  } catch (const Error& e) {
-    // The orchestrator SIGTERMs its idle workers at the end of every run: a
-    // graceful stop (exit 72), not a failure worth an error line.
-    if (e.kind() != ErrorKind::kInterrupted) throw;
-    log_info("fleet-worker: ", e.what());
-    return error_kind_exit_code(ErrorKind::kInterrupted);
-  }
 }
 
 int cmd_generate(const Args& args) {
@@ -560,6 +543,7 @@ int main(int argc, char** argv) {
   signals::install_graceful_shutdown();
   const std::string command = argv[1];
   try {
+    if (command == "fleet-worker") return fleet::worker_command(argc, argv);
     const Args args = parse_args(argc, argv, 2);
     if (command == "pretrain") return cmd_pretrain(args);
     if (command == "prune") return cmd_prune(args);
@@ -571,7 +555,6 @@ int main(int argc, char** argv) {
     if (command == "route") return cmd_route(args);
     if (command == "speculate") return cmd_speculate(args);
     if (command == "info") return cmd_info(args);
-    if (command == "fleet-worker") return cmd_fleet_worker(args);
     if (command == "replica-worker") return cmd_replica_worker(args);
     usage();
     return 2;

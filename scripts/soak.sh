@@ -237,9 +237,6 @@ check() { # suite case tree kind fault-var spec [VAR=VALUE ...]
       if [[ "${rc}" != "${kind#restart:}" ]]; then
         verdict="faulted run exited ${rc}, expected ${kind#restart:}"
       else
-        # Orphaned fleet workers may drain the queue briefly after the
-        # orchestrator dies; let the rerun see a quiesced queue.
-        [[ "${suite}" == fleet ]] && sleep 2
         rm -f "${DIGEST}"
         echo "-- clean rerun" >>"${LOG}"
         run "${suite}" "${tree}" "${dir}" "$@" || verdict="clean rerun exited $?"

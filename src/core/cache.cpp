@@ -1,8 +1,6 @@
 #include "core/cache.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -23,7 +21,6 @@ ExperimentCache::ExperimentCache(std::filesystem::path directory,
     : directory_{std::move(directory)} {
   std::filesystem::create_directories(directory_ / "models");
   std::filesystem::create_directories(directory_ / "datasets");
-  std::filesystem::create_directories(directory_ / "metrics");
   std::filesystem::create_directories(directory_ / "checkpoints");
   if (quarantine_keep < 0) quarantine_keep = env_int("SDD_QUARANTINE_KEEP", 8);
   prune_quarantine(quarantine_keep);
@@ -67,9 +64,6 @@ std::filesystem::path ExperimentCache::model_path(std::uint64_t key) const {
 }
 std::filesystem::path ExperimentCache::dataset_path(std::uint64_t key) const {
   return directory_ / "datasets" / (hash_hex(key) + ".bin");
-}
-std::filesystem::path ExperimentCache::metric_path(std::uint64_t key) const {
-  return directory_ / "metrics" / (hash_hex(key) + ".txt");
 }
 std::filesystem::path ExperimentCache::checkpoint_path(std::uint64_t key) const {
   return directory_ / "checkpoints" / (hash_hex(key) + ".ckpt");
@@ -142,26 +136,6 @@ void ExperimentCache::store_dataset(std::uint64_t key,
     writer.write_vector(example.answer_key);
   }
   writer.flush();
-}
-
-std::optional<double> ExperimentCache::load_metric(std::uint64_t key) const {
-  const auto path = metric_path(key);
-  if (!std::filesystem::exists(path)) return std::nullopt;
-  std::ifstream in{path};
-  double value = 0.0;
-  std::string trailing;
-  if (!(in >> value) || (in >> trailing)) {
-    quarantine(path, "metric", "unparseable scalar");
-    return std::nullopt;
-  }
-  return value;
-}
-
-void ExperimentCache::store_metric(std::uint64_t key, double value) const {
-  std::ostringstream out;
-  out.precision(17);
-  out << value << '\n';
-  atomic_write_text(metric_path(key), out.str());
 }
 
 }  // namespace sdd::core

@@ -1,9 +1,10 @@
 // On-disk experiment cache.
 //
-// Every expensive artifact (pre-trained base model, distilled dataset,
-// fine-tuned checkpoint, evaluation score) is stored under a content-derived
-// 64-bit key so that benches share work: the figure benches reuse the table
-// benches' models, and re-runs are incremental. Delete the cache directory
+// Every expensive model artifact (pre-trained base model, distilled
+// dataset, fine-tuned checkpoint) is stored under a content-derived 64-bit
+// key so that experiments share work: the figure rows reuse the table rows'
+// models, and re-runs are incremental. Eval scores live in the eval memo
+// (fleet::run_eval_suite) under `<cache>/fleet/`. Delete the cache directory
 // for a cold run.
 //
 // Durability contract: stores are atomic (tmp + fsync + rename through
@@ -40,10 +41,6 @@ class ExperimentCache {
   std::optional<data::SftDataset> load_dataset(std::uint64_t key) const;
   void store_dataset(std::uint64_t key, const data::SftDataset& dataset) const;
 
-  // Scalar results (eval accuracies etc.).
-  std::optional<double> load_metric(std::uint64_t key) const;
-  void store_metric(std::uint64_t key, double value) const;
-
   // Where a training loop keyed by `key` keeps its mid-run checkpoint (see
   // train::PretrainConfig::checkpoint_path).
   std::filesystem::path checkpoint_path(std::uint64_t key) const;
@@ -54,7 +51,6 @@ class ExperimentCache {
 
   std::filesystem::path model_path(std::uint64_t key) const;
   std::filesystem::path dataset_path(std::uint64_t key) const;
-  std::filesystem::path metric_path(std::uint64_t key) const;
 
  private:
   void quarantine(const std::filesystem::path& path, const char* kind,

@@ -104,6 +104,18 @@ WidthPruneResult width_prune_ffn(const nn::TransformerLM& model, double fraction
     mlp.w_down().weight() = select_cols(down, keep);
   }
 
+  // The narrowed weights move into a model whose config names the new
+  // width, so the model saves and loads like any other.
+  nn::ModelConfig narrow = model.config();
+  narrow.d_ff = d_ff - remove;
+  nn::TransformerLM narrowed{narrow, /*seed=*/0};
+  const nn::ParamList from = result.model.parameters();
+  nn::ParamList to = narrowed.parameters();
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    to[i].tensor.copy_from(from[i].tensor.data());
+  }
+  result.model = std::move(narrowed);
+
   result.param_savings =
       static_cast<double>(params_before - result.model.param_count()) /
       static_cast<double>(params_before);

@@ -1,6 +1,8 @@
 #include "fleet/orchestrator.hpp"
 
 #include <poll.h>
+#include <sys/prctl.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -45,9 +47,9 @@ struct WorkerSlot {
 };
 
 // SIGTERM then SIGKILL every live child; used on every exit path so an
-// orchestrator failure never leaks worker processes it owns. (Workers
-// orphaned by a SIGKILLed orchestrator are a different story: their leases
-// either complete or go stale and get reclaimed by the next run.)
+// orchestrator failure never leaks worker processes it owns. (A SIGKILLed
+// orchestrator runs no exit path: its workers die by their parent-death
+// signal, see worker_main, and the next run reclaims their leases.)
 void shutdown_workers(std::vector<WorkerSlot>& slots, std::int64_t grace_ms) {
   for (WorkerSlot& slot : slots) {
     try {
@@ -69,6 +71,7 @@ proc::Child spawn_worker(const fs::path& dir, const FleetConfig& config,
       "--lease",  std::to_string(config.lease_ms),
       "--retry",  std::to_string(config.task_retry),
       "--poll",   std::to_string(config.poll_ms),
+      "--orchestrator", std::to_string(::getpid()),
   };
   std::vector<std::string> env;
   // Worker-side faults arrive via SDD_CHILD_FAULT so the orchestrator's own
@@ -203,7 +206,18 @@ FleetStats orchestrate(const fs::path& dir, const std::vector<TaskSpec>& tasks,
 }
 
 int worker_main(const fs::path& dir, const std::string& worker_id,
-                const FleetConfig& config, const ExecuteFn& execute) {
+                const FleetConfig& config, const ExecuteFn& execute,
+                std::int64_t orchestrator_pid) {
+  if (orchestrator_pid > 0) {
+    // Die with the orchestrator. The signal is armed after the exec, so an
+    // orchestrator that died before it shows as a changed parent instead.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != orchestrator_pid) {
+      throw Error(ErrorKind::kWorkerLost,
+                  "fleet-worker: orchestrator pid " +
+                      std::to_string(orchestrator_pid) + " is gone");
+    }
+  }
   WorkQueue queue{dir};
   const std::int64_t renew_ms = std::max<std::int64_t>(config.lease_ms / 4, 10);
   while (true) {

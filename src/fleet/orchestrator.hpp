@@ -91,9 +91,15 @@ FleetStats orchestrate(const std::filesystem::path& dir,
 // Worker loop: claim -> renew lease on a background thread -> execute ->
 // complete, until every live task is terminal (returns 0) or a graceful
 // shutdown is requested (throws Error{kInterrupted}). Also performs
-// leaderless stale-lease reclaim so the fleet makes progress even when the
-// orchestrator is gone.
+// leaderless stale-lease reclaim. A worker process passes its
+// orchestrator's pid: it then gets SIGKILL when that parent dies (a claimed
+// task is left to lease expiry, as after kill -9) and throws
+// Error{kWorkerLost} when the parent is already gone. Linux sends the
+// parent-death signal when the forking *thread* exits, so orchestrate() must
+// run on a thread that outlives its workers, as it does by returning only
+// after they stop. 0 (in-process callers) watches nothing.
 int worker_main(const std::filesystem::path& dir, const std::string& worker_id,
-                const FleetConfig& config, const ExecuteFn& execute);
+                const FleetConfig& config, const ExecuteFn& execute,
+                std::int64_t orchestrator_pid = 0);
 
 }  // namespace sdd::fleet

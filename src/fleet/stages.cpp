@@ -1,9 +1,13 @@
 #include "fleet/stages.hpp"
 
+#include <map>
+#include <optional>
+
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/serialize.hpp"
+#include "util/supervisor.hpp"
 
 namespace sdd::fleet {
 
@@ -35,6 +39,23 @@ T take_config(const TaskSpec& task, const std::string& prefix) {
   return config;
 }
 
+// The memo entry at `path` when it reads back through its checksum and
+// names `task`; a torn, corrupt or misnamed entry is quarantined.
+std::optional<eval::TaskResult> read_memo(const fs::path& path,
+                                          const std::string& task) {
+  if (!fs::exists(path)) return std::nullopt;
+  try {
+    eval::TaskResult result = read_metric(path);
+    if (result.task == task) return result;
+    log_warn("fleet: memo entry ", path.string(), " names task '", result.task,
+             "', not '", task, "'");
+  } catch (const SerializeError& e) {
+    log_warn("fleet: memo entry ", path.string(), " failed validation: ", e.what());
+  }
+  quarantine_artifact(path);
+  return std::nullopt;
+}
+
 void execute_eval_cell(const TaskSpec& task) {
   const nn::TransformerLM model = nn::TransformerLM::load(task.field("model"));
   std::uint64_t world_seed = 0;
@@ -53,12 +74,11 @@ void execute_distill_cell(const TaskSpec& task) {
   pipeline.distilled_dataset(task.field("dataset"), task.field_int("size"));
 }
 
-std::uint64_t eval_run_key(const nn::TransformerLM& model,
-                           const data::World& world,
-                           const std::vector<std::string>& tasks,
-                           const eval::SuiteSpec& spec) {
-  std::uint64_t key = hash_combine(model.weight_hash(), spec.hash());
-  key = hash_combine(key, fnv1a_value(world.seed()));
+// Keys an eval grid's queue directory and, for one task, its memo entry.
+std::uint64_t eval_key(std::uint64_t weight_hash, const eval::SuiteSpec& spec,
+                       std::uint64_t world_seed, const std::vector<std::string>& tasks) {
+  std::uint64_t key = hash_combine(weight_hash, spec.hash());
+  key = hash_combine(key, fnv1a_value(world_seed));
   for (const std::string& task : tasks) key = hash_combine(key, fnv1a(task));
   return key;
 }
@@ -112,6 +132,13 @@ eval::TaskResult read_metric(const fs::path& path) {
   return result;
 }
 
+fs::path memo_path(const fs::path& root, std::uint64_t weight_hash,
+                   const eval::SuiteSpec& spec, std::uint64_t world_seed,
+                   const std::string& task) {
+  return root / "memo" /
+         (hash_hex(eval_key(weight_hash, spec, world_seed, {task})) + ".metric");
+}
+
 eval::SuiteScores run_eval_suite(const nn::TransformerLM& model,
                                  const data::World& world,
                                  const std::vector<std::string>& tasks,
@@ -119,67 +146,77 @@ eval::SuiteScores run_eval_suite(const nn::TransformerLM& model,
                                  const FleetConfig& fleet,
                                  const fs::path& work_root,
                                  FleetStats* stats_out) {
-  if (!fleet.enabled()) {
-    return eval::evaluate_suite(model, world, tasks, spec);
-  }
-  // The queue directory is keyed by everything that determines the grid, so
-  // an orchestrator restart finds the same directory and resumes: completed
-  // cells are enqueue-time no-ops and their artifacts are reused as-is.
-  const std::uint64_t run_key = eval_run_key(model, world, tasks, spec);
-  const fs::path base =
+  const fs::path root =
       fleet.dir_override.empty() ? work_root : fleet.dir_override;
-  const fs::path dir = base / ("eval_" + hash_hex(run_key));
-  const fs::path results = dir / "results";
-  fs::create_directories(results);
-
-  // Checkpoint the model once for all workers. Same run key ⇒ same weights,
-  // so an artifact left by a previous (possibly crashed) run is reusable —
-  // a torn save is impossible (BinaryWriter publishes atomically).
-  const fs::path model_path = dir / "model.bin";
-  if (!fs::exists(model_path)) model.save(model_path);
-
-  std::vector<TaskSpec> specs;
+  const std::uint64_t weight_hash = model.weight_hash();
+  std::vector<fs::path> entries;
+  std::vector<std::optional<eval::TaskResult>> results;
+  std::vector<std::size_t> missing;
   for (const std::string& task : tasks) {
-    specs.push_back(eval_cell(task, model_path, results / (task + ".metric"), spec,
-                              world.seed()));
+    entries.push_back(memo_path(root, weight_hash, spec, world.seed(), task));
+    results.push_back(read_memo(entries.back(), task));
+    if (!results.back()) missing.push_back(results.size() - 1);
   }
+  FleetStats stats;
+  stats.reused = static_cast<std::int64_t>(tasks.size() - missing.size());
+  if (!missing.empty()) fs::create_directories(root / "memo");
 
-  // A published result only counts once it re-reads through its checksum
-  // and names the right task — a torn or corrupt write is requeued.
-  const ValidateFn validate = [](const TaskSpec& cell) {
-    const fs::path out = cell.field("out");
-    try {
-      const eval::TaskResult result = read_metric(out);
-      if (result.task != cell.field("task")) {
-        quarantine_artifact(out);
-        return false;
+  if (!fleet.enabled()) {
+    for (const std::size_t i : missing) {
+      supervisor::heartbeat();  // liveness signal when run under a watchdog
+      results[i] = eval::evaluate_named_task(model, world, tasks[i], spec);
+      // Memoizing is an optimization: a failed store only costs a rerun.
+      try {
+        write_metric(entries[i], *results[i]);
+      } catch (const Error& e) {
+        log_warn("fleet: memo entry ", entries[i].string(), " not stored: ", e.what());
       }
-      return true;
-    } catch (const SerializeError& e) {
-      log_warn("fleet: metric ", out.string(), " failed validation: ",
-               e.what());
-      quarantine_artifact(out);
-      return false;
     }
-  };
+  } else if (!missing.empty()) {
+    // The queue directory is keyed by everything that determines the grid,
+    // so an orchestrator restart finds the same directory and resumes.
+    const fs::path dir =
+        root / ("eval_" + hash_hex(eval_key(weight_hash, spec, world.seed(), tasks)));
+    fs::create_directories(dir);
 
-  const FleetStats stats = orchestrate(dir, specs, fleet, validate);
-  if (stats_out != nullptr) *stats_out = stats;
-  if (stats.dead > 0) {
-    throw Error(ErrorKind::kWorkerLost,
-                "fleet: eval grid incomplete: " + std::to_string(stats.dead) +
-                    " cell(s) quarantined in " + (dir / "dead").string());
+    // Checkpoint the model once for all workers. Same run key ⇒ same
+    // weights, so an artifact left by a previous (possibly crashed) run is
+    // reusable — a torn save is impossible (BinaryWriter publishes
+    // atomically).
+    const fs::path model_path = dir / "model.bin";
+    if (!fs::exists(model_path)) model.save(model_path);
+
+    std::vector<TaskSpec> cells;
+    for (const std::size_t i : missing) {
+      cells.push_back(eval_cell(tasks[i], model_path, entries[i], spec, world.seed()));
+    }
+    // A published result only counts once its memo entry re-reads through
+    // the checksum and names the right task — a torn or corrupt write is
+    // requeued.
+    const ValidateFn validate = [](const TaskSpec& cell) {
+      return read_memo(cell.field("out"), cell.field("task")).has_value();
+    };
+    const std::int64_t hits = stats.reused;
+    stats = orchestrate(dir, cells, fleet, validate);
+    stats.reused += hits;
+    if (stats.dead > 0) {
+      if (stats_out != nullptr) *stats_out = stats;
+      throw Error(ErrorKind::kWorkerLost,
+                  "fleet: eval grid incomplete: " + std::to_string(stats.dead) +
+                      " cell(s) quarantined in " + (dir / "dead").string());
+    }
+    for (const std::size_t i : missing) results[i] = read_metric(entries[i]);
   }
+  if (stats_out != nullptr) *stats_out = stats;
 
   // Assemble in serial task order with the identical floating-point
-  // accumulation evaluate_suite uses, so fleet and serial runs produce
-  // byte-identical scores.
+  // accumulation evaluate_suite uses, so memoized, fleet and serial runs
+  // produce byte-identical scores.
   eval::SuiteScores scores;
   double total = 0.0;
-  for (const std::string& task : tasks) {
-    const eval::TaskResult result = read_metric(results / (task + ".metric"));
-    scores.tasks.emplace_back(task, result.accuracy);
-    total += result.accuracy;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    scores.tasks.emplace_back(tasks[i], results[i]->accuracy);
+    total += results[i]->accuracy;
   }
   scores.average =
       tasks.empty() ? 0.0 : total / static_cast<double>(tasks.size());
@@ -245,6 +282,34 @@ std::vector<data::SftDataset> run_distill_grid(
     datasets.push_back(pipeline.distilled_dataset(name, size));  // cache hit
   }
   return datasets;
+}
+
+int worker_command(int argc, char** argv) {
+  std::map<std::string, std::string> flags;
+  for (int i = 2; i + 1 < argc; i += 2) flags[argv[i]] = argv[i + 1];
+  const auto flag = [&](const std::string& name) -> const std::string& {
+    const auto it = flags.find("--" + name);
+    if (it == flags.end()) {
+      throw Error(ErrorKind::kFatal, "fleet-worker: missing --" + name);
+    }
+    return it->second;
+  };
+  FleetConfig config;
+  config::parse(flag("lease"), config.lease_ms);
+  config::parse(flag("retry"), config.task_retry);
+  config::parse(flag("poll"), config.poll_ms);
+  std::int64_t orchestrator = 0;
+  config::parse(flag("orchestrator"), orchestrator);
+  try {
+    return worker_main(flag("dir"), flag("worker"), config, execute_task,
+                       orchestrator);
+  } catch (const Error& e) {
+    // The orchestrator SIGTERMs its idle workers at the end of every run: a
+    // graceful stop (exit 72), not a failure worth an error line.
+    if (e.kind() != ErrorKind::kInterrupted) throw;
+    log_info("fleet-worker: ", e.what());
+    return error_kind_exit_code(ErrorKind::kInterrupted);
+  }
 }
 
 }  // namespace sdd::fleet

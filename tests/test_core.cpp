@@ -246,15 +246,5 @@ TEST(Cache, DatasetRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Cache, MetricRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "sdd_cache_test3";
-  std::filesystem::remove_all(dir);
-  ExperimentCache cache{dir};
-  EXPECT_FALSE(cache.load_metric(5).has_value());
-  cache.store_metric(5, 0.8125);
-  EXPECT_DOUBLE_EQ(cache.load_metric(5).value(), 0.8125);
-  std::filesystem::remove_all(dir);
-}
-
 }  // namespace
 }  // namespace sdd::core

@@ -1,7 +1,10 @@
 // Tests for the extension modules: width pruning, teacher-logit KD, the
 // soft cross-entropy op, and the replay baseline.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <span>
 #include <vector>
 
@@ -86,6 +89,21 @@ TEST(WidthPrune, RemovesChannelsAndKeepsShapesConsistent) {
   EXPECT_EQ(logits.shape().back(), model.config().vocab_size);
   auto state = result.model.make_decode_state();
   EXPECT_NO_THROW(result.model.decode_step(state, 1));
+}
+
+// The config names the narrowed width, so the model round-trips through a
+// checkpoint, as a fleet eval cell needs.
+TEST(WidthPrune, PrunedModelSavesAndLoads) {
+  const nn::TransformerLM model{tiny_real_vocab_config(2), 5};
+  const WidthPruneResult result = width_prune_ffn(model, 0.25);
+  EXPECT_EQ(result.model.config().d_ff,
+            model.config().d_ff - result.channels_removed_per_layer);
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("sdd_width_prune_" + std::to_string(::getpid()) + ".bin");
+  result.model.save(path);
+  const nn::TransformerLM loaded = nn::TransformerLM::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(loaded.weight_hash(), result.model.weight_hash());
 }
 
 TEST(WidthPrune, ZeroFractionIsIdentity) {

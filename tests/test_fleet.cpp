@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -139,6 +140,115 @@ TEST(FleetStages, EvalCellCarriesSeedsFromTwoToThe63) {
   EXPECT_EQ(result.n_items, 3);
   EXPECT_EQ(result.n_correct, direct.n_correct);
   EXPECT_EQ(result.accuracy, direct.accuracy);
+}
+
+// Seeded mutation fuzz of the SDDMTRC1 reader: a mutant either is the bytes
+// of a published artifact and reads back its exact TaskResult, or throws
+// SerializeError.
+TEST(FleetMemo, MutatedMetricsReadBackExactlyOrThrow) {
+  TempDir tmp;
+  const std::vector<eval::TaskResult> published{
+      {"arc_c", 0.75, 8, 6}, {"gsm8k", 0.0, 3, 0}, {"winogrande", 1.0 / 3.0, 60, 20}};
+  std::vector<std::string> corpus;
+  for (const eval::TaskResult& result : published) {
+    const fs::path path = tmp.path() / (result.task + ".metric");
+    write_metric(path, result);
+    std::ifstream in{path, std::ios::binary};
+    corpus.emplace_back(std::istreambuf_iterator<char>{in},
+                        std::istreambuf_iterator<char>{});
+  }
+  Rng rng{0x3E7C};
+  const fs::path path = tmp.path() / "mutant.metric";
+  std::int64_t rejected = 0;
+  for (int i = 0; i < 5'000; ++i) {
+    const std::string mutant = testing::mutate_bytes(corpus, rng);
+    std::ofstream{path, std::ios::binary | std::ios::trunc} << mutant;
+    try {
+      const eval::TaskResult result = read_metric(path);
+      const auto original = std::find(corpus.begin(), corpus.end(), mutant);
+      ASSERT_NE(original, corpus.end()) << "a changed artifact read back, mutant " << i;
+      const eval::TaskResult& expected =
+          published[static_cast<std::size_t>(original - corpus.begin())];
+      EXPECT_EQ(result.task, expected.task);
+      EXPECT_EQ(result.accuracy, expected.accuracy);
+      EXPECT_EQ(result.n_items, expected.n_items);
+      EXPECT_EQ(result.n_correct, expected.n_correct);
+    } catch (const SerializeError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 4'000);
+}
+
+eval::SuiteSpec tiny_spec() {
+  eval::SuiteSpec spec;
+  spec.mc_items = 3;
+  spec.gen_items = 2;
+  return spec;
+}
+
+std::vector<fs::path> memo_entries(const fs::path& root) {
+  std::vector<fs::path> entries;
+  for (const auto& entry : fs::directory_iterator{root / "memo"}) {
+    if (entry.path().extension() == ".metric") entries.push_back(entry.path());
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+// A memo entry that no longer reads back is quarantined and recomputed to
+// the same score; the other tasks are memo hits.
+TEST(FleetMemo, CorruptEntryIsQuarantinedAndRecomputed) {
+  const ScopedLogLevel quiet{LogLevel::kError};
+  TempDir tmp;
+  const nn::TransformerLM model{testing::tiny_real_vocab_config(1), 23};
+  const data::World world{42};
+  const auto& tasks = eval::core_tasks();
+  const FleetConfig serial;
+  FleetStats stats;
+  const eval::SuiteScores first =
+      run_eval_suite(model, world, tasks, tiny_spec(), serial, tmp.path(), &stats);
+  EXPECT_EQ(stats.reused, 0);
+  const eval::SuiteScores direct = eval::evaluate_suite(model, world, tasks, tiny_spec());
+  EXPECT_EQ(first.tasks, direct.tasks);
+  EXPECT_EQ(first.average, direct.average);
+
+  const std::vector<fs::path> entries = memo_entries(tmp.path());
+  ASSERT_EQ(entries.size(), tasks.size());
+  {
+    std::fstream file{entries[1], std::ios::in | std::ios::out | std::ios::binary};
+    file.seekp(12);
+    file.put('\x5A');
+  }
+  const eval::SuiteScores second =
+      run_eval_suite(model, world, tasks, tiny_spec(), serial, tmp.path(), &stats);
+  EXPECT_EQ(stats.reused, static_cast<std::int64_t>(tasks.size()) - 1);
+  EXPECT_EQ(second.tasks, first.tasks);
+  EXPECT_EQ(second.average, first.average);
+  EXPECT_TRUE(fs::exists(entries[1].string() + ".corrupt"));
+  EXPECT_NO_THROW(read_metric(entries[1]));  // rewritten
+
+  run_eval_suite(model, world, tasks, tiny_spec(), serial, tmp.path(), &stats);
+  EXPECT_EQ(stats.reused, static_cast<std::int64_t>(tasks.size()));
+}
+
+// The world seed is part of the key: two worlds never share an entry, and
+// each one's scores are its own evaluate_suite.
+TEST(FleetMemo, WorldSeedsNeverShareAnEntry) {
+  TempDir tmp;
+  const nn::TransformerLM model{testing::tiny_real_vocab_config(1), 29};
+  const std::uint64_t hash = model.weight_hash();
+  EXPECT_NE(memo_path(tmp.path(), hash, tiny_spec(), 42, "arc_c"),
+            memo_path(tmp.path(), hash, tiny_spec(), 43, "arc_c"));
+  const FleetConfig serial;
+  for (const std::uint64_t seed : {42, 43}) {
+    const data::World world{seed};
+    const eval::SuiteScores memoized =
+        run_eval_suite(model, world, {"arc_c"}, tiny_spec(), serial, tmp.path());
+    EXPECT_EQ(memoized.tasks,
+              eval::evaluate_suite(model, world, {"arc_c"}, tiny_spec()).tasks);
+  }
+  EXPECT_EQ(memo_entries(tmp.path()).size(), 2U);
 }
 
 TEST(FleetQueue, LifecycleCountsAndIdempotentEnqueue) {
@@ -654,18 +764,25 @@ TEST(FleetProc, SpawnReapAndTerminate) {
 #endif  // !SDD_TSAN
 
 #if defined(SDD_CLI_PATH) && !defined(SDD_TSAN)
+// The soak model shape with a 4-step pretrain, as environment assignments.
+constexpr const char* kCliShape =
+    "SDD_DMODEL=32 SDD_HEADS=2 SDD_LAYERS=4 SDD_DFF=64 SDD_MAX_SEQ=64 "
+    "SDD_CORPUS_DOCS=400 SDD_PRETRAIN_STEPS=4 SDD_PRETRAIN_BATCH=2 "
+    "SDD_PRETRAIN_SEQ=48 SDD_LOG_LEVEL=error ";
+
+std::string read_text(const fs::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
 // Runs `sdd_cli eval` serially and then through the fleet under `fleet_env`,
 // expects the two digests to be byte-identical, and returns the fleet run's
 // wall time in ms.
 std::int64_t fleet_eval_ms(const std::string& fleet_env) {
   TempDir tmp;
-  const std::string shape =
-      "SDD_DMODEL=32 SDD_HEADS=2 SDD_LAYERS=4 SDD_DFF=64 SDD_MAX_SEQ=64 "
-      "SDD_CORPUS_DOCS=400 SDD_PRETRAIN_STEPS=4 SDD_PRETRAIN_BATCH=2 "
-      "SDD_PRETRAIN_SEQ=48 SDD_LOG_LEVEL=error ";
   const auto eval = [&](const std::string& name, const std::string& fleet) {
     const fs::path dir = tmp.path() / name;
-    return std::system((shape + fleet + "SDD_CACHE_DIR=" + dir.string() + " " +
+    return std::system((kCliShape + fleet + "SDD_CACHE_DIR=" + dir.string() + " " +
                         SDD_CLI_PATH + " eval --suite openllm --items 3 --out " +
                         (dir / "digest.txt").string() + " > /dev/null")
                            .c_str());
@@ -674,10 +791,8 @@ std::int64_t fleet_eval_ms(const std::string& fleet_env) {
   const std::int64_t start = proc::monotonic_ms();
   EXPECT_EQ(eval("fleet", fleet_env), 0);
   const std::int64_t elapsed = proc::monotonic_ms() - start;
-  std::ifstream serial{tmp.path() / "serial" / "digest.txt"};
-  std::ifstream fleet{tmp.path() / "fleet" / "digest.txt"};
-  const std::string serial_text{std::istreambuf_iterator<char>{serial}, {}};
-  const std::string fleet_text{std::istreambuf_iterator<char>{fleet}, {}};
+  const std::string serial_text = read_text(tmp.path() / "serial" / "digest.txt");
+  const std::string fleet_text = read_text(tmp.path() / "fleet" / "digest.txt");
   EXPECT_FALSE(serial_text.empty());
   EXPECT_EQ(fleet_text, serial_text);
   return elapsed;
@@ -696,6 +811,89 @@ TEST(FleetCliFork, EvalStopsAnIdleWorkerOnSigterm) {
   EXPECT_LT(fleet_eval_ms("SDD_FLEET_WORKERS=2 SDD_FLEET_POLL_MS=30000 "
                           "SDD_FLEET_LEASE_MS=20000 "),
             10'000);
+}
+
+// A memo entry corrupted between two fleet runs is quarantined and
+// recomputed in a worker; the other cells are memo hits and the digest is
+// unchanged.
+TEST(FleetCliFork, CorruptMemoEntryIsRecomputedByAWorker) {
+  TempDir tmp;
+  const std::string run =
+      std::string{kCliShape} + "SDD_FLEET_WORKERS=2 SDD_CACHE_DIR=" +
+      (tmp.path() / "cache").string() + " " + SDD_CLI_PATH +
+      " eval --suite openllm --items 3 --out ";
+  ASSERT_EQ(
+      std::system((run + (tmp.path() / "first.txt").string() + " > /dev/null").c_str()),
+      0);
+  const std::vector<fs::path> entries = memo_entries(tmp.path() / "cache" / "fleet");
+  ASSERT_EQ(entries.size(), 6U);
+  std::ofstream{entries[2], std::ios::binary | std::ios::trunc} << "SDDMTRC1 torn";
+  ASSERT_EQ(std::system((run + (tmp.path() / "second.txt").string() + " > " +
+                         (tmp.path() / "stdout.txt").string())
+                            .c_str()),
+            0);
+  EXPECT_EQ(read_text(tmp.path() / "second.txt"), read_text(tmp.path() / "first.txt"));
+  EXPECT_TRUE(fs::exists(entries[2].string() + ".corrupt"));
+  // The rerun finds the corrupt cell done in its queue, rejects it and has a
+  // worker recompute it.
+  const std::string stdout_text = read_text(tmp.path() / "stdout.txt");
+  EXPECT_NE(stdout_text.find("rejected=1 reclaimed=0 respawned=0 dead=0"),
+            std::string::npos)
+      << stdout_text;
+}
+
+// Live processes whose command line runs `fleet-worker` over a queue under
+// `root` (a zombie's command line reads empty).
+std::vector<pid_t> fleet_workers_under(const fs::path& root) {
+  std::vector<pid_t> pids;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator{"/proc", ec}) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    const std::string cmdline = read_text(entry.path() / "cmdline");
+    if (cmdline.find(std::string{"fleet-worker"} + '\0') != std::string::npos &&
+        cmdline.find(root.string()) != std::string::npos) {
+      pids.push_back(static_cast<pid_t>(std::stol(name)));
+    }
+  }
+  return pids;
+}
+
+// SIGKILL an orchestrator mid-grid: its workers, one of them stalled on a
+// claimed cell, die with it instead of draining the queue on their own.
+TEST(FleetCliFork, WorkersDieWithTheirOrchestrator) {
+  TempDir tmp;
+  std::vector<std::string> env;
+  std::string shape{kCliShape};
+  for (std::size_t at = 0; at < shape.size();) {
+    const std::size_t end = shape.find(' ', at);
+    env.push_back(shape.substr(at, end - at));
+    at = end + 1;
+  }
+  env.insert(env.end(), {"SDD_CACHE_DIR=" + (tmp.path() / "cache").string(),
+                         "SDD_FLEET_WORKERS=2", "SDD_FLEET_LEASE_MS=60000",
+                         "SDD_CHILD_FAULT=worker_stall:0"});
+  proc::Child orchestrator = proc::Child::spawn(
+      {SDD_CLI_PATH, "eval", "--suite", "openllm", "--items", "3"}, env);
+
+  // Mid-grid: both workers run and one sits on its claimed cell.
+  const std::int64_t deadline = proc::monotonic_ms() + 60'000;
+  while (fleet_workers_under(tmp.path()).size() < 2 && proc::monotonic_ms() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  }
+  ASSERT_EQ(fleet_workers_under(tmp.path()).size(), 2U);
+  orchestrator.signal(SIGKILL);
+  ASSERT_TRUE(orchestrator.wait(5'000).has_value());
+
+  const std::int64_t killed_at = proc::monotonic_ms();
+  while (!fleet_workers_under(tmp.path()).empty() &&
+         proc::monotonic_ms() < killed_at + 1'000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{10});
+  }
+  const std::vector<pid_t> survivors = fleet_workers_under(tmp.path());
+  for (const pid_t pid : survivors) ::kill(pid, SIGKILL);
+  EXPECT_TRUE(survivors.empty())
+      << survivors.size() << " fleet-worker(s) outlived the orchestrator";
 }
 #endif
 

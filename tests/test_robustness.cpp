@@ -345,17 +345,6 @@ TEST_F(CacheRobustnessTest, WrongMagicAndVersionAreCacheMisses) {
   EXPECT_EQ(cache.quarantined_count(), 1);
 }
 
-TEST_F(CacheRobustnessTest, GarbageMetricIsACacheMiss) {
-  const ScopedLogLevel quiet{LogLevel::kError};
-  core::ExperimentCache cache{dir_};
-  cache.store_metric(1, 0.5);
-  EXPECT_EQ(cache.load_metric(1), 0.5);
-
-  spew(cache.metric_path(2), "not-a-number\n");
-  EXPECT_EQ(cache.load_metric(2), std::nullopt);
-  EXPECT_EQ(cache.quarantined_count(), 1);
-}
-
 TEST_F(CacheRobustnessTest, QuarantineCappedToNewestAtOpen) {
   const ScopedLogLevel quiet{LogLevel::kError};
   { core::ExperimentCache seed{dir_}; }  // create the directory layout
@@ -381,11 +370,12 @@ TEST_F(CacheRobustnessTest, QuarantineCappedToNewestAtOpen) {
   EXPECT_TRUE(fs::exists(corrupt[5]));
 
   // keep=0 clears the quarantine entirely; non-corrupt files are untouched.
-  cache.store_metric(1, 0.5);
+  const fs::path live = dir_ / "models" / "live.bin";
+  spew(live, "live bytes");
   core::ExperimentCache wiped{dir_, /*quarantine_keep=*/0};
   EXPECT_FALSE(fs::exists(corrupt[4]));
   EXPECT_FALSE(fs::exists(corrupt[5]));
-  EXPECT_EQ(wiped.load_metric(1), 0.5);
+  EXPECT_TRUE(fs::exists(live));
 }
 
 // ---- checkpoint/resume -----------------------------------------------------

@@ -612,8 +612,10 @@ TEST(SpecServe, VerifySpansShareTheRoundsPass) {
 
 // Random traffic against a draft-equipped server: greedy and sampled
 // requests, prompts of 1-80 tokens drawn from three shared prefixes, budgets
-// of 1-24, random stop tokens and client cancels mid-flight. A completed
-// response must be nn::generate's output and a cancelled one a prefix of it.
+// of 1-24, random stop tokens, priorities, deadlines and client cancels
+// mid-flight. Every ticket ends in a terminal state; a completed response
+// must be nn::generate's output, and a timed-out or cancelled one a prefix
+// of it.
 TEST(ServeDifferential, RandomMixesMatchGenerate) {
   nn::ModelConfig model_config = tiny_config(4);
   model_config.max_seq_len = 112;
@@ -634,6 +636,7 @@ TEST(ServeDifferential, RandomMixesMatchGenerate) {
   }
   std::int64_t completed = 0;
   std::int64_t cancelled = 0;
+  std::int64_t timed_out = 0;
   for (int wave = 0; wave < 256; ++wave) {
     std::vector<serve::Request> requests;
     std::vector<serve::TicketPtr> tickets;
@@ -653,6 +656,8 @@ TEST(ServeDifferential, RandomMixesMatchGenerate) {
       request.seed = rng.next_u64();
       request.stop_token =
           rng.bernoulli(0.3) ? static_cast<std::int32_t>(rng.uniform_int(0, vocab - 1)) : -1;
+      request.priority = static_cast<std::int32_t>(rng.uniform_int(-2, 2));
+      request.deadline_ms = rng.bernoulli(0.25) ? rng.uniform_int(1, 20) : 0;
       requests.push_back(request);
       cancel.push_back(rng.bernoulli(0.25));
       tickets.push_back(server.submit(request));
@@ -671,8 +676,14 @@ TEST(ServeDifferential, RandomMixesMatchGenerate) {
       options.stop_token = requests[r].stop_token;
       const std::vector<std::int32_t> reference =
           nn::generate(model, requests[r].prompt, options);
-      if (response.state == serve::RequestState::kCancelled && cancel[r]) {
-        ++cancelled;
+      ASSERT_TRUE(serve::request_state_terminal(response.state))
+          << "wave " << wave << " request " << r;
+      const bool was_cancelled =
+          response.state == serve::RequestState::kCancelled && cancel[r];
+      const bool was_timed_out = response.state == serve::RequestState::kTimeout &&
+                                 requests[r].deadline_ms > 0;
+      if (was_cancelled || was_timed_out) {
+        ++(was_cancelled ? cancelled : timed_out);
         ASSERT_LE(response.tokens.size(), reference.size()) << "wave " << wave << " request " << r;
         EXPECT_TRUE(std::equal(response.tokens.begin(), response.tokens.end(),
                                reference.begin()))
@@ -687,6 +698,7 @@ TEST(ServeDifferential, RandomMixesMatchGenerate) {
   }
   EXPECT_GT(completed, 0);
   EXPECT_GT(cancelled, 0);
+  EXPECT_GT(timed_out, 0);
   EXPECT_GT(server.stats().spec_requests, 0);
 }
 
