@@ -646,7 +646,7 @@ int run_spec() {
 }
 
 // `soak replica-worker --model M --name N --fd F --heartbeat H`: the argv
-// RemoteReplica spawns through self_exe(), so the soak runs the production
+// RemoteReplica spawns through proc::kSelfExe, so the soak runs the production
 // spawn path.
 int run_worker(int argc, char** argv) {
   std::string model;

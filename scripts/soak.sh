@@ -15,6 +15,11 @@
 # `sdd_cli eval`. Suite settings are defaults: a variable already set in the
 # environment wins (CI shrinks SDD_CORPUS_DOCS and SDD_SOAK_ITEMS).
 #
+# Every run of a case leads its own session (setsid). A process still in that
+# session once the run has exited fails the case, which names its pid and
+# command; the script then kills it. Per-group checks would miss these:
+# proc::Child makes every fleet and replica worker lead its own group.
+#
 # Exit status: 0 when every case passed, 1 when one failed, 2 on bad usage.
 set -uo pipefail
 
@@ -197,9 +202,10 @@ suite_setup() {
 }
 
 # One run of suite $1 from tree $2 in case dir $3 with settings $4...,
-# appended to $LOG; returns the program's exit status.
+# appended to $LOG; returns the program's exit status. Processes the run
+# left behind are appended to $LEFT.
 run() {
-  local suite="$1" tree="$2" dir="$3"
+  local suite="$1" tree="$2" dir="$3" pid rc=0 left
   shift 3
   suite_setup "${suite}" "${tree}" "${dir}"
   if [[ ! -x "${CMD[0]}" ]]; then
@@ -207,8 +213,20 @@ run() {
     return 2
   fi
   mkdir -p "${dir}/tmp"
-  env "${DEFAULTS[@]}" TMPDIR="${dir}/tmp" "${STATE[@]}" "$@" "${CMD[@]}" \
-    </dev/null >>"${LOG}" 2>&1
+  # A background job of a script leads no process group, so setsid makes
+  # the session in place: its id is the job's pid.
+  setsid env "${DEFAULTS[@]}" TMPDIR="${dir}/tmp" "${STATE[@]}" "$@" "${CMD[@]}" \
+    </dev/null >>"${LOG}" 2>&1 &
+  pid=$!
+  wait "${pid}" || rc=$?
+  left="$(ps -eo pid=,sid=,stat=,args= | awk -v sid="${pid}" \
+    '$2 == sid && $3 !~ /^Z/ { $2 = $3 = ""; print }')"
+  if [[ -n "${left}" ]]; then
+    echo "left running after the run: ${left}" >>"${LOG}"
+    LEFT+="${left//$'\n'/; } "
+    awk '{ print $1 }' <<<"${left}" | xargs -r kill -KILL 2>/dev/null
+  fi
+  return "${rc}"
 }
 
 FAILED=0
@@ -219,6 +237,7 @@ check() { # suite case tree kind fault-var spec [VAR=VALUE ...]
   shift 6
   local dir="${WORK}/${suite}/${name}" ref="${LOGS}/${suite}.reference.digest"
   local rc=0 verdict=ok
+  LEFT=""
   LOG="${LOGS}/${suite}.${name}.log"
   DIGEST="${LOGS}/${suite}.${name}.digest"
   echo "== ${suite}/${name} (${fault}${*:+ $*})"
@@ -246,6 +265,7 @@ check() { # suite case tree kind fault-var spec [VAR=VALUE ...]
           verdict="the restart recomputed every cell (expected reused>0)"
       fi ;;
   esac
+  [[ "${verdict}" != ok || -z "${LEFT}" ]] || verdict="left running:${LEFT% }"
   if [[ "${verdict}" == ok ]]; then
     RESULTS+=("PASS  ${suite}/${name}")
     return

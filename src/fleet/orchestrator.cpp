@@ -65,7 +65,7 @@ proc::Child spawn_worker(const fs::path& dir, const FleetConfig& config,
   const std::string worker_id =
       "w" + std::to_string(slot) + "-g" + std::to_string(generation);
   std::vector<std::string> argv = {
-      proc::self_exe().string(), "fleet-worker",
+      proc::kSelfExe, "fleet-worker",
       "--dir",    dir.string(),
       "--worker", worker_id,
       "--lease",  std::to_string(config.lease_ms),
@@ -99,6 +99,12 @@ FleetStats orchestrate(const fs::path& dir, const std::vector<TaskSpec>& tasks,
     } else if (queue.is_done(task.id)) {
       ++stats.reused;  // completed by a previous run; skipped bit-identically
     }
+  }
+  // Done before this run (a resumed queue dir): validated like fresh
+  // results, but counted in `completed` only once a worker recomputes them.
+  std::set<std::string> done_before;
+  for (const std::string& id : queue.task_ids()) {
+    if (queue.is_done(id)) done_before.insert(id);
   }
   log_info("fleet: orchestrating ", tasks.size(), " task(s) in ", dir.string(),
            " (", stats.reused, " already done) with ", config.workers,
@@ -151,11 +157,14 @@ FleetStats orchestrate(const fs::path& dir, const std::vector<TaskSpec>& tasks,
           log_warn("fleet: rejected result for '", id,
                    "' (validation failed); requeueing");
           queue.requeue_done(id, config.task_retry, "result failed validation");
+          done_before.erase(id);  // the recomputation is this run's
           continue;
         }
         validated.insert(id);
-        ++stats.completed;
-        fault::on_fleet_completion();
+        if (done_before.count(id) == 0) {
+          ++stats.completed;
+          fault::on_fleet_completion();
+        }
       }
 
       const QueueCounts counts = queue.counts();

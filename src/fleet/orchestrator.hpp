@@ -56,7 +56,7 @@ inline constexpr config::EnvBinding kFleetEnv[] = {
 struct FleetStats {
   std::int64_t enqueued = 0;   // tasks newly added this run
   std::int64_t reused = 0;     // tasks already done when enqueued (resume)
-  std::int64_t completed = 0;  // results validated this run
+  std::int64_t completed = 0;  // results this run produced and validated
   std::int64_t rejected = 0;   // published results that failed validation
   std::int64_t reclaimed = 0;  // stale leases broken
   std::int64_t respawned = 0;  // workers restarted after dying

@@ -1,10 +1,12 @@
 #include "serve/remote_replica.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <utility>
@@ -97,8 +99,8 @@ std::string encode_response(std::uint64_t id, const Response& response) {
 std::uint64_t decode_response(const std::string& payload, Response* out) {
   ipc::PayloadReader r{payload};
   const std::uint64_t id = r.u64();
-  // Tickets are polled by state, so a resolved one must carry a terminal
-  // state; anything else, or a byte past either enum, is a broken worker.
+  // A resolved ticket must carry a terminal state (its waiters and hook act
+  // on it); anything else, or a byte past either enum, is a broken worker.
   const std::uint8_t state = r.u8();
   if (state > static_cast<std::uint8_t>(RequestState::kFailed) ||
       !request_state_terminal(static_cast<RequestState>(state))) {
@@ -163,7 +165,7 @@ void RemoteReplica::spawn_locked() {
       env.push_back(generation_ == 0 ? "SDD_FAULT=" + config_.child_fault_spec
                                      : "SDD_FAULT=");
       child = proc::Child::spawn(
-          {proc::self_exe().string(), "replica-worker", "--model", model_path_,
+          {proc::kSelfExe, "replica-worker", "--model", model_path_,
            "--name", name_, "--fd", std::to_string(pair.child_fd),
            "--heartbeat", std::to_string(config_.heartbeat_ms)},
           env, {pair.child_fd});
@@ -537,6 +539,7 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
   }};
 
   int rc = 0;
+  int wake = -1;  // eventfd the completion hooks write
   try {
     ipc::Frame config_frame;
     if (ipc::read_frame(fd, &config_frame, 10'000) != ipc::ReadStatus::kFrame ||
@@ -546,6 +549,14 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
     ServerConfig server_config;
     config::apply_text(server_config, config_frame.payload);
     const nn::TransformerLM model = nn::TransformerLM::load(model_path);
+    // Every ticket's completion hook queues its id in `done` and bumps
+    // `wake`, so the loop sleeps in poll() until a frame, a completion or
+    // SIGTERM arrives, with no timeout. Declared before the server: its
+    // shutdown resolves what is left, and those hooks still run.
+    std::mutex done_mutex;  // leaf lock: the hooks take it and nothing else
+    std::vector<std::uint64_t> done;
+    wake = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (wake < 0) throw Error(ErrorKind::kFatal, "replica-worker: eventfd failed");
     InferenceServer server{model, server_config};
     {
       ipc::PayloadWriter hello;
@@ -557,16 +568,17 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
     log_info("replica-worker '", name, "': serving ", model_path);
 
     std::map<std::uint64_t, TicketPtr> pending;
-    bool closed = false;
-    while (!closed) {
-      // Stream back every resolved ticket before reading more work.
-      for (auto it = pending.begin(); it != pending.end();) {
-        if (!request_state_terminal(it->second->state())) {
-          ++it;
-          continue;
-        }
-        const std::string payload =
-            detail::encode_response(it->first, it->second->wait());
+    std::vector<std::uint64_t> answered;
+    bool draining = false;
+    while (true) {
+      {
+        const std::lock_guard<std::mutex> lock{done_mutex};
+        answered.swap(done);
+      }
+      for (const std::uint64_t id : answered) {
+        const auto it = pending.find(id);
+        if (it == pending.end()) continue;  // a duplicate id's first ticket
+        const std::string payload = detail::encode_response(id, it->second->wait());
         const std::lock_guard<std::mutex> wlock{write_mutex};
         if (fault::should_tear_frame()) {
           // Chaos: die mid-frame. The parent must classify the torn frame
@@ -578,44 +590,68 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
           std::_Exit(137);
         }
         ipc::write_frame(fd, frame_type(ReplicaFrame::kResponse), payload);
-        it = pending.erase(it);
+        pending.erase(it);
       }
+      answered.clear();
 
-      if (signals::interrupt_requested()) {
-        // Graceful drain (PR 6 convention): stop reading, let the server
-        // finish its in-flight batch (those clients get real results; still-
-        // queued requests fail with kInterrupted and the parent fails them
-        // over), answer everything, exit 72.
+      if (!draining && signals::interrupt_requested()) {
+        // Graceful drain: stop reading requests, let the server finish its
+        // in-flight batch (those clients get real results; still-queued
+        // requests fail with kInterrupted and the parent fails them over),
+        // answer each request as it resolves, exit 72.
         log_info("replica-worker '", name,
                  "': draining after SIGTERM/SIGINT");
-        for (auto& [id, ticket] : pending) {
-          const std::string payload = detail::encode_response(id, ticket->wait());
-          const std::lock_guard<std::mutex> wlock{write_mutex};
-          ipc::write_frame(fd, frame_type(ReplicaFrame::kResponse), payload);
-        }
-        pending.clear();
+        draining = true;
+      }
+      if (draining && pending.empty()) {
         server.shutdown();
         rc = error_kind_exit_code(ErrorKind::kInterrupted);  // 72
         break;
       }
 
+      pollfd polled[3] = {{wake, POLLIN, 0},
+                          {draining ? -1 : fd, POLLIN, 0},
+                          {draining ? -1 : signals::interrupt_fd(), POLLIN, 0}};
+      if (::poll(polled, 3, -1) < 0 && errno != EINTR) {
+        throw Error(ErrorKind::kFatal, "replica-worker: poll failed");
+      }
+      if (polled[0].revents != 0) {
+        std::uint64_t count = 0;  // resets the eventfd; `done` has the ids
+        [[maybe_unused]] const ssize_t got = ::read(wake, &count, sizeof count);
+      }
+      if (polled[2].revents != 0 && !signals::interrupt_requested()) {
+        // A byte without our interrupt: a forked-from parent's signal on the
+        // shared pipe. Take it, or poll() would spin on it.
+        char sink[64];
+        while (::read(polled[2].fd, sink, sizeof sink) > 0) {
+        }
+      }
+      if (polled[1].revents == 0) continue;
       ipc::Frame frame;
-      const ipc::ReadStatus status =
-          ipc::read_frame(fd, &frame, pending.empty() ? 25 : 2);
+      const ipc::ReadStatus status = ipc::read_frame(fd, &frame, 0);
       if (status == ipc::ReadStatus::kClosed) {
         server.shutdown();
-        closed = true;
-      } else if (status == ipc::ReadStatus::kFrame) {
-        if (frame.type == frame_type(ReplicaFrame::kRequest)) {
-          fault::on_replica_request();  // replica_kill9 / replica_wedge
-          Request request;
-          const std::uint64_t id = detail::decode_request(frame.payload, &request);
-          pending[id] = server.submit(std::move(request));
-        } else if (frame.type == frame_type(ReplicaFrame::kCancel)) {
-          ipc::PayloadReader r{frame.payload};
-          const auto it = pending.find(r.u64());
-          if (it != pending.end()) it->second->cancel();
-        }
+        break;
+      }
+      if (status != ipc::ReadStatus::kFrame) continue;
+      if (frame.type == frame_type(ReplicaFrame::kRequest)) {
+        fault::on_replica_request();  // replica_kill9 / replica_wedge
+        Request request;
+        const std::uint64_t id = detail::decode_request(frame.payload, &request);
+        TicketPtr& ticket = pending[id];
+        ticket = server.submit(std::move(request));
+        ticket->on_terminal([&done_mutex, &done, wake, id] {
+          {
+            const std::lock_guard<std::mutex> lock{done_mutex};
+            done.push_back(id);
+          }
+          const std::uint64_t one = 1;
+          [[maybe_unused]] const ssize_t written = ::write(wake, &one, sizeof one);
+        });
+      } else if (frame.type == frame_type(ReplicaFrame::kCancel)) {
+        ipc::PayloadReader r{frame.payload};
+        const auto it = pending.find(r.u64());
+        if (it != pending.end()) it->second->cancel();
       }
     }
   } catch (const Error& e) {
@@ -627,6 +663,7 @@ int replica_worker_main(const std::string& model_path, const std::string& name,
   }
   stop_beats.store(true, std::memory_order_release);
   beats.join();
+  if (wake >= 0) ::close(wake);
   return rc;
 }
 

@@ -16,19 +16,23 @@
 //     the owner's on_process_failure callback exactly once so the routing
 //     layer can trip the replica's HealthBreaker — a process crash, not just
 //     a failed request, quarantines the variant;
-//   * rolling upgrade (swap_model): SIGTERM drains the worker — it finishes
-//     its in-flight batch, answers what it can, and exits 72 (the PR 6
-//     graceful-drain convention) — then the respawn picks up the new
-//     weights. Requests arriving mid-drain fail fast with worker_lost so the
-//     router serves them from sibling variants.
+//   * rolling upgrade (swap_model): SIGTERM drains the worker — it stops
+//     reading requests, lets its server finish the in-flight batch, answers
+//     every request it accepted, and exits 72 (the graceful-drain
+//     convention) — then the respawn picks up the new weights. Requests
+//     arriving mid-drain fail fast with worker_lost so the router serves
+//     them from sibling variants.
 //
 // Worker side (replica_worker_main): reads the parent's ServerConfig from
 // the first frame, loads the variant, serves it with an ordinary
 // InferenceServer built from that config, sends HELLO (parameter count =
 // routing cost), heartbeats from a dedicated thread, and streams back one
-// RESPONSE frame per resolved ticket. Outputs are produced by the same decode path as
-// in-process serving, so per-variant bytes are identical across the process
-// boundary — the soak asserts this end to end.
+// RESPONSE frame per resolved ticket. Its loop is event-driven: each
+// ticket's completion hook (Ticket::on_terminal) queues the request id and
+// writes an eventfd, and the loop poll()s the socket, that eventfd and the
+// graceful-shutdown self-pipe with no timeout. Outputs are produced by the
+// same decode path as in-process serving, so per-variant bytes are
+// identical across the process boundary — the soak asserts this end to end.
 #pragma once
 
 #include <condition_variable>
@@ -80,7 +84,7 @@ struct RemoteReplicaConfig {
   // Test seam: spawn the worker without exec'ing a binary (fork; child calls
   // replica_worker_main on child_fd, then _exit). Returns the child pid,
   // which the replica adopts (proc::Child::adopt).
-  // Production default re-execs self_exe() with the `replica-worker`
+  // Production default re-execs proc::kSelfExe with the `replica-worker`
   // subcommand.
   std::function<std::int64_t(int child_fd, const std::string& model_path,
                              const std::string& name)>
@@ -191,7 +195,8 @@ std::uint64_t decode_response(const std::string& payload, Response* out);
 
 // Worker entry point: serve `model_path`, with the ServerConfig the parent
 // sends as the first frame, over `fd` until the channel closes
-// (exit 0) or a graceful SIGTERM drain completes (exit 72). Invoked by
+// (exit 0) or a graceful SIGTERM drain has answered every accepted request
+// (exit 72). Invoked by
 // `sdd_cli replica-worker` and by fork-based test/soak harnesses; the caller
 // is expected to have installed util/signals graceful shutdown.
 int replica_worker_main(const std::string& model_path, const std::string& name,

@@ -15,6 +15,27 @@ using Clock = std::chrono::steady_clock;
 
 namespace detail {
 
+// The dispatcher's inbox. Every job holds it as well as the router, so a
+// completion hook or a cancel that lands after the router is gone still
+// touches live memory. `mutex` is a leaf lock for the hooks: nothing is
+// locked or called while it is held.
+struct DispatchQueue {
+  std::mutex mutex;
+  std::condition_variable cv;  // submit, completion, cancel, shutdown
+  std::deque<std::shared_ptr<RouteJob>> incoming;   // submitted
+  std::deque<std::shared_ptr<RouteJob>> completed;  // replica attempt resolved
+  bool rescan = false;  // a parked job was cancelled
+  bool stopping = false;
+
+  void push_completed(std::shared_ptr<RouteJob> job) {
+    {
+      const std::lock_guard<std::mutex> lock{mutex};
+      completed.push_back(std::move(job));
+    }
+    cv.notify_one();
+  }
+};
+
 // Shared between the client-facing RouteTicket and the dispatcher. Resolved
 // exactly once; `terminal` + cv is the only client synchronization point.
 // Fields below the mutex block are dispatcher-private routing state.
@@ -23,6 +44,7 @@ struct RouteJob {
   Clock::time_point submitted_at{};
   std::int64_t deadline_ms = 0;  // effective (request or server default)
   std::atomic<bool> cancel_requested{false};
+  std::shared_ptr<DispatchQueue> queue;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -36,6 +58,7 @@ struct RouteJob {
   std::int64_t active_replica = -1;
   bool active_probe = false;
   bool transit_delayed = false;  // replica_slow chaos applied once per request
+  // A parked job's retry time: epoch = now, max = on the next event only.
   Clock::time_point not_before{};
   std::string last_variant;
 
@@ -147,7 +170,18 @@ void RouteTicket::cancel() {
     const std::lock_guard<std::mutex> lock{job_->mutex};
     active = job_->active_ticket;
   }
-  if (active) active->cancel();
+  if (active) {
+    // Resolves at the replica's next token boundary; the completion wakes
+    // the dispatcher. A dispatch racing this cancel forwards it itself.
+    active->cancel();
+    return;
+  }
+  detail::DispatchQueue& queue = *job_->queue;
+  {
+    const std::lock_guard<std::mutex> lock{queue.mutex};
+    queue.rescan = true;
+  }
+  queue.cv.notify_one();
 }
 
 RequestState RouteTicket::state() const {
@@ -169,13 +203,13 @@ struct VariantRouter::Candidate {
 
 VariantRouter::VariantRouter(std::vector<VariantSpec> variants,
                              RouterConfig config, QualityTable quality)
-    : config_{std::move(config)}, quality_{std::move(quality)} {
+    : config_{std::move(config)},
+      quality_{std::move(quality)},
+      queue_{std::make_shared<detail::DispatchQueue>()} {
   if (variants.empty()) {
     throw Error(ErrorKind::kFatal, "router needs at least one variant");
   }
   config_.failover_max = std::max<std::int64_t>(0, config_.failover_max);
-  config_.poll_ms = std::max<std::int64_t>(1, config_.poll_ms);
-  config_.reroute_wait_ms = std::max<std::int64_t>(1, config_.reroute_wait_ms);
   if (config_.cross_process) {
     if (!config_.spec_draft.empty()) {
       throw Error(ErrorKind::kFatal,
@@ -253,8 +287,8 @@ VariantRouter::VariantRouter(std::vector<VariantSpec> variants,
 VariantRouter::~VariantRouter() { shutdown(); }
 
 void VariantRouter::start() {
-  const std::lock_guard<std::mutex> lock{queue_mutex_};
-  if (dispatcher_started_ || stopping_) return;
+  const std::lock_guard<std::mutex> lock{queue_->mutex};
+  if (dispatcher_started_ || queue_->stopping) return;
   dispatcher_started_ = true;
   dispatcher_ = std::thread{&VariantRouter::dispatcher_main, this};
 }
@@ -301,6 +335,7 @@ RouteTicketPtr VariantRouter::submit(RouteRequest request) {
     job->route.request.task = job->route.task;
   }
   job->submitted_at = Clock::now();
+  job->queue = queue_;
   job->deadline_ms = job->route.request.deadline_ms > 0
                          ? job->route.request.deadline_ms
                          : config_.server.default_deadline_ms;
@@ -322,11 +357,11 @@ RouteTicketPtr VariantRouter::submit(RouteRequest request) {
 
   bool rejected_stopping = false;
   {
-    const std::lock_guard<std::mutex> lock{queue_mutex_};
-    if (stopping_) {
+    const std::lock_guard<std::mutex> lock{queue_->mutex};
+    if (queue_->stopping) {
       rejected_stopping = true;
     } else {
-      incoming_.push_back(job);
+      queue_->incoming.push_back(job);
     }
   }
   if (rejected_stopping) {
@@ -337,41 +372,47 @@ RouteTicketPtr VariantRouter::submit(RouteRequest request) {
     response.message = "router shutting down";
     resolve(*job, std::move(response), "");
   } else {
-    queue_cv_.notify_one();
+    queue_->cv.notify_one();
   }
   return ticket;
 }
 
 void VariantRouter::shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock{queue_mutex_};
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
   std::thread dispatcher;
   {
     // Claim the thread object under the lock (concurrent shutdown() calls
     // must not both join the same std::thread).
-    const std::lock_guard<std::mutex> lock{queue_mutex_};
+    const std::lock_guard<std::mutex> lock{queue_->mutex};
+    queue_->stopping = true;
     dispatcher = std::move(dispatcher_);
   }
+  queue_->cv.notify_all();
   if (dispatcher.joinable()) dispatcher.join();
   // Without a dispatcher (start() never ran, or it died) nothing drains the
   // incoming queue; resolve leftovers so no client blocks forever.
-  std::deque<std::shared_ptr<detail::RouteJob>> leftover;
+  std::deque<JobPtr> leftover;
   {
-    const std::lock_guard<std::mutex> lock{queue_mutex_};
-    leftover.swap(incoming_);
+    const std::lock_guard<std::mutex> lock{queue_->mutex};
+    leftover.swap(queue_->incoming);
   }
-  for (const auto& job : leftover) {
-    Response response;
-    response.state = RequestState::kRejected;
-    response.error = ErrorKind::kResourceExhausted;
-    response.retryable = true;
-    response.message = "router stopped before the request ran";
-    resolve(*job, std::move(response), "");
-  }
+  for (const auto& job : leftover) reject_stopped(*job);
   for (const auto& r : replicas_) r->shutdown_host();
+  // A dispatcher that died left its in-flight attempts behind; their
+  // replicas have resolved them by now, so their jobs end here.
+  {
+    const std::lock_guard<std::mutex> lock{queue_->mutex};
+    leftover.swap(queue_->completed);
+  }
+  for (const auto& job : leftover) reject_stopped(*job);
+}
+
+void VariantRouter::reject_stopped(detail::RouteJob& job) {
+  Response response;
+  response.state = RequestState::kRejected;
+  response.error = ErrorKind::kResourceExhausted;
+  response.retryable = true;
+  response.message = "router stopped before the request ran";
+  resolve(job, std::move(response), "");
 }
 
 void VariantRouter::bump_stats(RequestState state) {
@@ -420,21 +461,23 @@ void VariantRouter::resolve(detail::RouteJob& job, Response response,
 }
 
 void VariantRouter::dispatcher_main() {
+  std::vector<JobPtr> parked;
   try {
-    dispatch_loop();
+    dispatch_loop(parked);
   } catch (const std::exception& e) {
     // The dispatcher must never die silently with clients parked on
-    // tickets: mark the router stopped and fail everything queued. (In-
-    // flight replica attempts resolve through their own servers; their
-    // RouteJobs resolve here with the dispatcher's terminal error.)
+    // tickets: mark the router stopped and fail everything it holds. Jobs
+    // still on a replica end in shutdown(), once their replicas stop.
     log_error("route: dispatcher died (", e.what(), "); failing queued jobs");
-    std::deque<std::shared_ptr<detail::RouteJob>> pending;
     {
-      const std::lock_guard<std::mutex> lock{queue_mutex_};
-      stopping_ = true;
-      pending.swap(incoming_);
+      const std::lock_guard<std::mutex> lock{queue_->mutex};
+      queue_->stopping = true;
+      parked.insert(parked.end(), queue_->incoming.begin(), queue_->incoming.end());
+      parked.insert(parked.end(), queue_->completed.begin(), queue_->completed.end());
+      queue_->incoming.clear();
+      queue_->completed.clear();
     }
-    for (const auto& job : pending) {
+    for (const auto& job : parked) {
       Response response;
       response.state = RequestState::kFailed;
       response.error = ErrorKind::kFatal;
@@ -444,71 +487,80 @@ void VariantRouter::dispatcher_main() {
   }
 }
 
-void VariantRouter::dispatch_loop() {
-  std::vector<std::shared_ptr<detail::RouteJob>> inflight;
+void VariantRouter::dispatch_loop(std::vector<JobPtr>& parked) {
+  detail::DispatchQueue& queue = *queue_;
+  std::size_t dispatched = 0;  // jobs whose replica attempt is in flight
+  bool stopping = false;
+  Clock::time_point wake = Clock::time_point::max();  // earliest parked timer
   while (true) {
-    bool stopping = false;
     {
-      std::unique_lock<std::mutex> lock{queue_mutex_};
-      if (incoming_.empty() && inflight.empty()) {
-        if (stopping_) return;
-        queue_cv_.wait_for(lock, std::chrono::milliseconds{10});
+      std::unique_lock<std::mutex> lock{queue.mutex};
+      const auto woken = [&] {
+        return !queue.incoming.empty() || !queue.completed.empty() ||
+               queue.rescan || queue.stopping != stopping;
+      };
+      // Shutdown resolved every parked job; it ends once the attempts in
+      // flight have come back (those clients get real results).
+      if (stopping && dispatched == 0 && !woken()) return;
+      if (wake == Clock::time_point::max()) {
+        queue.cv.wait(lock, woken);
+      } else {
+        queue.cv.wait_until(lock, wake, woken);
       }
-      while (!incoming_.empty()) {
-        inflight.push_back(incoming_.front());
-        incoming_.pop_front();
-      }
-      stopping = stopping_;
+      // This pass: the parked jobs, then completed attempts (the only jobs
+      // here that are on a replica), then new submissions.
+      parked.insert(parked.end(), queue.completed.begin(), queue.completed.end());
+      parked.insert(parked.end(), queue.incoming.begin(), queue.incoming.end());
+      queue.completed.clear();
+      queue.incoming.clear();
+      queue.rescan = false;
+      stopping = queue.stopping;
     }
     const Clock::time_point now = Clock::now();
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      if (process(*it, now)) {
-        it = inflight.erase(it);
-      } else if (stopping && (*it)->active_replica < 0) {
-        // Shutdown: undispatched jobs resolve now; in-flight attempts drain
-        // through their replica servers (those clients get real results).
-        Response response;
-        response.state = RequestState::kRejected;
-        response.error = ErrorKind::kResourceExhausted;
-        response.retryable = true;
-        response.message = "router stopped before the request ran";
-        resolve(**it, std::move(response), "");
-        it = inflight.erase(it);
-      } else {
-        ++it;
+    for (const JobPtr& job : parked) {
+      if (job->active_replica < 0) {
+        advance(job, now);
+        continue;
       }
+      --dispatched;
+      TicketPtr ticket;
+      {
+        const std::lock_guard<std::mutex> lock{job->mutex};
+        ticket = job->active_ticket;
+      }
+      handle_outcome(job, ticket->wait(), now);
     }
-    if (!inflight.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds{config_.poll_ms});
-    }
+
+    wake = Clock::time_point::max();
+    const auto settled = [&](const JobPtr& job) {
+      if (job->active_replica >= 0) {
+        ++dispatched;
+        return true;
+      }
+      if (job->is_terminal()) return true;
+      if (stopping) {
+        reject_stopped(*job);  // a job that could not dispatch now never will
+        return true;
+      }
+      wake = std::min(wake, job->not_before);
+      if (job->deadline_ms > 0) {
+        wake = std::min(wake, job->submitted_at +
+                                  std::chrono::milliseconds{job->deadline_ms});
+      }
+      return false;
+    };
+    std::erase_if(parked, settled);
   }
 }
 
-bool VariantRouter::process(const std::shared_ptr<detail::RouteJob>& jobp,
-                            Clock::time_point now) {
+void VariantRouter::advance(const JobPtr& jobp, Clock::time_point now) {
   detail::RouteJob& job = *jobp;
-  if (job.active_replica >= 0) {
-    TicketPtr ticket;
-    {
-      const std::lock_guard<std::mutex> lock{job.mutex};
-      ticket = job.active_ticket;
-    }
-    if (job.cancel_requested.load(std::memory_order_acquire)) {
-      ticket->cancel();  // idempotent; resolves at the next token boundary
-    }
-    // Poll without a timed wait: a zero-timeout condition wait still costs
-    // a futex call per pending ticket per dispatcher tick.
-    if (!request_state_terminal(ticket->state())) return false;
-    handle_outcome(job, ticket->wait(), now);
-    return job.is_terminal();
-  }
-
   if (job.cancel_requested.load(std::memory_order_acquire)) {
     Response response;
     response.state = RequestState::kCancelled;
     response.message = "cancelled before dispatch";
     resolve(job, std::move(response), job.last_variant);
-    return true;
+    return;
   }
   if (job.deadline_ms > 0 &&
       now - job.submitted_at >= std::chrono::milliseconds{job.deadline_ms}) {
@@ -518,11 +570,9 @@ bool VariantRouter::process(const std::shared_ptr<detail::RouteJob>& jobp,
     response.retryable = true;
     response.message = "deadline expired while routing";
     resolve(job, std::move(response), job.last_variant);
-    return true;
+    return;
   }
-  if (now < job.not_before) return false;
-  dispatch(job, now);
-  return job.is_terminal();
+  if (now >= job.not_before) dispatch(jobp, now);
 }
 
 std::vector<VariantRouter::Candidate> VariantRouter::ordered_candidates(
@@ -567,7 +617,8 @@ std::vector<VariantRouter::Candidate> VariantRouter::ordered_candidates(
   return candidates;
 }
 
-bool VariantRouter::dispatch(detail::RouteJob& job, Clock::time_point now) {
+void VariantRouter::dispatch(const JobPtr& jobp, Clock::time_point now) {
+  detail::RouteJob& job = *jobp;
   for (const Candidate& candidate : ordered_candidates(job)) {
     Replica& r = *replicas_[candidate.index];
     bool is_probe = false;
@@ -590,8 +641,8 @@ bool VariantRouter::dispatch(detail::RouteJob& job, Clock::time_point now) {
       }
       job.tried[candidate.index] = true;
       job.last_variant = r.name();
-      fail_over(job, injected, now);
-      return true;
+      fail_over(jobp, injected, now);
+      return;
     }
 
     const std::int64_t delay = fault::replica_dispatch_delay_ms(idx);
@@ -601,7 +652,7 @@ bool VariantRouter::dispatch(detail::RouteJob& job, Clock::time_point now) {
       job.transit_delayed = true;
       job.not_before = now + std::chrono::milliseconds{delay};
       r.abandon_dispatch(is_probe);
-      return false;
+      return;
     }
 
     TicketPtr ticket = r.submit(job.route.request);
@@ -616,18 +667,38 @@ bool VariantRouter::dispatch(detail::RouteJob& job, Clock::time_point now) {
     job.active_probe = is_probe;
     job.tried[candidate.index] = true;
     job.last_variant = r.name();
-    return true;
+    // Last: the hook runs at once when the replica resolved the request in
+    // submit(), and the completion must find the attempt recorded.
+    ticket->on_terminal(
+        [queue = queue_, jobp] { queue->push_completed(jobp); });
+    return;
   }
-  // Nothing eligible right now (all breakers open mid-cooldown, or probe
-  // tokens taken): park briefly and re-route. Bounded overall because every
-  // real attempt consumes a failover hop and cooldowns always elapse.
-  job.not_before = now + std::chrono::milliseconds{config_.reroute_wait_ms};
-  return false;
+  // Nothing eligible right now: park until a cooldown ends or an event.
+  // Bounded overall because every real attempt consumes a failover hop and
+  // cooldowns always elapse.
+  job.not_before = retry_at(now);
 }
 
-void VariantRouter::handle_outcome(detail::RouteJob& job,
-                                   const Response& response,
+Clock::time_point VariantRouter::retry_at(Clock::time_point now) const {
+  std::int64_t wait_ms = -1;
+  for (const auto& r : replicas_) {
+    // A breaker that turned dispatchable since the candidates were ordered
+    // (a remote replica's trip races the dispatcher): try again at once.
+    if (r->breaker().dispatchable()) return now;
+    // Already a ceiling: the breaker truncates the elapsed time, never the
+    // time remaining.
+    const std::int64_t cooling = r->breaker().cooldown_remaining_ms();
+    if (cooling > 0 && (wait_ms < 0 || cooling < wait_ms)) wait_ms = cooling;
+  }
+  // Every breaker half-open with its probe tokens taken: a probe's
+  // completion is the event that frees one.
+  if (wait_ms < 0) return Clock::time_point::max();
+  return now + std::chrono::milliseconds{wait_ms};
+}
+
+void VariantRouter::handle_outcome(const JobPtr& jobp, const Response& response,
                                    Clock::time_point now) {
+  detail::RouteJob& job = *jobp;
   Replica& r = *replicas_[static_cast<std::size_t>(job.active_replica)];
   const bool is_probe = job.active_probe;
   job.active_replica = -1;
@@ -691,12 +762,13 @@ void VariantRouter::handle_outcome(detail::RouteJob& job,
   if (terminal) {
     resolve(job, response, r.name());
   } else {
-    fail_over(job, response, now);
+    fail_over(jobp, response, now);
   }
 }
 
-void VariantRouter::fail_over(detail::RouteJob& job, const Response& response,
+void VariantRouter::fail_over(const JobPtr& jobp, const Response& response,
                               Clock::time_point now) {
+  detail::RouteJob& job = *jobp;
   if (job.hops >= config_.failover_max) {
     {
       const std::lock_guard<std::mutex> lock{stats_mutex_};
@@ -719,7 +791,7 @@ void VariantRouter::fail_over(detail::RouteJob& job, const Response& response,
            "'");
   // Recurse at most failover_max deep: an injected pre-submit failure in
   // dispatch() calls straight back into fail_over.
-  dispatch(job, now);
+  dispatch(jobp, now);
 }
 
 }  // namespace sdd::serve

@@ -22,6 +22,18 @@
 //     Response of the last attempt is always returned — no request is ever
 //     lost, even when every variant is down.
 //
+// Completion is an event, never a poll. Each replica attempt's Ticket
+// carries a completion hook (Ticket::on_terminal) that queues the request
+// for the dispatcher and wakes it, on the same condition variable a submit
+// notifies. Only parked requests carry timers — not yet dispatched, held by
+// replica_slow chaos, or with no eligible replica (every breaker open and
+// cooling, or half-open with its probe tokens taken) — and the dispatcher
+// sleeps until the earliest of their deadlines and retry times, or until an
+// event: a submit, a completion, a cancel, shutdown. With no eligible
+// replica the retry time is the earliest breaker cooldown expiry; when only
+// probe tokens are taken there is none, because the probe's own completion
+// wakes the dispatcher.
+//
 // Determinism invariant (proved by scripts/soak.sh router): a request's
 // tokens depend only on (variant, prompt, seed, options). Failover re-submits
 // the request fresh on the next variant, so whichever variant completes it,
@@ -31,9 +43,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,8 +66,6 @@ namespace sdd::serve {
 #define SDD_ROUTER_FIELDS(X)                                                  \
   X(std::int64_t, failover_max, 2, kRun, "extra dispatch attempts per request") \
   X(std::int64_t, cheap_deadline_ms, 60, kRun, "deadlines <= this go cheap") \
-  X(std::int64_t, poll_ms, 1, kRun, "dispatcher tick while jobs in flight") \
-  X(std::int64_t, reroute_wait_ms, 5, kRun, "backoff when no replica is eligible") \
   X(bool, start_dispatcher, true, kRun, "test seam: false = call start() later") \
   X(std::string, spec_draft, {}, kRun, "variant drafting for the others; \"\" = off") \
   X(bool, cross_process, false, kRun, "one replica-worker process per variant") \
@@ -143,6 +151,7 @@ struct RouteResponse {
 
 namespace detail {
 struct RouteJob;
+struct DispatchQueue;
 }
 
 // Client handle to a routed request; resolved exactly once.
@@ -150,7 +159,9 @@ class RouteTicket {
  public:
   const RouteResponse& wait();
   bool wait_for(std::chrono::milliseconds timeout);
-  // Cooperative abandon: also cancels the in-flight replica attempt.
+  // Cooperative abandon: cancels the in-flight replica attempt, or wakes
+  // the dispatcher to resolve a parked request kCancelled at once. Safe
+  // after the router is gone.
   void cancel();
   RequestState state() const;
 
@@ -233,31 +244,38 @@ class VariantRouter {
 
  private:
   struct Candidate;
+  using JobPtr = std::shared_ptr<detail::RouteJob>;
 
   void dispatcher_main();
-  void dispatch_loop();
-  // Advances one job; returns true when the job reached a terminal state.
-  bool process(const std::shared_ptr<detail::RouteJob>& job,
-               std::chrono::steady_clock::time_point now);
-  bool dispatch(detail::RouteJob& job,
-                std::chrono::steady_clock::time_point now);
-  void handle_outcome(detail::RouteJob& job, const Response& response,
+  // Runs until shutdown has drained every attempt; `parked` holds the jobs
+  // that are waiting on a timer or an event, not on a replica.
+  void dispatch_loop(std::vector<JobPtr>& parked);
+  // A parked job: resolve it (cancel, deadline) or dispatch it once its
+  // retry time has come.
+  void advance(const JobPtr& job, std::chrono::steady_clock::time_point now);
+  void dispatch(const JobPtr& job, std::chrono::steady_clock::time_point now);
+  void handle_outcome(const JobPtr& job, const Response& response,
                       std::chrono::steady_clock::time_point now);
-  void fail_over(detail::RouteJob& job, const Response& response,
+  void fail_over(const JobPtr& job, const Response& response,
                  std::chrono::steady_clock::time_point now);
   std::vector<Candidate> ordered_candidates(const detail::RouteJob& job) const;
+  // When an undispatchable job should try again: the earliest breaker
+  // cooldown expiry, or never (time_point::max) when only a probe's
+  // completion can free a replica.
+  std::chrono::steady_clock::time_point retry_at(
+      std::chrono::steady_clock::time_point now) const;
   void resolve(detail::RouteJob& job, Response response,
                const std::string& variant);
+  void reject_stopped(detail::RouteJob& job);
   void bump_stats(RequestState state);
 
   RouterConfig config_;
   QualityTable quality_;
   std::vector<std::unique_ptr<Replica>> replicas_;
 
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<std::shared_ptr<detail::RouteJob>> incoming_;
-  bool stopping_ = false;
+  // Submissions, completions and cancels reach the dispatcher here; every
+  // job holds it too. Its mutex also guards the two members below.
+  std::shared_ptr<detail::DispatchQueue> queue_;
   bool dispatcher_started_ = false;
   std::thread dispatcher_;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <limits>
+#include <utility>
 
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -16,7 +17,8 @@ using Clock = std::chrono::steady_clock;
 namespace detail {
 
 // Shared between the client-facing Ticket and the scheduler. Resolved
-// exactly once; `terminal` + cv is the only client synchronization point.
+// exactly once, by finish(): `terminal` + cv wake blocking clients and
+// `on_terminal` tells an event-driven one (Ticket::on_terminal).
 struct Job {
   Request request;
   CancelToken cancel;
@@ -29,7 +31,29 @@ struct Job {
   std::condition_variable cv;
   bool terminal = false;
   Response response;
+  std::function<void()> on_terminal;
 };
+
+// The one resolve path of server and remote jobs. The first call stores the
+// response, runs `count` (so stats are current before a waiter wakes), marks
+// the job terminal and wakes its waiters; then the hook runs, outside the
+// job's lock. Moving the hook out also drops whatever it captured, which
+// may own this job (a router attempt holds its ticket, the ticket this job).
+// Later calls change nothing.
+template <typename Count>
+void finish(Job& job, Response response, Count&& count) {
+  std::function<void()> hook;
+  {
+    const std::lock_guard<std::mutex> lock{job.mutex};
+    if (job.terminal) return;
+    job.response = std::move(response);
+    count(job.response.state);
+    job.terminal = true;
+    hook = std::exchange(job.on_terminal, nullptr);
+  }
+  job.cv.notify_all();
+  if (hook) hook();
+}
 
 // ---- RemoteJob (cross-process seam) ----------------------------------------
 
@@ -48,19 +72,8 @@ const Request& RemoteJob::request(Job& job) { return job.request; }
 
 bool RemoteJob::cancel_requested(Job& job) { return job.cancel.cancelled(); }
 
-bool RemoteJob::terminal(Job& job) {
-  const std::lock_guard<std::mutex> lock{job.mutex};
-  return job.terminal;
-}
-
 void RemoteJob::resolve(Job& job, Response response) {
-  {
-    const std::lock_guard<std::mutex> lock{job.mutex};
-    if (job.terminal) return;
-    job.response = std::move(response);
-    job.terminal = true;
-  }
-  job.cv.notify_all();
+  finish(job, std::move(response), [](RequestState) {});
 }
 
 }  // namespace detail
@@ -128,6 +141,17 @@ bool Ticket::wait_for(std::chrono::milliseconds timeout) {
 }
 
 void Ticket::cancel() { job_->cancel.cancel(); }
+
+void Ticket::on_terminal(std::function<void()> fn) {
+  {
+    const std::lock_guard<std::mutex> lock{job_->mutex};
+    if (!job_->terminal) {
+      job_->on_terminal = std::move(fn);
+      return;
+    }
+  }
+  fn();
+}
 
 RequestState Ticket::state() const {
   const std::lock_guard<std::mutex> lock{job_->mutex};
@@ -319,51 +343,46 @@ void InferenceServer::resolve(detail::Job& job, RequestState state,
                               std::optional<ErrorKind> error,
                               std::string message,
                               std::vector<std::int32_t> tokens) {
-  {
-    const std::lock_guard<std::mutex> lock{job.mutex};
-    if (job.terminal) return;
-    const Clock::time_point now = Clock::now();
-    job.response.state = state;
-    job.response.tokens = std::move(tokens);
-    job.response.error = error;
-    job.response.retryable = error.has_value() && error_kind_retryable(*error);
-    job.response.degraded = job.degraded;
-    job.response.message = std::move(message);
-    job.response.queue_ms = ms_between(
-        job.submitted_at, job.started ? job.started_at : now);
-    job.response.decode_ms = job.started ? ms_between(job.started_at, now) : 0;
-    // Stats must be current before the client unblocks: a caller returning
-    // from Ticket::wait() may read stats() immediately. Lock order is
-    // job.mutex -> stats_mutex_, never the reverse.
-    {
-      const std::lock_guard<std::mutex> stats_lock{stats_mutex_};
-      switch (state) {
-        case RequestState::kCompleted:
-          ++stats_.completed;
-          break;
-        case RequestState::kTimeout:
-          ++stats_.timed_out;
-          break;
-        case RequestState::kCancelled:
-          ++stats_.cancelled;
-          break;
-        case RequestState::kShed:
-          ++stats_.shed;
-          break;
-        case RequestState::kRejected:
-          ++stats_.rejected;
-          break;
-        case RequestState::kFailed:
-          ++stats_.failed;
-          break;
-        case RequestState::kQueued:
-        case RequestState::kRunning:
-          break;
-      }
+  // started, started_at and degraded are the scheduler's, and every resolve
+  // runs on the scheduler or before the job reaches it.
+  const Clock::time_point now = Clock::now();
+  Response response;
+  response.state = state;
+  response.tokens = std::move(tokens);
+  response.error = error;
+  response.retryable = error.has_value() && error_kind_retryable(*error);
+  response.degraded = job.degraded;
+  response.message = std::move(message);
+  response.queue_ms =
+      ms_between(job.submitted_at, job.started ? job.started_at : now);
+  response.decode_ms = job.started ? ms_between(job.started_at, now) : 0;
+  // Lock order is job.mutex -> stats_mutex_, never the reverse.
+  detail::finish(job, std::move(response), [this](RequestState resolved) {
+    const std::lock_guard<std::mutex> stats_lock{stats_mutex_};
+    switch (resolved) {
+      case RequestState::kCompleted:
+        ++stats_.completed;
+        break;
+      case RequestState::kTimeout:
+        ++stats_.timed_out;
+        break;
+      case RequestState::kCancelled:
+        ++stats_.cancelled;
+        break;
+      case RequestState::kShed:
+        ++stats_.shed;
+        break;
+      case RequestState::kRejected:
+        ++stats_.rejected;
+        break;
+      case RequestState::kFailed:
+        ++stats_.failed;
+        break;
+      case RequestState::kQueued:
+      case RequestState::kRunning:
+        break;
     }
-    job.terminal = true;
-  }
-  job.cv.notify_all();
+  });
 }
 
 void InferenceServer::worker_main() {

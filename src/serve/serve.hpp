@@ -45,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -146,6 +147,15 @@ class Ticket {
   // boundary and the ticket resolves with kCancelled.
   void cancel();
   RequestState state() const;
+  // Completion hook: `fn` runs exactly once, after the ticket resolves, on
+  // the thread that resolved it and after the job's own lock is released;
+  // at once on the caller's thread when the ticket is already terminal. One
+  // hook per ticket (a later call replaces a hook that has not fired). The
+  // resolver may hold InferenceServer's queue lock (a shed victim resolves
+  // inside another request's submit) or sit on a replica's pump thread, so
+  // `fn` may take only a leaf lock — one under which it calls nothing that
+  // locks — and must not block or call back into the server.
+  void on_terminal(std::function<void()> fn);
 
  private:
   friend class InferenceServer;
@@ -172,9 +182,9 @@ class RemoteJob {
   static TicketPtr ticket(const std::shared_ptr<Job>& job);
   static const Request& request(Job& job);
   static bool cancel_requested(Job& job);
-  static bool terminal(Job& job);
   // Resolves the ticket exactly once (first caller wins; later calls are
-  // ignored so a late wire response cannot overwrite a failover verdict).
+  // ignored so a late wire response cannot overwrite a failover verdict),
+  // through the same path as InferenceServer, completion hook included.
   static void resolve(Job& job, Response response);
 };
 

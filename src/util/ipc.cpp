@@ -35,10 +35,12 @@ constexpr std::size_t kReadStepBytes = 64 << 10;
 
 // Blocks until `fd` is readable or `deadline` (monotonic_ms) passes. POLLHUP
 // and POLLERR count as readable so the subsequent read() observes EOF/error.
+// A deadline already past still polls once, so a zero timeout reads a
+// descriptor that is ready without waiting.
 bool wait_readable(int fd, std::int64_t deadline) {
   for (;;) {
-    const std::int64_t remain = deadline - proc::monotonic_ms();
-    if (remain <= 0) return false;
+    const std::int64_t remain =
+        std::max<std::int64_t>(0, deadline - proc::monotonic_ms());
     pollfd pfd{};
     pfd.fd = fd;
     pfd.events = POLLIN;
@@ -49,6 +51,7 @@ bool wait_readable(int fd, std::int64_t deadline) {
       throw_lost(std::string{"poll failed: "} + std::strerror(errno));
     }
     if (rc > 0) return true;
+    if (remain == 0) return false;
   }
 }
 

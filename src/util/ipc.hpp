@@ -55,8 +55,9 @@ void write_frame(int fd, std::uint8_t type, std::string_view payload);
 // reader a torn frame to classify as worker_lost.
 void write_torn_frame(int fd, std::uint8_t type, std::string_view payload);
 
-// Reads one frame. `timeout_ms` bounds the wait for the frame to *start*;
-// once the first header byte arrives the rest must follow within an internal
+// Reads one frame. `timeout_ms` bounds the wait for the frame to *start*
+// (0 = take one that has started without waiting, as after a poll()); once
+// the first header byte arrives the rest must follow within an internal
 // continuation budget (a writer that dies or wedges mid-frame surfaces as
 // Error{kWorkerLost, "torn frame"}). Returns kTimeout when nothing arrived,
 // kClosed on EOF at a frame boundary. Throws Error{kWorkerLost} on torn or

@@ -28,16 +28,6 @@ std::int64_t monotonic_ms() {
          static_cast<std::int64_t>(ts.tv_nsec) / 1'000'000;
 }
 
-std::filesystem::path self_exe() {
-  std::error_code ec;
-  const auto path = std::filesystem::read_symlink("/proc/self/exe", ec);
-  if (ec) {
-    throw Error(ErrorKind::kFatal,
-                "proc: cannot resolve /proc/self/exe: " + ec.message());
-  }
-  return path;
-}
-
 Child Child::spawn(const std::vector<std::string>& argv,
                    const std::vector<std::string>& env_overrides,
                    const std::vector<int>& inherit_fds) {

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,9 +26,11 @@ namespace sdd::proc {
 // Milliseconds on CLOCK_MONOTONIC (since boot). Cross-process comparable.
 std::int64_t monotonic_ms();
 
-// Path of the running executable (/proc/self/exe). The orchestrator re-execs
-// itself with a worker subcommand, so workers always run the same binary.
-std::filesystem::path self_exe();
+// The running executable, for re-exec'ing it with a worker subcommand.
+// Exec'ing the link itself runs this process's own image even after its file
+// was replaced or deleted on disk (a rebuild mid-run); the path the link
+// resolves to would name the new file or none.
+inline constexpr const char* kSelfExe = "/proc/self/exe";
 
 struct ExitStatus {
   std::int64_t pid = -1;

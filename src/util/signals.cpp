@@ -67,8 +67,10 @@ int interrupt_signal() noexcept {
   return g_interrupt_signal.load(std::memory_order_relaxed);
 }
 
+int interrupt_fd() noexcept { return g_wake_read.load(std::memory_order_relaxed); }
+
 bool wait_for_interrupt(std::chrono::milliseconds timeout) {
-  const int fd = g_wake_read.load(std::memory_order_relaxed);
+  const int fd = interrupt_fd();
   if (fd < 0) {
     std::this_thread::sleep_for(timeout);
   } else if (!interrupt_requested()) {
@@ -80,7 +82,7 @@ bool wait_for_interrupt(std::chrono::milliseconds timeout) {
 
 void reset_interrupt_for_test() noexcept {
   g_interrupt_signal.store(0, std::memory_order_relaxed);
-  const int fd = g_wake_read.load(std::memory_order_relaxed);
+  const int fd = interrupt_fd();
   char drain[64];
   while (fd >= 0 && ::read(fd, drain, sizeof drain) > 0) {
   }

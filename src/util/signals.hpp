@@ -36,6 +36,11 @@ int interrupt_signal() noexcept;
 // handlers it is a plain sleep. May also return early on another signal.
 bool wait_for_interrupt(std::chrono::milliseconds timeout);
 
+// Read end of the self-pipe the handlers write: it turns readable once
+// SIGTERM or SIGINT arrives, so an event loop can poll it next to its own
+// descriptors. -1 when nothing was installed (poll ignores a negative fd).
+int interrupt_fd() noexcept;
+
 // Test seam: clears the interrupt flag and drains the self-pipe (handlers
 // stay installed).
 void reset_interrupt_for_test() noexcept;

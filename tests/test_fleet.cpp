@@ -835,9 +835,9 @@ TEST(FleetCliFork, CorruptMemoEntryIsRecomputedByAWorker) {
   EXPECT_EQ(read_text(tmp.path() / "second.txt"), read_text(tmp.path() / "first.txt"));
   EXPECT_TRUE(fs::exists(entries[2].string() + ".corrupt"));
   // The rerun finds the corrupt cell done in its queue, rejects it and has a
-  // worker recompute it.
+  // worker recompute it: the one result this run produced.
   const std::string stdout_text = read_text(tmp.path() / "stdout.txt");
-  EXPECT_NE(stdout_text.find("rejected=1 reclaimed=0 respawned=0 dead=0"),
+  EXPECT_NE(stdout_text.find("completed=1 rejected=1 reclaimed=0 respawned=0 dead=0"),
             std::string::npos)
       << stdout_text;
 }
@@ -859,17 +859,32 @@ std::vector<pid_t> fleet_workers_under(const fs::path& root) {
   return pids;
 }
 
-// SIGKILL an orchestrator mid-grid: its workers, one of them stalled on a
-// claimed cell, die with it instead of draining the queue on their own.
-TEST(FleetCliFork, WorkersDieWithTheirOrchestrator) {
-  TempDir tmp;
+// kCliShape as a Child::spawn environment.
+std::vector<std::string> cli_shape_env() {
   std::vector<std::string> env;
-  std::string shape{kCliShape};
+  const std::string shape{kCliShape};
   for (std::size_t at = 0; at < shape.size();) {
     const std::size_t end = shape.find(' ', at);
     env.push_back(shape.substr(at, end - at));
     at = end + 1;
   }
+  return env;
+}
+
+// Waits up to 60 s for `count` fleet workers under `root`.
+bool await_fleet_workers(const fs::path& root, std::size_t count) {
+  const std::int64_t deadline = proc::monotonic_ms() + 60'000;
+  while (fleet_workers_under(root).size() < count && proc::monotonic_ms() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  }
+  return fleet_workers_under(root).size() == count;
+}
+
+// SIGKILL an orchestrator mid-grid: its workers, one of them stalled on a
+// claimed cell, die with it instead of draining the queue on their own.
+TEST(FleetCliFork, WorkersDieWithTheirOrchestrator) {
+  TempDir tmp;
+  std::vector<std::string> env = cli_shape_env();
   env.insert(env.end(), {"SDD_CACHE_DIR=" + (tmp.path() / "cache").string(),
                          "SDD_FLEET_WORKERS=2", "SDD_FLEET_LEASE_MS=60000",
                          "SDD_CHILD_FAULT=worker_stall:0"});
@@ -877,11 +892,7 @@ TEST(FleetCliFork, WorkersDieWithTheirOrchestrator) {
       {SDD_CLI_PATH, "eval", "--suite", "openllm", "--items", "3"}, env);
 
   // Mid-grid: both workers run and one sits on its claimed cell.
-  const std::int64_t deadline = proc::monotonic_ms() + 60'000;
-  while (fleet_workers_under(tmp.path()).size() < 2 && proc::monotonic_ms() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds{20});
-  }
-  ASSERT_EQ(fleet_workers_under(tmp.path()).size(), 2U);
+  ASSERT_TRUE(await_fleet_workers(tmp.path(), 2));
   orchestrator.signal(SIGKILL);
   ASSERT_TRUE(orchestrator.wait(5'000).has_value());
 
@@ -894,6 +905,40 @@ TEST(FleetCliFork, WorkersDieWithTheirOrchestrator) {
   for (const pid_t pid : survivors) ::kill(pid, SIGKILL);
   EXPECT_TRUE(survivors.empty())
       << survivors.size() << " fleet-worker(s) outlived the orchestrator";
+}
+
+// The orchestrator's binary is deleted mid-grid, as a rebuild replaces it:
+// the worker that the lease sweep kills and respawns still runs, because
+// workers exec the orchestrator's own image rather than the path it was
+// started from, and the grid finishes with the serial digest.
+TEST(FleetCliFork, RespawnRunsTheOrchestratorsImageAfterItsFileIsGone) {
+  TempDir tmp;
+  const fs::path cli = tmp.path() / "sdd_cli";
+  fs::copy_file(SDD_CLI_PATH, cli);
+  std::vector<std::string> env = cli_shape_env();
+  env.insert(env.end(), {"SDD_CACHE_DIR=" + (tmp.path() / "fleet").string(),
+                         "SDD_FLEET_WORKERS=1", "SDD_FLEET_LEASE_MS=1500",
+                         "SDD_CHILD_FAULT=worker_stall:0"});
+  proc::Child orchestrator = proc::Child::spawn(
+      {cli.string(), "eval", "--suite", "openllm", "--items", "3", "--out",
+       (tmp.path() / "fleet.txt").string()},
+      env);
+  // The first worker stalls on its first claim; its lease expires later.
+  ASSERT_TRUE(await_fleet_workers(tmp.path(), 1));
+  fs::remove(cli);
+  const auto status = orchestrator.wait(120'000);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->exit_code, 0);
+
+  ASSERT_EQ(std::system((kCliShape + std::string{"SDD_CACHE_DIR="} +
+                         (tmp.path() / "serial").string() + " " + SDD_CLI_PATH +
+                         " eval --suite openllm --items 3 --out " +
+                         (tmp.path() / "serial.txt").string() + " > /dev/null")
+                            .c_str()),
+            0);
+  const std::string serial = read_text(tmp.path() / "serial.txt");
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(read_text(tmp.path() / "fleet.txt"), serial);
 }
 #endif
 

@@ -11,12 +11,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -37,6 +40,7 @@
 #include "serve/router.hpp"
 #include "serve/serve.hpp"
 #include "test_helpers.hpp"
+#include "util/fault.hpp"
 #include "util/ipc.hpp"
 #include "util/proc.hpp"
 #include "util/signals.hpp"
@@ -306,6 +310,75 @@ TEST(RemoteReplicaFork, SwapModelDrainsAndServesNewWeights) {
   replica.shutdown();
 }
 
+// SIGTERM reaches a worker that holds accepted requests behind a stalled
+// decode step: it stops reading, answers every one of them as it resolves
+// (the stalled one timed out by the watchdog, the queued ones interrupted),
+// and exits 72 once none is pending. The test plays the parent on the wire.
+TEST(RemoteReplicaFork, SigtermedWorkerAnswersEveryPendingRequestAndExits72) {
+  TempDir tmp;
+  const nn::TransformerLM model{tiny_config(), 907};
+  const std::string path = (tmp.path() / "full.bin").string();
+  model.save(path);
+  const auto type = [](serve::ReplicaFrame frame) {
+    return static_cast<std::uint8_t>(frame);
+  };
+  const ipc::SocketPair pair = ipc::socket_pair();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(pair.parent_fd);
+    signals::install_graceful_shutdown();
+    fault::configure("hang_decode:0,hang_cap:10000");  // the first step stalls
+    ::_exit(serve::replica_worker_main(path, "full", pair.child_fd, 15));
+  }
+  ::close(pair.child_fd);
+  const int fd = pair.parent_fd;
+  serve::ServerConfig server;
+  server.worker.hang_ms = 500;  // the watchdog ends the stall
+  ipc::write_frame(fd, type(serve::ReplicaFrame::kConfig), config::to_text(server));
+
+  // Requests 1-3 stall behind the first decode step; request 4 (an empty
+  // prompt) is rejected at admission and answered at once, which proves the
+  // worker has read the three before it.
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    Request request = request_for(id);
+    if (id == 4) request.prompt.clear();
+    ipc::write_frame(fd, type(serve::ReplicaFrame::kRequest),
+                     serve::detail::encode_request(id, request));
+  }
+  std::map<std::uint64_t, int> answers;
+  std::map<std::uint64_t, RequestState> states;
+  const auto read_response = [&]() -> std::optional<std::uint64_t> {
+    ipc::Frame frame;
+    while (ipc::read_frame(fd, &frame, 30'000) == ipc::ReadStatus::kFrame) {
+      if (frame.type != type(serve::ReplicaFrame::kResponse)) continue;
+      serve::Response response;
+      const std::uint64_t id = serve::detail::decode_response(frame.payload, &response);
+      ++answers[id];
+      states[id] = response.state;
+      return id;
+    }
+    return std::nullopt;
+  };
+  std::optional<std::uint64_t> id;
+  while ((id = read_response()) && *id != 4) {
+  }
+  ASSERT_EQ(id, std::optional<std::uint64_t>{4});
+  EXPECT_EQ(states[4], RequestState::kRejected);
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  while (read_response()) {
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ::close(fd);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 72);
+  for (std::uint64_t answered = 1; answered <= 4; ++answered) {
+    EXPECT_EQ(answers[answered], 1) << "request " << answered;
+  }
+  EXPECT_EQ(states[1], RequestState::kFailed);
+}
+
 // Parents poll tickets by state, so a response frame must carry a terminal
 // state. A worker that answers kRunning is broken: the ticket fails as
 // retryable worker_lost instead of resolving with a non-terminal state.
@@ -481,8 +554,6 @@ TEST(RemoteRouterFork, KilledWorkerFailsOverAndProbesBack) {
   p1.save(path_p1);
 
   RouterConfig config;
-  config.poll_ms = 1;
-  config.reroute_wait_ms = 2;
   config.breaker.open_after = 2;
   config.breaker.cooldown_ms = 100;
   config.cross_process = true;

@@ -189,8 +189,6 @@ std::vector<std::int32_t> reference_tokens(const nn::TransformerLM& model,
 
 RouterConfig test_router_config() {
   RouterConfig config;
-  config.poll_ms = 1;
-  config.reroute_wait_ms = 2;
   config.breaker.cooldown_ms = 50;
   return config;
 }
@@ -396,6 +394,84 @@ TEST(Router, CancelResolvesBeforeDispatch) {
   const RouteResponse& routed = wait_routed(*ticket);
   EXPECT_EQ(routed.response.state, RequestState::kCancelled);
   EXPECT_FALSE(routed.response.error.has_value());
+}
+
+// ---- parked requests: timers and events, no poll tick -----------------------
+
+// Every breaker open, none cooled down: nothing can dispatch.
+void trip_all(VariantRouter& router) {
+  for (const auto& snap : router.replicas()) {
+    router.replica(snap.name)->breaker().trip();
+  }
+}
+
+std::int64_t ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Nothing is in flight to wake the dispatcher, and the cooldown is far off:
+// the parked request's own deadline must.
+TEST(Router, ParkedRequestTimesOutAtItsDeadline) {
+  RouterConfig config = test_router_config();
+  config.breaker.cooldown_ms = 1000;
+  VariantRouter router{two_variants(69), config};
+  trip_all(router);
+  RouteRequest route = route_request_for(10);
+  route.request.deadline_ms = 30;
+  const auto start = std::chrono::steady_clock::now();
+  auto ticket = router.submit(route);
+  ASSERT_TRUE(ticket->wait_for(900ms)) << "parked until the cooldown";
+  const std::int64_t elapsed = ms_since(start);
+  EXPECT_EQ(ticket->wait().response.state, RequestState::kTimeout);
+  EXPECT_GE(elapsed, 30);
+  EXPECT_LT(elapsed, 130);
+}
+
+// A request parked behind open breakers, with nothing in flight, dispatches
+// as a half-open probe once the earliest cooldown ends: that timer is the
+// only thing that can wake the dispatcher.
+TEST(Router, ParkedRequestDispatchesAsAProbeWhenTheCooldownEnds) {
+  RouterConfig config = test_router_config();
+  config.breaker.cooldown_ms = 200;
+  VariantRouter router{two_variants(70), config};
+  const auto start = std::chrono::steady_clock::now();
+  trip_all(router);
+  auto ticket = router.submit(route_request_for(11, /*max_new=*/4));
+  ASSERT_TRUE(ticket->wait_for(2s)) << "no timer woke the dispatcher";
+  const std::int64_t elapsed = ms_since(start);
+  const RouteResponse& routed = ticket->wait();
+  ASSERT_EQ(routed.response.state, RequestState::kCompleted)
+      << routed.response.message;
+  EXPECT_GE(elapsed, 200);
+  EXPECT_LT(elapsed, 450);
+  std::int64_t probes = 0;
+  for (const auto& snap : router.replicas()) probes += snap.stats.probes;
+  EXPECT_EQ(probes, 1);
+}
+
+// A cancel wakes the dispatcher: the parked request resolves at once, not
+// at the next cooldown. The ticket stays usable after the router is gone.
+TEST(Router, CancellingAParkedRequestResolvesItAtOnce) {
+  RouterConfig config = test_router_config();
+  config.breaker.cooldown_ms = 1000;
+  serve::RouteTicketPtr ticket;
+  {
+    VariantRouter router{two_variants(71), config};
+    trip_all(router);
+    ticket = router.submit(route_request_for(12));
+    std::this_thread::sleep_for(20ms);  // parked by now
+    EXPECT_FALSE(ticket->wait_for(0ms));
+    const auto start = std::chrono::steady_clock::now();
+    ticket->cancel();
+    ASSERT_TRUE(ticket->wait_for(500ms)) << "cancel did not wake the dispatcher";
+    EXPECT_LT(ms_since(start), 100);
+    EXPECT_EQ(ticket->wait().response.state, RequestState::kCancelled);
+    EXPECT_EQ(router.stats().cancelled, 1);
+  }
+  ticket->cancel();
+  EXPECT_EQ(ticket->state(), RequestState::kCancelled);
 }
 
 // ---- quality table ---------------------------------------------------------

@@ -153,6 +153,70 @@ TEST(Serve, ShedsLowestPriorityForHigherPriorityArrival) {
   EXPECT_EQ(server.stats().shed, 1);
 }
 
+// The completion hook fires exactly once whichever way a ticket resolves:
+// queued then shed (inside the shedding submit), rejected at admission
+// (attached afterwards: runs at once), completed by the scheduler, and a
+// hook attached after completion runs at once too.
+TEST(Serve, CompletionHookFiresOnceForShedRejectedAndCompletedTickets) {
+  const nn::TransformerLM model{tiny_config(), 49};
+  ServerConfig config;
+  config.queue_capacity = 1;
+  config.start_worker = false;
+  InferenceServer server{model, config};
+  std::atomic<int> shed_fired{0};
+  std::atomic<int> rejected_fired{0};
+  std::atomic<int> completed_fired{0};
+  std::atomic<int> late_fired{0};
+
+  Request low = request_for(1);
+  low.priority = 0;
+  auto low_ticket = server.submit(low);
+  low_ticket->on_terminal([&] { ++shed_fired; });
+  EXPECT_EQ(shed_fired.load(), 0);
+
+  Request high = request_for(2);
+  high.priority = 5;
+  auto high_ticket = server.submit(high);  // queue full: sheds `low`
+  EXPECT_EQ(low_ticket->state(), RequestState::kShed);
+  EXPECT_EQ(shed_fired.load(), 1);
+  high_ticket->on_terminal([&] { ++completed_fired; });
+
+  auto rejected = server.submit(Request{});  // empty prompt
+  ASSERT_EQ(rejected->state(), RequestState::kRejected);
+  rejected->on_terminal([&] { ++rejected_fired; });
+  EXPECT_EQ(rejected_fired.load(), 1);
+
+  server.start();
+  EXPECT_EQ(wait_resolved(*high_ticket).state, RequestState::kCompleted);
+  high_ticket->on_terminal([&] { ++late_fired; });
+  EXPECT_EQ(late_fired.load(), 1);
+  server.shutdown();
+  EXPECT_EQ(shed_fired.load(), 1);
+  EXPECT_EQ(rejected_fired.load(), 1);
+  EXPECT_EQ(completed_fired.load(), 1);
+  EXPECT_EQ(late_fired.load(), 1);
+}
+
+// Remote jobs resolve through the same path: the hook fires on the first
+// resolve only, and a late duplicate changes neither the response nor the
+// hook count.
+TEST(Serve, RemoteJobResolveFiresTheHookOnce) {
+  auto job = serve::detail::RemoteJob::make(request_for(3));
+  auto ticket = serve::detail::RemoteJob::ticket(job);
+  int fired = 0;
+  ticket->on_terminal([&] { ++fired; });
+  EXPECT_EQ(fired, 0);
+  Response first;
+  first.state = RequestState::kCompleted;
+  serve::detail::RemoteJob::resolve(*job, first);
+  EXPECT_EQ(fired, 1);
+  Response late;
+  late.state = RequestState::kFailed;
+  serve::detail::RemoteJob::resolve(*job, late);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(ticket->state(), RequestState::kCompleted);
+}
+
 TEST(Serve, ShedTieBreaksOldestOfEqualLowestPriority) {
   const nn::TransformerLM model{tiny_config(), 47};
   ServerConfig config;
